@@ -15,7 +15,6 @@ from pidtucker import (
     RegWeights,
     SyntheticSpec,
     generate_synthetic,
-    impute,
     missing_indices,
     predict_batch,
     rmse,
@@ -76,7 +75,7 @@ print(f"held-out test RMSE: {test_rmse:.4f}  (noise floor is {spec.noise_sigma})
 #    the synthetic fixture).
 # ---------------------------------------------------------------------------
 holes = missing_indices(tensor)
-filled = impute(factors, holes)
+filled = predict_batch(factors, holes)
 true_values = predict_batch(truth, holes)
 gap = float(np.sqrt(np.mean((filled - true_values) ** 2)))
 print(f"imputed {len(holes)} missing cells; RMSE against ground truth: {gap:.4f}")

@@ -24,7 +24,6 @@ from .evaluation import (
     ExperimentConfig,
     ExperimentSummary,
     RepeatResult,
-    rmse,
     run_experiment,
     write_summary_csv,
     write_summary_json,
@@ -43,6 +42,7 @@ from .model import (
     predict_unbiased,
     reconstruct_dense,
     regularized_loss,
+    rmse,
     save_checkpoint,
 )
 from .pid import PidGains, PidState, adjust, reset
@@ -50,7 +50,6 @@ from .solver import (
     EpochRecord,
     Hyperparams,
     TrainReport,
-    impute,
     sgd_step,
     train,
     validation_converged,
@@ -86,7 +85,6 @@ __all__ = [
     "from_records",
     "generate_synthetic",
     "identity_mapping",
-    "impute",
     "init_factors",
     "instance_error",
     "instance_gradient",

@@ -27,7 +27,6 @@ from .datasets import (
     load_csv,
     load_mapping,
     missing_indices,
-    read_entries_csv,
     read_targets_csv,
     save_mapping,
     write_records_csv,
@@ -309,11 +308,7 @@ def cmd_impute(cfg: dict, rundir: Path) -> None:
     if cfg["all-missing"]:
         if cfg["data"] is None:
             raise ConfigError("--all-missing requires --data to locate observed cells")
-        tensor, _ = load_csv(cfg["data"], _schema_from(cfg))
-        if tensor.dims != mapping.dims:
-            raise DataError(
-                f"data dims {tensor.dims} do not match mapping dims {mapping.dims}"
-            )
+        tensor, _ = load_csv(cfg["data"], _schema_from(cfg), mapping)
         targets = missing_indices(tensor)
     else:
         targets = read_targets_csv(cfg["targets"], _schema_from(cfg), mapping)
@@ -323,10 +318,10 @@ def cmd_impute(cfg: dict, rundir: Path) -> None:
 def cmd_evaluate(cfg: dict, rundir: Path) -> None:
     factors = load_checkpoint(cfg["checkpoint"])
     mapping = load_mapping(cfg["mapping"])
-    indices, values = read_entries_csv(cfg["data"], _schema_from(cfg), mapping)
-    score = rmse(factors, indices, values)
-    _write_json({"rmse": score, "entries": int(len(values))}, rundir / "evaluation.json")
-    print(f"rmse={score!r} over {len(values)} entries")
+    tensor, _ = load_csv(cfg["data"], _schema_from(cfg), mapping)
+    score = rmse(factors, tensor.indices, tensor.values)
+    _write_json({"rmse": score, "entries": len(tensor)}, rundir / "evaluation.json")
+    print(f"rmse={score!r} over {len(tensor)} entries")
 
 
 _COMMANDS = {

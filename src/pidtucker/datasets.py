@@ -3,10 +3,15 @@
 The sole ingestion format is a UTF-8 CSV with a header and four columns
 (segment id, day, time slot, speed); column names and the number of slots per
 day come from a CsvSchema.  Missing cells are encoded purely by row absence;
-a speed of zero is a valid observation.  Distinct segment ids and days map to
-contiguous indices in deterministic sorted order (numeric when every id
-parses as a number, lexicographic otherwise), and the mapping is kept in a
-JSON sidecar so imputations can be written back under original identifiers.
+a speed of zero is a valid observation.  One row parser checks every file
+read here (data records, and target cells, which have no speed column).
+load_csv either builds the id-to-index mapping from the file or is given the
+one a checkpoint was trained with.  A built mapping assigns distinct segment
+ids and days contiguous indices in deterministic sorted order (numeric when
+every id parses as a number, lexicographic otherwise); a given mapping fixes
+the indices and the slot count, and ids outside it are an error.  The mapping
+is kept in a JSON sidecar so imputations can be written back under original
+identifiers.
 """
 
 from __future__ import annotations
@@ -86,65 +91,98 @@ def _sorted_ids(ids) -> list[str]:
         return sorted(ids)
 
 
-def load_csv(path, schema: CsvSchema) -> tuple[SparseTensor, IndexMapping]:
-    """Read speed records into a SparseTensor plus its id-to-index mapping.
+def _read_rows(path, schema: CsvSchema, slots_per_day: int, speed: bool = True):
+    """Checked (line, segment, day, slot, speed) rows of a speed-record CSV.
 
-    Mode sizes are (distinct segments, distinct days, schema.slots_per_day).
-    Raises DataError naming the line for malformed rows, out-of-range slots,
-    negative or non-finite speeds, and duplicated (segment, day, slot) cells.
+    With speed=False the file needs no speed column and each row's speed is
+    None.  Raises DataError naming the line for malformed rows, out-of-range
+    slots, and negative or non-finite speeds.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
-        raise DataError(f"cannot read data file: {exc}") from None
+        raise DataError(f"cannot read file: {exc}") from None
+    columns = (schema.segment, schema.day, schema.slot) + ((schema.speed,) if speed else ())
+    rows = []
     with fh:
         reader = csv.DictReader(fh)
-        columns = (schema.segment, schema.day, schema.slot, schema.speed)
         missing = [c for c in columns if c not in (reader.fieldnames or [])]
         if missing:
             raise DataError(f"{path}: missing required column(s) {missing}")
-
-        rows: list[tuple[str, str, int, float]] = []
-        seen: dict[tuple[str, str, int], int] = {}
         for lineno, row in enumerate(reader, start=2):
             seg = row[schema.segment]
             day = row[schema.day]
             try:
                 slot = int(row[schema.slot])
-                speed = float(row[schema.speed])
+                value = float(row[schema.speed]) if speed else None
             except (TypeError, ValueError):
                 raise DataError(f"{path}: malformed row at line {lineno}: {row}") from None
-            if seg is None or day is None or seg == "" or day == "":
+            if not seg or not day:
                 raise DataError(f"{path}: malformed row at line {lineno}: {row}")
-            if not 0 <= slot < schema.slots_per_day:
+            if not 0 <= slot < slots_per_day:
                 raise DataError(
-                    f"{path}: line {lineno}: slot {slot} out of range "
-                    f"[0, {schema.slots_per_day})"
+                    f"{path}: line {lineno}: slot {slot} out of range [0, {slots_per_day})"
                 )
-            if not math.isfinite(speed) or speed < 0:
-                raise DataError(f"{path}: line {lineno}: invalid speed {speed}")
-            key = (seg, day, slot)
-            if key in seen:
-                raise DataError(
-                    f"{path}: duplicate (segment, day, slot) {key} at lines "
-                    f"{seen[key]} and {lineno}"
-                )
-            seen[key] = lineno
-            rows.append((seg, day, slot, speed))
+            if speed and (not math.isfinite(value) or value < 0):
+                raise DataError(f"{path}: line {lineno}: invalid speed {value}")
+            rows.append((lineno, seg, day, slot, value))
+    return rows
 
-    if not rows:
-        raise DataError(f"{path}: no data rows")
 
-    mapping = IndexMapping(
-        segments=tuple(_sorted_ids({r[0] for r in rows})),
-        days=tuple(_sorted_ids({r[1] for r in rows})),
-        slots_per_day=schema.slots_per_day,
-    )
+def _index_rows(path, rows, mapping: IndexMapping) -> list[tuple[int, int, int]]:
+    """Cell indices of parsed rows; ids absent from the mapping are an error."""
     seg_index = {s: i for i, s in enumerate(mapping.segments)}
     day_index = {d: j for j, d in enumerate(mapping.days)}
-    records = [(seg_index[seg], day_index[day], slot, speed)
-               for seg, day, slot, speed in rows]
+    out = []
+    for lineno, seg, day, slot, _ in rows:
+        if seg not in seg_index:
+            raise DataError(f"{path}: line {lineno}: unknown segment id {seg!r}")
+        if day not in day_index:
+            raise DataError(f"{path}: line {lineno}: unknown day {day!r}")
+        out.append((seg_index[seg], day_index[day], slot))
+    return out
+
+
+def load_csv(path, schema: CsvSchema,
+             mapping: IndexMapping | None = None) -> tuple[SparseTensor, IndexMapping]:
+    """Read speed records into a SparseTensor plus its id-to-index mapping.
+
+    Without a mapping, one is built from the file's distinct ids and mode
+    sizes are (distinct segments, distinct days, schema.slots_per_day).  With
+    one (the mapping a checkpoint was trained with), ids map through it,
+    unknown ids are an error, and the slot count is mapping.slots_per_day.
+    Raises DataError naming the line for malformed rows, out-of-range slots,
+    negative or non-finite speeds, and duplicated (segment, day, slot) cells.
+    """
+    slots = schema.slots_per_day if mapping is None else mapping.slots_per_day
+    rows = _read_rows(path, schema, slots)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    seen: dict[tuple[str, str, int], int] = {}
+    for lineno, seg, day, slot, _ in rows:
+        key = (seg, day, slot)
+        if key in seen:
+            raise DataError(
+                f"{path}: duplicate (segment, day, slot) {key} at lines "
+                f"{seen[key]} and {lineno}"
+            )
+        seen[key] = lineno
+
+    if mapping is None:
+        mapping = IndexMapping(
+            segments=tuple(_sorted_ids({r[1] for r in rows})),
+            days=tuple(_sorted_ids({r[2] for r in rows})),
+            slots_per_day=slots,
+        )
+    cells = _index_rows(path, rows, mapping)
+    records = [(i, j, k, r[4]) for (i, j, k), r in zip(cells, rows)]
     return from_records(mapping.dims, records), mapping
+
+
+def read_targets_csv(path, schema: CsvSchema, mapping: IndexMapping) -> np.ndarray:
+    """Read (segment, day, slot) target cells and map them to indices."""
+    rows = _read_rows(path, schema, mapping.slots_per_day, speed=False)
+    return np.asarray(_index_rows(path, rows, mapping), dtype=np.int64).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -238,6 +276,9 @@ def write_records_csv(indices, values, mapping: IndexMapping, path,
             fh.write(f"{mapping.segments[i]},{mapping.days[j]},{k},{v:.6f}\n")
 
 
+_IMPUTED_SCHEMA = CsvSchema("segment_id", "day", "slot", "predicted_speed")
+
+
 def export_imputed(f: TuckerFactors, targets, mapping: IndexMapping, path) -> None:
     """Write model values for the target cells under original identifiers.
 
@@ -248,89 +289,4 @@ def export_imputed(f: TuckerFactors, targets, mapping: IndexMapping, path) -> No
             f"mapping dims {mapping.dims} do not match checkpoint dims {tuple(f.dims)}"
         )
     idx = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
-    preds = predict_batch(f, idx) if len(idx) else np.zeros(0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("segment_id,day,slot,predicted_speed\n")
-        for (i, j, k), v in zip(idx.tolist(), preds.tolist()):
-            fh.write(f"{mapping.segments[i]},{mapping.days[j]},{k},{v:.6f}\n")
-
-
-def read_entries_csv(path, schema: CsvSchema,
-                     mapping: IndexMapping) -> tuple[np.ndarray, np.ndarray]:
-    """Read speed records and map ids through an existing mapping.
-
-    Unlike load_csv, the index assignment is taken from `mapping` (the one a
-    checkpoint was trained with); ids absent from the mapping are an error.
-    """
-    seg_index = {s: i for i, s in enumerate(mapping.segments)}
-    day_index = {d: j for j, d in enumerate(mapping.days)}
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read data file: {exc}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        columns = (schema.segment, schema.day, schema.slot, schema.speed)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"{path}: missing required column(s) {missing}")
-        indices = []
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            seg, day = row[schema.segment], row[schema.day]
-            try:
-                slot = int(row[schema.slot])
-                speed = float(row[schema.speed])
-            except (TypeError, ValueError):
-                raise DataError(f"{path}: malformed row at line {lineno}: {row}") from None
-            if seg not in seg_index:
-                raise DataError(f"{path}: line {lineno}: unknown segment id {seg!r}")
-            if day not in day_index:
-                raise DataError(f"{path}: line {lineno}: unknown day {day!r}")
-            if not 0 <= slot < mapping.slots_per_day:
-                raise DataError(
-                    f"{path}: line {lineno}: slot {slot} out of range "
-                    f"[0, {mapping.slots_per_day})"
-                )
-            if not math.isfinite(speed) or speed < 0:
-                raise DataError(f"{path}: line {lineno}: invalid speed {speed}")
-            indices.append((seg_index[seg], day_index[day], slot))
-            values.append(speed)
-    if not values:
-        raise DataError(f"{path}: no data rows")
-    return (np.asarray(indices, dtype=np.int64).reshape(-1, 3),
-            np.asarray(values, dtype=np.float64))
-
-
-def read_targets_csv(path, schema: CsvSchema, mapping: IndexMapping) -> np.ndarray:
-    """Read (segment, day, slot) target cells and map them to indices."""
-    seg_index = {s: i for i, s in enumerate(mapping.segments)}
-    day_index = {d: j for j, d in enumerate(mapping.days)}
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read targets file: {exc}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        needed = (schema.segment, schema.day, schema.slot)
-        missing = [c for c in needed if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"{path}: missing required column(s) {missing}")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            seg, day = row[schema.segment], row[schema.day]
-            try:
-                slot = int(row[schema.slot])
-            except (TypeError, ValueError):
-                raise DataError(f"{path}: malformed row at line {lineno}: {row}") from None
-            if seg not in seg_index:
-                raise DataError(f"{path}: line {lineno}: unknown segment id {seg!r}")
-            if day not in day_index:
-                raise DataError(f"{path}: line {lineno}: unknown day {day!r}")
-            if not 0 <= slot < mapping.slots_per_day:
-                raise DataError(
-                    f"{path}: line {lineno}: slot {slot} out of range "
-                    f"[0, {mapping.slots_per_day})"
-                )
-            out.append((seg_index[seg], day_index[day], slot))
-    return np.asarray(out, dtype=np.int64).reshape(-1, 3)
+    write_records_csv(idx, predict_batch(f, idx), mapping, path, _IMPUTED_SCHEMA)

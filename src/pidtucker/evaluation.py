@@ -10,19 +10,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
-from .model import TuckerFactors, predict_batch
+from .model import rmse
 from .solver import Hyperparams, train
 from .sparse import SparseTensor, split
-
-
-def rmse(f: TuckerFactors, indices, values) -> float:
-    """Root mean squared error of model predictions over a held-out entry set."""
-    idx = np.asarray(indices, dtype=np.int64)
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0:
-        raise DataError("rmse over an empty entry set is undefined")
-    resid = vals - predict_batch(f, idx)
-    return float(np.sqrt(np.mean(resid * resid)))
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,16 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
     return f.mean + multi + f.biases[0][ii] + f.biases[1][jj] + f.biases[2][kk]
 
 
+def rmse(f: TuckerFactors, indices, values) -> float:
+    """Root mean squared error of model predictions over a held-out entry set."""
+    idx = np.asarray(indices, dtype=np.int64)
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.size == 0:
+        raise DataError("rmse over an empty entry set is undefined")
+    resid = vals - predict_batch(f, idx)
+    return float(np.sqrt(np.mean(resid * resid)))
+
+
 def reconstruct_dense(f: TuckerFactors, max_cells: int = 1_000_000) -> np.ndarray:
     """Full dense reconstruction via sequential mode products; test-scale oracle.
 
@@ -268,8 +278,14 @@ def load_checkpoint(path) -> TuckerFactors:
             raise DataError(f"{path}: not a checkpoint file ({exc})") from None
         if header.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
-        dims = tuple(int(x) for x in header["dims"])
-        ranks = Ranks(*(int(x) for x in header["ranks"]))
+        try:
+            dims = tuple(int(x) for x in header["dims"])
+            ranks = Ranks(*(int(x) for x in header["ranks"]))
+            mean = float(header["mean"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed checkpoint header ({exc!r})") from None
+        if len(dims) != 3:
+            raise DataError(f"{path}: checkpoint dims must have 3 entries, got {dims}")
         payload = fh.read()
 
     shapes = [
@@ -302,5 +318,5 @@ def load_checkpoint(path) -> TuckerFactors:
         core=arrays[3],
         factors=(arrays[0], arrays[1], arrays[2]),
         biases=(arrays[4], arrays[5], arrays[6]),
-        mean=float(header["mean"]),
+        mean=mean,
     )

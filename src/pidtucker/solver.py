@@ -21,9 +21,10 @@ from .model import (
     RegWeights,
     TuckerFactors,
     init_factors,
+    instance_gradient,
     predict,
-    predict_batch,
     regularized_loss,
+    rmse,
 )
 from .pid import PidGains, PidState, adjust
 from .sparse import DataSplit, SparseTensor
@@ -86,39 +87,26 @@ def sgd_step(f: TuckerFactors, idx, y: float, adjusted_err: float,
              hyper: Hyperparams) -> None:
     """Apply one entry's update in place.
 
-    All gradient pieces are formed from pre-update parameter values, then the
-    touched factor rows, the full core, and the three bias components move one
-    step of size eta against them.  lambda2 regularizes factor rows, lambda1
-    the core, lambda3 the biases.
+    The gradient (model.instance_gradient, with adjusted_err in place of the
+    raw residual) is formed from pre-update parameter values; then the touched
+    factor rows, the full core, and the three bias components move one step
+    of size eta against it.
     """
     if not math.isfinite(adjusted_err):
         raise DivergenceError(
             f"non-finite update at entry {tuple(int(x) for x in idx)} (y={y!r})"
         )
-    i, j, k = idx
+    grad = instance_gradient(f, idx, adjusted_err, hyper.reg)
     eta = hyper.eta
-    l1, l2, l3 = hyper.reg.lambda1, hyper.reg.lambda2, hyper.reg.lambda3
-    factor1, factor2, factor3 = f.factors
-    bias1, bias2, bias3 = f.biases
-    core = f.core
-
-    u = factor1[i]
-    d = factor2[j]
-    t = factor3[k]
-    gt = core @ t
-    phi = gt @ d
-    psi = u @ gt
-    chi = d @ (u @ core.reshape(core.shape[0], -1)).reshape(core.shape[1], core.shape[2])
-    outer = (u[:, None] * d)[:, :, None] * t
-
-    # Writes only after every read of the pre-update values.
-    factor1[i] = u - eta * (l2 * u - adjusted_err * phi)
-    factor2[j] = d - eta * (l2 * d - adjusted_err * psi)
-    factor3[k] = t - eta * (l2 * t - adjusted_err * chi)
-    core -= eta * (l1 * core - adjusted_err * outer)
-    bias1[i] -= eta * (l3 * bias1[i] - adjusted_err)
-    bias2[j] -= eta * (l3 * bias2[j] - adjusted_err)
-    bias3[k] -= eta * (l3 * bias3[k] - adjusted_err)
+    i, j, k = idx
+    (g1, g2, g3), (b1, b2, b3) = grad.rows, grad.biases
+    f.factors[0][i] -= eta * g1
+    f.factors[1][j] -= eta * g2
+    f.factors[2][k] -= eta * g3
+    f.core -= eta * grad.core
+    f.biases[0][i] -= eta * b1
+    f.biases[1][j] -= eta * b2
+    f.biases[2][k] -= eta * b3
 
 
 def _all_finite(f: TuckerFactors) -> bool:
@@ -187,8 +175,7 @@ def train(tensor: SparseTensor, data_split: DataSplit,
             raise DivergenceError(f"epoch {epoch}: parameters became non-finite")
 
         train_loss = regularized_loss(f, train_idx, train_val, hyper.reg)
-        resid = val_y - predict_batch(f, val_idx)
-        val_rmse = float(np.sqrt(np.mean(resid * resid)))
+        val_rmse = rmse(f, val_idx, val_y)
         records.append(EpochRecord(epoch, train_loss, val_rmse,
                                    time.perf_counter() - start))
         val_history.append(val_rmse)
@@ -205,14 +192,6 @@ def train(tensor: SparseTensor, data_split: DataSplit,
         best_epoch=best_epoch,
     )
     return f, report
-
-
-def impute(f: TuckerFactors, indices) -> np.ndarray:
-    """Model values for a batch of cells (typically the missing ones)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return np.zeros(0)
-    return predict_batch(f, idx.reshape(-1, 3))
 
 
 def write_trace(report: TrainReport, path) -> None:

@@ -186,6 +186,66 @@ def test_evaluate_matches_library_rmse(tmp_path, capsys):
     assert payload["entries"] == len(tensor)
 
 
+def synth_and_train(tmp_path):
+    """Synthesize data.csv and train on it; return the data path and run dir."""
+    assert run_cli(*synth_args(tmp_path, "s")) == 0
+    data = tmp_path / "s" / "data.csv"
+    assert run_cli("train", "--outdir", tmp_path, "--run-name", "t", "--data", data,
+                   *TRAIN_FLAGS) == 0
+    return data, tmp_path / "t"
+
+
+def model_args(rundir):
+    return ["--checkpoint", rundir / "model.ckpt", "--mapping", rundir / "mapping.json"]
+
+
+def test_impute_all_missing_rejects_id_outside_training_mapping(tmp_path, capsys):
+    data, trained = synth_and_train(tmp_path)
+    header, first, *rest = data.read_text().splitlines()
+    other = tmp_path / "other.csv"
+    other.write_text("\n".join([header, "zz" + first[first.index(","):], *rest]) + "\n")
+    code = run_cli("impute", "--outdir", tmp_path, "--run-name", "i", *model_args(trained),
+                   "--all-missing", "true", "--data", other, "--slots-per-day", "8")
+    assert code == 3
+    assert "unknown segment id 'zz'" in capsys.readouterr().err
+    assert not (tmp_path / "i").exists()
+
+
+def test_impute_all_missing_takes_slot_count_from_mapping(tmp_path):
+    data, trained = synth_and_train(tmp_path)
+    args = ["impute", "--outdir", tmp_path, *model_args(trained),
+            "--all-missing", "true", "--data", data]
+    assert run_cli(*args, "--run-name", "given", "--slots-per-day", "8") == 0
+    assert run_cli(*args, "--run-name", "default") == 0
+    given = (tmp_path / "given" / "imputed.csv").read_bytes()
+    assert (tmp_path / "default" / "imputed.csv").read_bytes() == given
+
+
+def test_evaluate_rejects_duplicate_cell(tmp_path, capsys):
+    data, trained = synth_and_train(tmp_path)
+    lines = data.read_text().splitlines()
+    dup = tmp_path / "dup.csv"
+    dup.write_text("\n".join([*lines, lines[1]]) + "\n")
+    code = run_cli("evaluate", "--outdir", tmp_path, "--run-name", "e", *model_args(trained),
+                   "--data", dup)
+    assert code == 3
+    assert "duplicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dims", "ranks", "mean"])
+def test_checkpoint_header_without_key_exit_3(tmp_path, capsys, key):
+    data, trained = synth_and_train(tmp_path)
+    ckpt = trained / "model.ckpt"
+    header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    del header[key]
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    code = run_cli("evaluate", "--outdir", tmp_path, "--run-name", "e", *model_args(trained),
+                   "--data", data)
+    assert code == 3
+    assert key in capsys.readouterr().err
+
+
 def test_pipeline_matches_in_process_run(tmp_path):
     assert run_cli(*synth_args(tmp_path, "s")) == 0
     data = tmp_path / "s" / "data.csv"

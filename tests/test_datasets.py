@@ -20,7 +20,7 @@ from pidtucker import (
     save_mapping,
     write_records_csv,
 )
-from pidtucker.datasets import read_entries_csv, read_targets_csv
+from pidtucker.datasets import read_targets_csv
 
 SCHEMA = CsvSchema()
 
@@ -280,16 +280,29 @@ def test_read_targets_csv(tmp_path):
     bad = write_csv(tmp_path / "bad.csv", ["9,1,4"], header="segment,day,slot")
     with pytest.raises(DataError):
         read_targets_csv(bad, SCHEMA, mapping)
+    for rows, header, match in [
+        (["1,1"], "segment,day", "missing required column"),
+        (["1,1,x"], "segment,day,slot", "malformed row at line 2"),
+        (["1,1,5"], "segment,day,slot", r"line 2: slot 5 out of range \[0, 5\)"),
+        (["1,7,0"], "segment,day,slot", "unknown day '7'"),
+    ]:
+        with pytest.raises(DataError, match=match):
+            read_targets_csv(write_csv(tmp_path / "t.csv", rows, header=header), SCHEMA, mapping)
 
 
-def test_read_entries_csv_uses_training_mapping(tmp_path):
-    # ids map through the sidecar even when the file holds a subset
+def test_load_csv_with_mapping_uses_training_mapping(tmp_path):
+    # ids and the slot count come from the sidecar even when the file holds a subset
     data = write_csv(tmp_path / "d.csv", ["a,1,0,30.0", "b,1,0,20.0", "c,1,0,10.0"])
-    _, mapping = load_csv(data, SCHEMA)
+    _, mapping = load_csv(data, CsvSchema(slots_per_day=4))
     subset = write_csv(tmp_path / "s.csv", ["c,1,0,10.0"])
-    indices, values = read_entries_csv(subset, SCHEMA, mapping)
-    assert indices.tolist() == [[2, 0, 0]]
-    assert values.tolist() == [10.0]
+    tensor, used = load_csv(subset, SCHEMA, mapping)  # SCHEMA says 288 slots
+    assert used is mapping
+    assert tensor.dims == (3, 1, 4)
+    assert tensor.indices.tolist() == [[2, 0, 0]]
+    assert tensor.values.tolist() == [10.0]
     unknown = write_csv(tmp_path / "u.csv", ["zzz,1,0,10.0"])
-    with pytest.raises(DataError):
-        read_entries_csv(unknown, SCHEMA, mapping)
+    with pytest.raises(DataError, match="unknown segment id 'zzz'"):
+        load_csv(unknown, SCHEMA, mapping)
+    late = write_csv(tmp_path / "late.csv", ["a,1,4,30.0"])
+    with pytest.raises(DataError, match=r"slot 4 out of range \[0, 4\)"):
+        load_csv(late, SCHEMA, mapping)

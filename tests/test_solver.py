@@ -14,7 +14,6 @@ from pidtucker import (
     Ranks,
     RegWeights,
     from_records,
-    impute,
     init_factors,
     predict,
     predict_batch,
@@ -281,12 +280,12 @@ def test_recovery_with_adequate_sampling():
 
 def test_impute_empty():
     f = init_factors((2, 2, 2), Ranks(1, 1, 1), seed=0)
-    assert impute(f, []).shape == (0,)
+    assert predict_batch(f, []).shape == (0,)
 
 
 def test_impute_single():
     f = init_factors((4, 3, 5), Ranks(2, 2, 2), mean=1.5, seed=1)
-    out = impute(f, [(1, 2, 3)])
+    out = predict_batch(f, [(1, 2, 3)])
     assert out.shape == (1,)
     assert out[0] == predict(f, (1, 2, 3))
 
@@ -294,7 +293,7 @@ def test_impute_single():
 def test_impute_full_grid_matches_dense():
     f = init_factors((4, 3, 5), Ranks(2, 2, 2), mean=0.7, seed=2)
     grid = np.array([(i, j, k) for i in range(4) for j in range(3) for k in range(5)])
-    out = impute(f, grid)
+    out = predict_batch(f, grid)
     assert np.allclose(out, reconstruct_dense(f).ravel(), atol=1e-12, rtol=0)
 
 
