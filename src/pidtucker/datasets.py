@@ -29,6 +29,9 @@ from .sparse import SparseTensor, from_records
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
 
+# Rows formatted per write in write_records_csv (about 1-2 MB of text).
+_CSV_BLOCK_ROWS = 65_536
+
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -71,22 +74,43 @@ def save_mapping(mapping: IndexMapping, path) -> None:
 
 
 def load_mapping(path) -> IndexMapping:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a mapping written by save_mapping; DataError if it cannot be used."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read mapping: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not a mapping file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: not a mapping file (a JSON object is expected)")
     if payload.get("format") != MAPPING_FORMAT:
         raise DataError(f"{path}: unsupported mapping format {payload.get('format')!r}")
-    return IndexMapping(
-        segments=tuple(payload["segments"]),
-        days=tuple(payload["days"]),
-        slots_per_day=int(payload["slots_per_day"]),
-    )
+    try:
+        return IndexMapping(
+            segments=tuple(payload["segments"]),
+            days=tuple(payload["days"]),
+            slots_per_day=int(payload["slots_per_day"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed mapping ({exc!r})") from None
+
+
+def _numeric_key(s: str):
+    # NaN compares false with everything, so it would leave the order to the
+    # input's (hash-seeded) set order; a total order puts NaN ids last.
+    x = float(s)
+    return (True, 0.0, s) if math.isnan(x) else (False, x, s)
 
 
 def _sorted_ids(ids) -> list[str]:
-    """Sort ids numerically when they all parse as numbers, else lexicographically."""
+    """Sort ids numerically when they all parse as numbers, else lexicographically.
+
+    Ids whose number is NaN sort after every other id, by their string.
+    """
     ids = list(ids)
     try:
-        return sorted(ids, key=lambda s: (float(s), s))
+        return sorted(ids, key=_numeric_key)
     except ValueError:
         return sorted(ids)
 
@@ -203,6 +227,8 @@ class SyntheticSpec:
             )
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         cells = self.dims[0] * self.dims[1] * self.dims[2]
         if self.observed_fraction * cells < 10:
             raise ConfigError(
@@ -255,25 +281,40 @@ def identity_mapping(dims) -> IndexMapping:
 
 
 def missing_indices(tensor: SparseTensor) -> np.ndarray:
-    """All cells of the tensor grid that carry no observation, row-major order."""
-    flat_obs = np.ravel_multi_index(
+    """All cells of the tensor grid that carry no observation, row-major order.
+
+    Works on a one-byte-per-cell mask of the grid with the observed cells
+    cleared; the result is an (n, 3) int64 array holding every missing cell.
+    """
+    missing = np.ones(tensor.n_cells, dtype=bool)
+    missing[np.ravel_multi_index(
         (tensor.indices[:, 0], tensor.indices[:, 1], tensor.indices[:, 2]), tensor.dims
-    )
-    flat_missing = np.setdiff1d(np.arange(tensor.n_cells), flat_obs)
-    ii, jj, kk = np.unravel_index(flat_missing, tensor.dims)
+    )] = False
+    ii, jj, kk = np.unravel_index(np.flatnonzero(missing), tensor.dims)
     return np.column_stack((ii, jj, kk)).astype(np.int64)
 
 
 def write_records_csv(indices, values, mapping: IndexMapping, path,
                       schema: CsvSchema | None = None) -> None:
-    """Write observed entries as a speed-record CSV (6 decimal places)."""
+    """Write observed entries as a speed-record CSV (6 decimal places).
+
+    Rows are formatted _CSV_BLOCK_ROWS at a time and each block is written
+    with one call; the bytes equal one write per row.
+    """
     schema = schema or CsvSchema()
     idx = np.asarray(indices, dtype=np.int64)
     vals = np.asarray(values, dtype=np.float64)
+    segments = [f"{s}," for s in mapping.segments]
+    days = [f"{d}," for d in mapping.days]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{schema.segment},{schema.day},{schema.slot},{schema.speed}\n")
-        for (i, j, k), v in zip(idx.tolist(), vals.tolist()):
-            fh.write(f"{mapping.segments[i]},{mapping.days[j]},{k},{v:.6f}\n")
+        for start in range(0, len(idx), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            ii, jj, kk = idx[start:stop].T.tolist()
+            fh.write("".join([
+                f"{segments[i]}{days[j]}{k},{v:.6f}\n"
+                for i, j, k, v in zip(ii, jj, kk, vals[start:stop].tolist())
+            ]))
 
 
 _IMPUTED_SCHEMA = CsvSchema("segment_id", "day", "slot", "predicted_speed")

@@ -27,6 +27,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)

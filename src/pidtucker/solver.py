@@ -55,6 +55,8 @@ class Hyperparams:
             raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
             raise ConfigError(f"init_scale must be > 0, got {self.init_scale}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.error_clamp is not None and not self.error_clamp > 0:
             raise ConfigError(f"error_clamp must be > 0 when set, got {self.error_clamp}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 RATIO_SUM_TOL = 1e-9
 
@@ -114,8 +114,11 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DataSplit:
     keeping the scarce train/validation parts at their exact intended sizes.
     Deterministic for a fixed (tensor, ratios, seed).
 
-    Raises DataError if the ratios are invalid or any part would be empty.
+    Raises DataError if the ratios are invalid or any part would be empty,
+    and ConfigError for a negative seed.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise DataError(f"ratios must be three positive reals, got {ratios}")

@@ -12,6 +12,7 @@ from pidtucker import (
     load_checkpoint,
     load_csv,
     rmse,
+    save_checkpoint,
     split,
     train,
 )
@@ -244,6 +245,61 @@ def test_checkpoint_header_without_key_exit_3(tmp_path, capsys, key):
                    "--data", data)
     assert code == 3
     assert key in capsys.readouterr().err
+
+
+def _missing_checkpoint(rundir):
+    return "nope.ckpt", ["--checkpoint", rundir / "nope.ckpt", "--mapping", rundir / "mapping.json"]
+
+
+def _missing_mapping(rundir):
+    return "nope.json", ["--checkpoint", rundir / "model.ckpt", "--mapping", rundir / "nope.json"]
+
+
+def _mapping_without_segments(rundir):
+    path = rundir / "mapping.json"
+    payload = json.loads(path.read_text())
+    del payload["segments"]
+    path.write_text(json.dumps(payload))
+    return "segments", model_args(rundir)
+
+
+def _mapping_not_json(rundir):
+    (rundir / "mapping.json").write_text("segments: a, b\n")
+    return "not a mapping file", model_args(rundir)
+
+
+def _checkpoint_with_nan(rundir):
+    factors = load_checkpoint(rundir / "model.ckpt")
+    factors.core[0, 0, 0] = float("nan")
+    save_checkpoint(factors, rundir / "model.ckpt")
+    return "non-finite", model_args(rundir)
+
+
+@pytest.mark.parametrize("breaks", [_missing_checkpoint, _missing_mapping,
+                                    _mapping_without_segments, _mapping_not_json,
+                                    _checkpoint_with_nan])
+def test_unusable_model_files_exit_3(tmp_path, capsys, breaks):
+    data, trained = synth_and_train(tmp_path)
+    message, args = breaks(trained)
+    code = run_cli("evaluate", "--outdir", tmp_path, "--run-name", "e", *args, "--data", data)
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--seed", "-3"),
+    ("benchmark", "--base-seed", "-5"),
+    ("synth", "--seed", "-1"),
+])
+def test_negative_seed_exit_2(tmp_path, capsys, command, flag, value):
+    assert run_cli(*synth_args(tmp_path, "s")) == 0
+    inputs = (["--dims", "6,5,8"] if command == "synth"
+              else ["--data", tmp_path / "s" / "data.csv", "--slots-per-day", "8"])
+    code = run_cli(command, "--outdir", tmp_path, "--run-name", "r", *inputs, flag, value)
+    assert code == 2
+    assert f"seed must be >= 0, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_pipeline_matches_in_process_run(tmp_path):

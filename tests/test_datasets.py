@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pidtucker
 from pidtucker import (
     ConfigError,
     CsvSchema,
@@ -8,6 +16,7 @@ from pidtucker import (
     Ranks,
     SyntheticSpec,
     export_imputed,
+    from_records,
     generate_synthetic,
     identity_mapping,
     init_factors,
@@ -20,7 +29,7 @@ from pidtucker import (
     save_mapping,
     write_records_csv,
 )
-from pidtucker.datasets import read_targets_csv
+from pidtucker.datasets import _CSV_BLOCK_ROWS, IndexMapping, _sorted_ids, read_targets_csv
 
 SCHEMA = CsvSchema()
 
@@ -114,6 +123,23 @@ def test_numeric_ids_sort_numerically(tmp_path):
     assert mapping.segments == ("1", "2", "10")
 
 
+def test_id_order_is_total_whatever_the_hash_seed():
+    # NaN compares false with every number; the order must not follow set order
+    src = Path(pidtucker.__file__).resolve().parents[1]
+    code = ("from pidtucker.datasets import _sorted_ids; "
+            "print(_sorted_ids({'3', 'nan', '1', '10', '2', 'inf', 'NaN'}))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    orders = {
+        subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": str(seed)},
+                       capture_output=True, text=True, check=True).stdout
+        for seed in range(6)
+    }
+    assert orders == {"['1', '2', '3', '10', 'inf', 'NaN', 'nan']\n"}
+    # without a NaN id the order is the (number, string) order, as it has always been
+    ids = ["20", "2e1", "1.0", "01", "1", "-inf", "-3", "inf"]
+    assert _sorted_ids(ids) == sorted(ids, key=lambda s: (float(s), s))
+
+
 def test_mapping_deterministic(tmp_path):
     rows = ["b,2,0,1.0", "a,1,0,2.0", "c,1,5,3.0"]
     p1 = write_csv(tmp_path / "one.csv", rows)
@@ -182,6 +208,8 @@ def test_synthetic_validation():
     with pytest.raises(ConfigError):
         SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=0.5,
                       noise_sigma=-1.0)
+    with pytest.raises(ConfigError, match="seed"):
+        SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=0.5, seed=-1)
 
 
 # ---------------------------------------------------------------- export
@@ -255,6 +283,58 @@ def test_missing_indices_complement():
     assert len(missing) + len(tensor) == 60
     obs = {tuple(r) for r in tensor.indices.tolist()}
     assert all(tuple(r) not in obs for r in missing.tolist())
+
+
+@st.composite
+def grids(draw):
+    """Grid dims plus a set of observed flat cells, in random insertion order."""
+    dims = draw(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+    n_cells = dims[0] * dims[1] * dims[2]
+    return dims, draw(st.lists(st.integers(0, n_cells - 1), unique=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids())
+@example(((3, 4, 5), []))                   # nothing observed
+@example(((3, 4, 5), list(range(60))[::-1]))  # fully observed
+def test_missing_indices_matches_setdiff_reference(grid):
+    dims, observed = grid
+    ii, jj, kk = np.unravel_index(np.asarray(observed, dtype=np.int64), dims)
+    tensor = from_records(dims, [(i, j, k, 1.0) for i, j, k in zip(ii, jj, kk)])
+    flat = np.setdiff1d(np.arange(tensor.n_cells), np.asarray(observed, dtype=np.int64))
+    expected = np.column_stack(np.unravel_index(flat, dims)).astype(np.int64)
+    got = missing_indices(tensor)
+    assert got.dtype == np.int64
+    assert got.shape == expected.shape == (tensor.n_cells - len(observed), 3)
+    assert np.array_equal(got, expected)
+
+
+def write_rows_one_by_one(indices, values, mapping, path, schema):
+    """Reference writer: one write call per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{schema.segment},{schema.day},{schema.slot},{schema.speed}\n")
+        for (i, j, k), v in zip(np.asarray(indices).tolist(), np.asarray(values).tolist()):
+            fh.write(f"{mapping.segments[i]},{mapping.days[j]},{k},{v:.6f}\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                               _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3])
+def test_write_records_csv_matches_row_by_row_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    mapping = IndexMapping(
+        segments=tuple(f"seg-{s}" for s in rng.permutation(37)),
+        days=tuple(f"2024-03-{d:02d}" for d in range(1, 12)),
+        slots_per_day=288,
+    )
+    idx = np.column_stack([rng.integers(0, d, n) for d in mapping.dims])
+    values = rng.random(n) * 120.0
+    values[: n // 3] = np.round(values[: n // 3], 1)  # values with trailing zeros
+    schema = CsvSchema("segment_id", "day", "slot", "predicted_speed")
+    write_records_csv(idx, values, mapping, tmp_path / "blocked.csv", schema)
+    write_rows_one_by_one(idx, values, mapping, tmp_path / "reference.csv", schema)
+    got = (tmp_path / "blocked.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert got.count(b"\n") == n + 1
 
 
 def test_write_and_read_records_round_trip(tmp_path):

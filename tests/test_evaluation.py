@@ -152,6 +152,8 @@ def test_experiment_stability_across_repeats(synthetic_fixture):
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(hyper=FAST_HYPER, repeats=0)
+    with pytest.raises(ConfigError, match="base_seed"):
+        ExperimentConfig(hyper=FAST_HYPER, base_seed=-5)
 
 
 def test_summary_files(tmp_path, synthetic_fixture):

@@ -18,6 +18,7 @@ from pidtucker import (
     regularized_loss,
     save_checkpoint,
 )
+from pidtucker.model import _PREDICT_BLOCK_ROWS
 
 
 def random_factors(dims=(4, 3, 5), ranks=Ranks(2, 2, 2), seed=0, bias_scale=1.0):
@@ -125,6 +126,18 @@ def test_predict_batch_matches_predict():
     idx = np.array([(i, j, k) for i in range(4) for j in range(3) for k in range(5)])
     batch = predict_batch(f, idx)
     singles = np.array([predict(f, tuple(row)) for row in idx])
+    assert np.allclose(batch, singles, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, _PREDICT_BLOCK_ROWS - 1, _PREDICT_BLOCK_ROWS,
+                               _PREDICT_BLOCK_ROWS + 1, 2 * _PREDICT_BLOCK_ROWS + 3])
+def test_predict_batch_blocks_match_predict(n):
+    f = random_factors(dims=(30, 20, 25), ranks=Ranks(3, 4, 2), seed=n)
+    rng = np.random.default_rng(n)
+    idx = np.column_stack([rng.integers(0, d, n) for d in f.dims])
+    batch = predict_batch(f, idx)
+    singles = np.array([predict(f, tuple(row)) for row in idx.tolist()])
+    assert batch.shape == (n,)
     assert np.allclose(batch, singles, atol=1e-12, rtol=0)
 
 
@@ -315,6 +328,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"\x00\x01\x02 not a checkpoint\n1234")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    path = tmp_path / "model.ckpt"
+    for bad in (np.nan, np.inf):
+        f = random_factors(seed=8)
+        f.biases[2][1] = bad
+        save_checkpoint(f, path)
+        with pytest.raises(DataError, match="non-finite"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncated(tmp_path):

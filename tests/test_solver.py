@@ -306,3 +306,5 @@ def test_hyperparams_validation():
         Hyperparams(tol=0.0)
     with pytest.raises(ConfigError):
         Hyperparams(error_clamp=0.0)
+    with pytest.raises(ConfigError, match="seed"):
+        Hyperparams(seed=-3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pidtucker import DataError, from_records, split
+from pidtucker import ConfigError, DataError, from_records, split
 
 
 def test_single_record_density():
@@ -119,6 +119,11 @@ def test_split_ratio_validation():
         split(t, (0.5, 0.5, 0.5), seed=0)
     with pytest.raises(DataError):
         split(t, (0.5, -0.1, 0.6), seed=0)
+
+
+def test_split_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        split(_tensor(100), (0.5, 0.2, 0.3), seed=-1)
 
 
 def test_tensor_arrays_are_read_only():
