@@ -1,0 +1,167 @@
+"""Build, load and bind the compiled per-entry kernels in `_kernel.c`.
+
+The library is compiled on first use with the system gcc into a per-user
+cache directory ($XDG_CACHE_HOME/pidtucker, else ~/.cache/pidtucker), under
+a file name keyed on a CRC-32 of the source and the compiler command, so a
+new source version builds once and later processes only load it.  Any
+failure (no gcc, an unwritable or foreign cache directory, a library that
+will not load) makes `library()` return None, and every caller then runs the
+numpy reference code instead.  There is no switch for the backend.
+
+`handle(f)` gives the kernel's view of one TuckerFactors: a struct of
+pointers to its arrays plus a scratch buffer sized from its ranks.  It is
+cached on the factors and rebuilt whenever a parameter array, the factor or
+bias tuple, or dims is replaced; TuckerFactors drops it when copied or
+pickled, so a copy never writes through the original's pointers.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import threading
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+# Attribute of TuckerFactors.__dict__ that caches the handle.
+HANDLE_ATTR = "_kernel_handle"
+
+_lock = threading.Lock()
+_tried = False
+_lib = None
+
+
+class _Model(ctypes.Structure):
+    """Mirror of pt_model in _kernel.c."""
+
+    _fields_ = [
+        ("factor", ctypes.c_void_p * 3),
+        ("bias", ctypes.c_void_p * 3),
+        ("core", ctypes.c_void_p),
+        ("scratch", ctypes.c_void_p),
+        ("rank", ctypes.c_long * 3),
+    ]
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "pidtucker"
+
+
+def _compile(source: bytes, target: Path) -> None:
+    """Compile source into target through a temporary file in the same directory.
+
+    Raises OSError when the compiler is missing, fails or times out.
+    """
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        try:
+            subprocess.run([*_COMPILE, "-x", "c", "-", "-o", tmp], input=source,
+                           capture_output=True, check=True, timeout=120)
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"cannot compile the kernel: {exc}") from None
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load():
+    """Build the library if this source version has no cached build, then load it.
+
+    Returns the ctypes library, or None when any step fails.
+    """
+    try:
+        source = _SOURCE.read_bytes()
+        key = zlib.crc32(b"\0".join([source, " ".join(_COMPILE).encode(),
+                                     os.uname().machine.encode()]))
+        cache = _cache_dir()
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = cache.stat()
+        # Load nothing from a directory another user could write to.
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            return None
+        path = cache / f"kernel-{key:08x}.so"
+        if not path.exists():
+            _compile(source, path)
+        lib = ctypes.PyDLL(str(path))
+        model_p = ctypes.POINTER(_Model)
+        lib.pt_value.argtypes = [model_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                                 ctypes.c_double, ctypes.c_int]
+        lib.pt_value.restype = ctypes.c_double
+        lib.pt_step.argtypes = [model_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                                *[ctypes.c_double] * 5]
+        lib.pt_step.restype = None
+        return lib
+    except (OSError, AttributeError):  # AttributeError: a library without the symbols
+        return None
+
+
+def library():
+    """The loaded kernel library, or None; built and loaded at most once per process."""
+    global _tried, _lib
+    if not _tried:
+        with _lock:
+            if not _tried:
+                _lib = _load()
+                _tried = True
+    return _lib
+
+
+def _usable(a) -> bool:
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.aligned and a.flags.writeable)
+
+
+class _Handle:
+    """Pointers to one TuckerFactors' arrays, with the arrays kept alive beside them."""
+
+    __slots__ = ("dims", "core", "factors", "biases", "scratch", "model", "value", "step")
+
+    def __init__(self, f):
+        self.dims, self.core, self.factors, self.biases = f.dims, f.core, f.factors, f.biases
+        self.value = self.step = None
+        lib = library()
+        if lib is None or not self._consistent():
+            return
+        ranks = self.core.shape
+        self.scratch = np.empty(ranks[0] * ranks[1] + ranks[0] + ranks[1] + 2 * ranks[2])
+        self.model = _Model(
+            (ctypes.c_void_p * 3)(*(a.ctypes.data for a in self.factors)),
+            (ctypes.c_void_p * 3)(*(a.ctypes.data for a in self.biases)),
+            self.core.ctypes.data,
+            self.scratch.ctypes.data,
+            (ctypes.c_long * 3)(*ranks),
+        )
+        self.value, self.step = lib.pt_value, lib.pt_step
+
+    def _consistent(self) -> bool:
+        """Every array usable from C, with shapes that match dims and the core's ranks."""
+        core, factors, biases, dims = self.core, self.factors, self.biases, self.dims
+        if not (_usable(core) and core.ndim == 3
+                and len(factors) == len(biases) == len(dims) == 3):
+            return False
+        return all(
+            _usable(a) and _usable(b) and a.shape == (n, r) and b.shape == (n,)
+            for a, b, n, r in zip(factors, biases, dims, core.shape)
+        )
+
+
+def handle(f):
+    """The kernel handle for f, or None when the numpy reference must run."""
+    h = f.__dict__.get(HANDLE_ATTR)
+    if (h is None or h.core is not f.core or h.factors is not f.factors
+            or h.biases is not f.biases or h.dims is not f.dims):
+        h = f.__dict__[HANDLE_ATTR] = _Handle(f)
+    return h if h.value is not None else None

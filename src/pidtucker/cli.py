@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -362,11 +364,24 @@ def _make_rundir(outdir: str, run_name: str | None, command: str) -> tuple[Path,
     final = parent / run_name
     if final.exists():
         raise ConfigError(f"output directory already exists: {final}")
-    staging = parent / f".{run_name}.tmp"
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir(parents=True)
+    # A unique staging name, so concurrent runs never share or remove each
+    # other's staging directory.
+    staging = Path(tempfile.mkdtemp(prefix=f".{run_name}.", suffix=".tmp", dir=parent))
+    # mkdtemp's directory is private; give the run the mode a plain mkdir would.
+    umask = os.umask(0)
+    os.umask(umask)
+    staging.chmod(0o777 & ~umask)
     return staging, final
+
+
+def _publish(staging: Path, final: Path) -> None:
+    """Rename the staged run into place; ConfigError if the name was taken meanwhile."""
+    if final.exists():
+        raise ConfigError(f"output directory already exists: {final}")
+    try:
+        staging.replace(final)
+    except OSError as exc:
+        raise ConfigError(f"cannot move the run into {final}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -377,7 +392,7 @@ def main(argv=None) -> int:
         try:
             _write_effective_config(cfg, staging / "config.txt")
             _COMMANDS[args.command](cfg, staging)
-            staging.replace(final)
+            _publish(staging, final)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise

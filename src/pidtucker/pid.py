@@ -55,8 +55,10 @@ def adjust(state: PidState, gains: PidGains, pos: int, e: float,
     """
     if not 0 <= pos < len(state):
         raise DataError(f"training-entry position {pos} out of range [0, {len(state)})")
-    state.sum_error[pos] += e
-    out = gains.kp * e + gains.ki * state.sum_error[pos] + gains.kd * (e - state.prev_error[pos])
+    # Python floats, not numpy scalars: the same IEEE operations, less overhead.
+    total = state.sum_error.item(pos) + e
+    state.sum_error[pos] = total
+    out = gains.kp * e + gains.ki * total + gains.kd * (e - state.prev_error.item(pos))
     state.prev_error[pos] = e
     if clamp is not None:
         if out > clamp:

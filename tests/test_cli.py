@@ -16,6 +16,7 @@ from pidtucker import (
     split,
     train,
 )
+from pidtucker import cli
 from pidtucker.cli import main
 
 
@@ -80,6 +81,34 @@ def test_synth_deterministic_files(tmp_path):
 def test_existing_run_dir_rejected(tmp_path):
     assert run_cli(*synth_args(tmp_path, "dup")) == 0
     assert run_cli(*synth_args(tmp_path, "dup")) == 2
+
+
+def test_run_leaves_another_runs_staging_dir_alone(tmp_path):
+    other = tmp_path / ".r.tmp"
+    other.mkdir()
+    (other / "marker").write_text("in progress")
+    assert run_cli(*synth_args(tmp_path, "s")) == 0
+    code = run_cli("train", "--outdir", tmp_path, "--run-name", "r",
+                   "--data", tmp_path / "s" / "data.csv", *TRAIN_FLAGS)
+    assert code == 0
+    assert (other / "marker").read_text() == "in progress"
+    assert (tmp_path / "r" / "model.ckpt").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".r.tmp", "r", "s"]
+    # The run directory gets the mode a plain mkdir gives.
+    assert (tmp_path / "r").stat().st_mode == other.stat().st_mode
+
+
+def test_run_name_taken_while_running_exit_2(tmp_path, monkeypatch, capsys):
+    def rival(cfg, staging):
+        (tmp_path / "r").mkdir()
+        (tmp_path / "r" / "config.txt").write_text("another run\n")
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", rival)
+    code = run_cli(*synth_args(tmp_path, "r"))
+    assert code == 2
+    assert "already exists" in capsys.readouterr().err
+    assert (tmp_path / "r" / "config.txt").read_text() == "another run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r"]  # staging removed
 
 
 def test_train_pipeline_outputs(tmp_path):

@@ -1,0 +1,271 @@
+"""The compiled per-entry kernels against the numpy reference, their handle
+on a TuckerFactors, and the silent fallback when no kernel can be built."""
+
+import contextlib
+import copy
+import os
+import pickle
+import stat
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pidtucker import (
+    Hyperparams,
+    PidGains,
+    Ranks,
+    RegWeights,
+    SyntheticSpec,
+    generate_synthetic,
+    identity_mapping,
+    init_factors,
+    predict,
+    predict_unbiased,
+    save_checkpoint,
+    sgd_step,
+    split,
+    train,
+    write_records_csv,
+)
+from pidtucker import _kernel
+from pidtucker.cli import main
+
+TOL = 1e-12
+
+needs_kernel = pytest.mark.skipif(_kernel.library() is None,
+                                  reason="no kernel can be built here (gcc or cache dir)")
+
+
+@contextlib.contextmanager
+def kernel_state(load=None, **env):
+    """Forget the loaded library; load it again with `load` and `env` in force."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_tried", False)
+        mp.setattr(_kernel, "_lib", None)
+        if load is not None:
+            mp.setattr(_kernel, "_load", load)
+        for key, value in env.items():
+            mp.setenv(key, value)
+        yield
+
+
+def reference_backend():
+    return kernel_state(load=lambda: None)
+
+
+def arrays(f):
+    return [f.core, *f.factors, *f.biases]
+
+
+def random_factors(dims, ranks, seed):
+    rng = np.random.default_rng(seed)
+    f = init_factors(dims, Ranks(*ranks), mean=float(rng.normal(scale=5.0)),
+                     init_scale=1.0, seed=seed)
+    for a in arrays(f):
+        a[:] = rng.normal(size=a.shape)
+    return f
+
+
+def assert_close(f, g, tol=TOL):
+    for a, b in zip(arrays(f), arrays(g)):
+        assert np.max(np.abs(a - b), initial=0.0) <= tol
+
+
+# ---------------------------------------------------------------- parity
+
+shapes = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+                   st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+
+@needs_kernel
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes, seed=st.integers(0, 2**16), err=st.floats(-10.0, 10.0),
+       eta=st.floats(1e-4, 0.5), lambdas=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_kernel_matches_numpy_reference(shape, seed, err, eta, lambdas):
+    dims, ranks = shape[:3], shape[3:]
+    f = random_factors(dims, ranks, seed)
+    rng = np.random.default_rng(seed + 1)
+    idx = tuple(int(rng.integers(d)) for d in dims)
+    hyper = Hyperparams(eta=eta, reg=RegWeights(*lambdas))
+    with reference_backend():
+        g = copy.deepcopy(f)
+        want = predict(g, idx), predict_unbiased(g, idx)
+        sgd_step(g, idx, 0.0, err, hyper)
+        assert _kernel.handle(g) is None
+    assert _kernel.handle(f) is not None
+    got = predict(f, idx), predict_unbiased(f, idx)
+    assert abs(got[0] - want[0]) <= TOL and abs(got[1] - want[1]) <= TOL
+    sgd_step(f, idx, 0.0, err, hyper)
+    assert_close(f, g)
+
+
+def small_run(plain=False, epochs=4):
+    spec = SyntheticSpec((7, 6, 8), Ranks(2, 3, 1), 0.5, noise_sigma=0.01, seed=5)
+    tensor, _truth = generate_synthetic(spec)
+    parts = split(tensor, (0.7, 0.15, 0.15), seed=2)
+    hyper = Hyperparams(eta=0.05, ranks=Ranks(3, 1, 2), max_epochs=epochs, tol=1e-300,
+                        gains=PidGains(1.0, 0.1, 0.1), plain_sgd=plain, seed=4)
+    return train(tensor, parts, hyper)
+
+
+@needs_kernel
+def test_train_agrees_across_backends():
+    f, report = small_run()
+    with reference_backend():
+        g, ref = small_run()
+    assert_close(f, g)
+    assert report.epochs_run == ref.epochs_run == 4
+    for a, b in zip(report.records, ref.records):
+        assert abs(a.val_rmse - b.val_rmse) <= TOL
+
+
+@pytest.mark.parametrize("backend", ["kernel", "numpy"])
+def test_each_backend_is_bitwise_deterministic(backend):
+    if backend == "kernel" and _kernel.library() is None:
+        pytest.skip("no kernel can be built here (gcc or cache dir)")
+    ctx = reference_backend() if backend == "numpy" else contextlib.nullcontext()
+    with ctx:
+        runs = [small_run()[0] for _ in range(2)]
+    assert all(np.array_equal(a, b) for a, b in zip(*map(arrays, runs)))
+
+
+# ---------------------------------------------------------------- handle
+
+
+def test_step_on_a_deep_copy_leaves_the_original_unchanged():
+    f = random_factors((4, 3, 5), (2, 3, 2), seed=1)
+    predict(f, (0, 0, 0))  # builds f's handle
+    before = [a.copy() for a in arrays(f)]
+    g = copy.deepcopy(f)
+    sgd_step(g, (1, 2, 3), 0.0, 0.5, Hyperparams(eta=0.1))
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(f), before))
+    assert not np.array_equal(g.core, f.core)
+
+
+def test_a_replaced_array_is_read_by_the_next_predict():
+    f = random_factors((4, 3, 5), (2, 2, 2), seed=2)
+    predict(f, (1, 1, 1))
+    f.core = np.zeros_like(f.core)
+    f.biases = tuple(np.zeros_like(b) for b in f.biases)
+    assert predict(f, (1, 1, 1)) == f.mean
+    f.factors = (f.factors[0], f.factors[1], np.asfortranarray(f.factors[2]))
+    f.core = np.ones_like(f.core)
+    with reference_backend():
+        want = predict(copy.deepcopy(f), (1, 1, 1))
+    assert abs(predict(f, (1, 1, 1)) - want) <= TOL
+
+
+def test_factors_pickle_without_their_handle():
+    f = random_factors((4, 3, 5), (2, 2, 2), seed=3)
+    value = predict(f, (3, 2, 4))
+    g = pickle.loads(pickle.dumps(f))
+    assert _kernel.HANDLE_ATTR not in g.__dict__
+    assert predict(g, (3, 2, 4)) == value
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
+
+
+def test_arrays_the_kernel_cannot_take_use_the_reference():
+    f = random_factors((4, 3, 5), (2, 2, 2), seed=4)
+    f.factors[0].flags.writeable = False
+    assert _kernel.handle(f) is None
+    g = random_factors((4, 3, 5), (2, 2, 2), seed=4)
+    g.dims = (5, 3, 5)  # disagrees with the mode-1 arrays
+    assert _kernel.handle(g) is None
+
+
+# ---------------------------------------------------------------- build and fallback
+
+
+def test_library_builds_once_into_a_private_cache(tmp_path):
+    with kernel_state(XDG_CACHE_HOME=str(tmp_path)):
+        if _kernel.library() is None:
+            pytest.skip("no kernel can be built here (gcc or cache dir)")
+        cache = tmp_path / "pidtucker"
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        built = list(cache.iterdir())
+        assert [p.name for p in built] == [p.name for p in cache.glob("kernel-*.so")]
+        assert len(built) == 1
+    mtime = built[0].stat().st_mtime_ns
+    with kernel_state(XDG_CACHE_HOME=str(tmp_path)):
+        assert _kernel.library() is not None
+    assert [p.stat().st_mtime_ns for p in cache.iterdir()] == [mtime]
+
+
+def test_a_cache_dir_others_can_write_is_not_used(tmp_path):
+    cache = tmp_path / "pidtucker"
+    cache.mkdir()
+    cache.chmod(0o777)
+    with kernel_state(XDG_CACHE_HOME=str(tmp_path)):
+        assert _kernel.library() is None
+    assert list(cache.iterdir()) == []
+
+
+def write_data(tmp_path):
+    spec = SyntheticSpec((6, 5, 8), Ranks(2, 2, 2), 0.6, noise_sigma=0.01,
+                         value_offset=10.0, seed=3)
+    tensor, _truth = generate_synthetic(spec)
+    data = tmp_path / "data.csv"
+    write_records_csv(tensor.indices, tensor.values, identity_mapping(spec.dims), data)
+    return tensor, data
+
+
+def train_both_ways(tmp_path, name, capsys):
+    """model.ckpt bytes from the library train and from CLI train, with stderr."""
+    tensor, data = write_data(tmp_path)
+    parts = split(tensor, (0.5, 0.2, 0.3), seed=5)
+    f, _report = train(tensor, parts, Hyperparams(max_epochs=3, seed=5))
+    save_checkpoint(f, tmp_path / f"{name}.ckpt")
+    code = main(["train", "--data", str(data), "--slots-per-day", "8",
+                 "--ratios", "0.5,0.2,0.3", "--max-epochs", "3", "--seed", "5",
+                 "--outdir", str(tmp_path), "--run-name", name])
+    assert code == 0
+    err = capsys.readouterr().err
+    library_ckpt = (tmp_path / f"{name}.ckpt").read_bytes()
+    return library_ckpt, (tmp_path / name / "model.ckpt").read_bytes(), err
+
+
+@pytest.mark.parametrize("cause", ["forced", "unwritable-cache", "no-compiler"])
+def test_train_falls_back_to_the_numpy_reference(cause, tmp_path, capsys):
+    with reference_backend():
+        want, want_cli, _err = train_both_ways(tmp_path, "reference", capsys)
+    if cause == "forced":
+        ctx = reference_backend()
+    elif cause == "unwritable-cache":
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        ctx = kernel_state(XDG_CACHE_HOME=str(blocker))
+    else:
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        ctx = kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(empty))
+    with ctx:
+        got, got_cli, err = train_both_ways(tmp_path, "r", capsys)
+        assert _kernel.library() is None
+    assert err == ""
+    assert (got, got_cli) == (want, want_cli)
+
+
+def test_impute_never_loads_the_kernel(tmp_path):
+    _tensor, data = write_data(tmp_path)
+    assert main(["train", "--data", str(data), "--slots-per-day", "8", "--ratios",
+                 "0.5,0.2,0.3", "--max-epochs", "2", "--outdir", str(tmp_path),
+                 "--run-name", "t"]) == 0
+    code = (
+        "import sys, pidtucker._kernel as k, pidtucker.cli as c\n"
+        "rc = c.main(sys.argv[1:])\n"
+        "assert rc == 0 and not k._tried, (rc, k._tried)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(_kernel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "impute", "--all-missing", "true", "--checkpoint",
+         str(tmp_path / "t" / "model.ckpt"), "--mapping", str(tmp_path / "t" / "mapping.json"),
+         "--data", str(data), "--slots-per-day", "8", "--outdir", str(tmp_path),
+         "--run-name", "i"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
