@@ -39,13 +39,12 @@ from .model import (
     load_checkpoint,
     predict,
     predict_batch,
-    predict_unbiased,
     reconstruct_dense,
     regularized_loss,
     rmse,
     save_checkpoint,
 )
-from .pid import PidGains, PidState, adjust, reset
+from .pid import PidGains, PidState, adjust
 from .solver import (
     EpochRecord,
     Hyperparams,
@@ -94,10 +93,8 @@ __all__ = [
     "missing_indices",
     "predict",
     "predict_batch",
-    "predict_unbiased",
     "reconstruct_dense",
     "regularized_loss",
-    "reset",
     "rmse",
     "run_experiment",
     "save_checkpoint",

@@ -1,16 +1,21 @@
-/* Per-entry kernels of the biased Tucker model.
+/* Per-entry kernels of the biased Tucker model, as a CPython extension module.
  *
  * pt_value is the model value at one cell and pt_step applies one entry's
- * SGD update in place; model.predict, model.predict_unbiased and
- * solver.sgd_step call them through ctypes (see _kernel.py).  The numpy code
- * in model.py and solver.py is the reference: these functions agree with it
- * within 1e-12.  They are compiled without floating-point contraction, so
- * results do not depend on whether the CPU has fused multiply-add.
+ * SGD update in place; model.predict and solver.sgd_step call them through
+ * the module functions `value` and `step` at the end of this file (built and
+ * loaded by _kernel.py).  The numpy code in model.py and solver.py is the
+ * reference: these functions agree with it within 1e-12.  They are compiled
+ * without floating-point contraction, so results do not depend on whether
+ * the CPU has fused multiply-add.
  *
  * The caller validates indices, passes only C-contiguous float64 arrays
  * whose shapes match the ranks, and sizes the scratch buffer from the ranks
  * (r1*r2 + r1 + r2 + 2*r3 doubles).  There are no fixed-size buffers here.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <string.h>
 
 typedef struct {
     double *factor[3];  /* (dims[m], rank[m]), row-major */
@@ -20,10 +25,10 @@ typedef struct {
     long rank[3];
 } pt_model;
 
-/* mean + multilinear term + the three biases when biased is nonzero, else the
- * multilinear term alone.  The term is contracted in predict_batch's order:
- * the mode-1 row with the core, then the mode-3 row, then the mode-2 row. */
-double pt_value(const pt_model *h, long i, long j, long k, double mean, int biased)
+/* mean + multilinear term + the three biases.  The term is contracted in
+ * predict_batch's order: the mode-1 row with the core, then the mode-3 row,
+ * then the mode-2 row. */
+static double pt_value(const pt_model *h, long i, long j, long k, double mean)
 {
     const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2];
     const double *u = h->factor[0] + i * r1;
@@ -41,16 +46,14 @@ double pt_value(const pt_model *h, long i, long j, long k, double mean, int bias
         }
         multi += dn * d[n];
     }
-    if (!biased)
-        return multi;
     return mean + multi + h->bias[0][i] + h->bias[1][j] + h->bias[2][k];
 }
 
 /* One entry's update, as model.instance_gradient followed by a step of size
  * eta: every gradient is formed from pre-update values, then the three
  * factor rows, the core and the three biases move against it. */
-void pt_step(const pt_model *h, long i, long j, long k, double err, double eta,
-             double lambda1, double lambda2, double lambda3)
+static void pt_step(const pt_model *h, long i, long j, long k, double err, double eta,
+                    double lambda1, double lambda2, double lambda3)
 {
     const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2];
     double *u = h->factor[0] + i * r1;
@@ -113,4 +116,59 @@ void pt_step(const pt_model *h, long i, long j, long k, double err, double eta,
     h->bias[0][i] -= eta * (lambda3 * h->bias[0][i] - err);
     h->bias[1][j] -= eta * (lambda3 * h->bias[1][j] - err);
     h->bias[2][k] -= eta * (lambda3 * h->bias[2][k] - err);
+}
+
+/* Python bindings, called with the GIL held.  args[0] is the handle, a bytes
+ * object holding one pt_model (_Handle in _kernel.py); then come i, j, k and
+ * the double arguments in C order.  A wrong argument count, handle or type
+ * raises instead of reaching the kernels. */
+static int unpack(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want,
+                  pt_model *h, long *idx, double *x)
+{
+    if (nargs != want || !PyBytes_Check(args[0])
+        || PyBytes_GET_SIZE(args[0]) != (Py_ssize_t)sizeof *h) {
+        PyErr_Format(PyExc_TypeError, "expected a packed pt_model and %zd more arguments",
+                     want - 1);
+        return -1;
+    }
+    memcpy(h, PyBytes_AS_STRING(args[0]), sizeof *h);
+    for (Py_ssize_t a = 1; a < 4; a++)
+        if ((idx[a - 1] = PyLong_AsLong(args[a])) == -1 && PyErr_Occurred())
+            return -1;
+    for (Py_ssize_t a = 4; a < want; a++)
+        if ((x[a - 4] = PyFloat_AsDouble(args[a])) == -1.0 && PyErr_Occurred())
+            return -1;
+    return 0;
+}
+
+static PyObject *value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    pt_model h; long idx[3]; double x[1];
+    if (unpack(args, nargs, 5, &h, idx, x) < 0)
+        return NULL;
+    return PyFloat_FromDouble(pt_value(&h, idx[0], idx[1], idx[2], x[0]));
+}
+
+static PyObject *step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    pt_model h; long idx[3]; double x[5];
+    if (unpack(args, nargs, 9, &h, idx, x) < 0)
+        return NULL;
+    pt_step(&h, idx[0], idx[1], idx[2], x[0], x[1], x[2], x[3], x[4]);
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef methods[] = {
+    {"value", (PyCFunction)(void (*)(void))value, METH_FASTCALL,
+     "value(handle, i, j, k, mean): the model value at cell (i, j, k)."},
+    {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
+     "step(handle, i, j, k, err, eta, lambda1, lambda2, lambda3): one entry's update."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_pt_kernel", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit__pt_kernel(void)
+{
+    return PyModule_Create(&module);
 }

@@ -1,24 +1,26 @@
-"""Build, load and bind the compiled per-entry kernels in `_kernel.c`.
+"""Build and load the compiled per-entry kernels in `_kernel.c` as an extension module.
 
-The library is compiled on first use with the system gcc into a per-user
-cache directory ($XDG_CACHE_HOME/pidtucker, else ~/.cache/pidtucker), under
-a file name keyed on a CRC-32 of the source and the compiler command, so a
-new source version builds once and later processes only load it.  Any
-failure (no gcc, an unwritable or foreign cache directory, a library that
-will not load) makes `library()` return None, and every caller then runs the
-numpy reference code instead.  There is no switch for the backend.
+The module is compiled on first use with the system gcc and the Python
+headers into a per-user cache directory ($XDG_CACHE_HOME/pidtucker, else
+~/.cache/pidtucker), under a file name keyed on a CRC-32 of the source, the
+compiler command, the machine and the interpreter's extension ABI tag, so a
+new source version builds once per interpreter and later processes only load
+it.  Any failure (no gcc or no Python headers, an unwritable or foreign cache
+directory, a file that will not load) makes `library()` return None, and
+every caller then runs the numpy reference code instead.  There is no switch
+for the backend.
 
-`handle(f)` gives the kernel's view of one TuckerFactors: a struct of
-pointers to its arrays plus a scratch buffer sized from its ranks.  It is
-cached on the factors and rebuilt whenever a parameter array, the factor or
-bias tuple, or dims is replaced; TuckerFactors drops it when copied or
-pickled, so a copy never writes through the original's pointers.
+`handle(f)` gives the kernel's view of one TuckerFactors: a packed pt_model
+struct of pointers to its arrays plus a scratch buffer sized from its ranks.
+It is cached on the factors and rebuilt whenever a parameter array, the
+factor or bias tuple, or dims is replaced; TuckerFactors drops it when copied
+or pickled, so a copy never writes through the original's pointers.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
+import struct
 import threading
 import zlib
 from pathlib import Path
@@ -27,6 +29,8 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_MODULE = "pidtucker._pt_kernel"  # _kernel.c defines PyInit__pt_kernel
+_PT_MODEL = "8P3l"  # pt_model: factor[3], bias[3], core, scratch, then rank[3]
 
 # Attribute of TuckerFactors.__dict__ that caches the handle.
 HANDLE_ATTR = "_kernel_handle"
@@ -36,18 +40,6 @@ _tried = False
 _lib = None
 
 
-class _Model(ctypes.Structure):
-    """Mirror of pt_model in _kernel.c."""
-
-    _fields_ = [
-        ("factor", ctypes.c_void_p * 3),
-        ("bias", ctypes.c_void_p * 3),
-        ("core", ctypes.c_void_p),
-        ("scratch", ctypes.c_void_p),
-        ("rank", ctypes.c_long * 3),
-    ]
-
-
 def _cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
@@ -55,10 +47,25 @@ def _cache_dir() -> Path:
     return Path(base) / "pidtucker"
 
 
+def _file_name(source: bytes, abi: str) -> str:
+    """Cache file name for this source, compiler command, machine and ABI tag."""
+    key = zlib.crc32(b"\0".join([source, " ".join(_COMPILE).encode(),
+                                 os.uname().machine.encode(), abi.encode()]))
+    return f"kernel-{key:08x}.so"
+
+
+def _include_dir() -> str:
+    """The Python headers' directory; sysconfig is imported only to compile."""
+    import sysconfig
+
+    return sysconfig.get_path("include")
+
+
 def _compile(source: bytes, target: Path) -> None:
     """Compile source into target through a temporary file in the same directory.
 
-    Raises OSError when the compiler is missing, fails or times out.
+    Raises OSError when the compiler is missing, fails (as it does without
+    the Python headers) or times out.
     """
     import subprocess
     import tempfile
@@ -66,50 +73,44 @@ def _compile(source: bytes, target: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
     os.close(fd)
     try:
-        try:
-            subprocess.run([*_COMPILE, "-x", "c", "-", "-o", tmp], input=source,
-                           capture_output=True, check=True, timeout=120)
-        except subprocess.SubprocessError as exc:
-            raise OSError(f"cannot compile the kernel: {exc}") from None
+        subprocess.run([*_COMPILE, "-I", _include_dir(), "-x", "c", "-", "-o", tmp],
+                       input=source, capture_output=True, check=True, timeout=120)
         os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cannot compile the kernel: {exc}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
 def _load():
-    """Build the library if this source version has no cached build, then load it.
+    """Build the module if this source version has no cached build, then load it.
 
-    Returns the ctypes library, or None when any step fails.
+    Returns the extension module, or None when any step fails.
     """
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
+
     try:
         source = _SOURCE.read_bytes()
-        key = zlib.crc32(b"\0".join([source, " ".join(_COMPILE).encode(),
-                                     os.uname().machine.encode()]))
         cache = _cache_dir()
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         st = cache.stat()
         # Load nothing from a directory another user could write to.
         if st.st_uid != os.getuid() or st.st_mode & 0o022:
             return None
-        path = cache / f"kernel-{key:08x}.so"
+        path = cache / _file_name(source, EXTENSION_SUFFIXES[0])
         if not path.exists():
             _compile(source, path)
-        lib = ctypes.PyDLL(str(path))
-        model_p = ctypes.POINTER(_Model)
-        lib.pt_value.argtypes = [model_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                                 ctypes.c_double, ctypes.c_int]
-        lib.pt_value.restype = ctypes.c_double
-        lib.pt_step.argtypes = [model_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                                *[ctypes.c_double] * 5]
-        lib.pt_step.restype = None
-        return lib
-    except (OSError, AttributeError):  # AttributeError: a library without the symbols
+        loader = ExtensionFileLoader(_MODULE, str(path))
+        module = loader.create_module(ModuleSpec(_MODULE, loader, origin=str(path)))
+        loader.exec_module(module)
+        return module
+    except (OSError, ImportError):
         return None
 
 
 def library():
-    """The loaded kernel library, or None; built and loaded at most once per process."""
+    """The loaded kernel module, or None; built and loaded at most once per process."""
     global _tried, _lib
     if not _tried:
         with _lock:
@@ -137,25 +138,17 @@ class _Handle:
             return
         ranks = self.core.shape
         self.scratch = np.empty(ranks[0] * ranks[1] + ranks[0] + ranks[1] + 2 * ranks[2])
-        self.model = _Model(
-            (ctypes.c_void_p * 3)(*(a.ctypes.data for a in self.factors)),
-            (ctypes.c_void_p * 3)(*(a.ctypes.data for a in self.biases)),
-            self.core.ctypes.data,
-            self.scratch.ctypes.data,
-            (ctypes.c_long * 3)(*ranks),
-        )
-        self.value, self.step = lib.pt_value, lib.pt_step
+        arrays = (*self.factors, *self.biases, self.core, self.scratch)
+        self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in arrays), *ranks)
+        self.value, self.step = lib.value, lib.step
 
     def _consistent(self) -> bool:
         """Every array usable from C, with shapes that match dims and the core's ranks."""
         core, factors, biases, dims = self.core, self.factors, self.biases, self.dims
-        if not (_usable(core) and core.ndim == 3
-                and len(factors) == len(biases) == len(dims) == 3):
-            return False
-        return all(
-            _usable(a) and _usable(b) and a.shape == (n, r) and b.shape == (n,)
-            for a, b, n, r in zip(factors, biases, dims, core.shape)
-        )
+        return (_usable(core) and core.ndim == 3
+                and len(factors) == len(biases) == len(dims) == 3
+                and all(_usable(a) and _usable(b) and a.shape == (n, r) and b.shape == (n,)
+                        for a, b, n, r in zip(factors, biases, dims, core.shape)))
 
 
 def handle(f):

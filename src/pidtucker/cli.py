@@ -141,13 +141,8 @@ def _convert(key: str, tag: str, text: str):
             return _parse_bool(text)
         if tag == "optfloat":
             return None if text.strip().lower() == "none" else float(text)
-        if tag == "floats3":
-            parts = tuple(float(p) for p in text.split(","))
-            if len(parts) != 3:
-                raise ValueError("expected three comma-separated values")
-            return parts
-        if tag == "ints3":
-            parts = tuple(int(p) for p in text.split(","))
+        if tag in ("floats3", "ints3"):
+            parts = tuple(map(float if tag == "floats3" else int, text.split(",")))
             if len(parts) != 3:
                 raise ValueError("expected three comma-separated values")
             return parts

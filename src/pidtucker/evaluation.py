@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -102,17 +102,7 @@ def summary_to_dict(summary: ExperimentSummary) -> dict:
         "rmse_std": summary.rmse_std,
         "seconds_mean": summary.seconds_mean,
         "seconds_std": summary.seconds_std,
-        "repeats": [
-            {
-                "repeat": r.repeat,
-                "seed": r.seed,
-                "rmse": r.rmse,
-                "epochs": r.epochs,
-                "seconds": r.seconds,
-                "error": r.error,
-            }
-            for r in summary.results
-        ],
+        "repeats": [asdict(r) for r in summary.results],
     }
 
 

@@ -11,10 +11,10 @@ squared residual plus Tikhonov penalties on every parameter the entry touches
 (core and factor rows inside the per-entry sum, so frequently observed rows
 are penalized more).
 
-predict, predict_unbiased and solver.sgd_step have two backends: compiled
-per-entry kernels (_kernel.c, built on first use) and the numpy code in this
-module and in solver.py, which is the reference.  The kernels are used when
-they can be built and every parameter array is a C-contiguous, aligned,
+predict and solver.sgd_step have two backends: compiled per-entry kernels
+(_kernel.c, an extension module built on first use) and the numpy code in
+this module and in solver.py, which is the reference.  The kernels are used
+when they can be built and every parameter array is a C-contiguous, aligned,
 writeable float64 array; they agree with the reference within 1e-12.
 """
 
@@ -146,25 +146,9 @@ def predict(f: TuckerFactors, idx) -> float:
     i, j, k = check_index(f, idx)
     h = _kernel.handle(f)
     if h is not None:
-        return h.value(h.model, i, j, k, f.mean, 1)
-    u = f.factors[0][i]
-    d = f.factors[1][j]
-    t = f.factors[2][k]
-    phi = (f.core @ t) @ d
-    return float(f.mean + u @ phi + f.biases[0][i] + f.biases[1][j] + f.biases[2][k])
-
-
-def predict_unbiased(f: TuckerFactors, idx) -> float:
-    """Multilinear term alone, without mean or biases.
-
-    Same backends and code as predict, so with a zero mean and zero biases
-    the two return the same float.
-    """
-    i, j, k = check_index(f, idx)
-    h = _kernel.handle(f)
-    if h is not None:
-        return h.value(h.model, i, j, k, 0.0, 0)
-    return float(f.factors[0][i] @ ((f.core @ f.factors[2][k]) @ f.factors[1][j]))
+        return h.value(h.model, i, j, k, f.mean)
+    phi = (f.core @ f.factors[2][k]) @ f.factors[1][j]
+    return float(f.mean + f.factors[0][i] @ phi + f.biases[0][i] + f.biases[1][j] + f.biases[2][k])
 
 
 def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
@@ -341,15 +325,8 @@ def load_checkpoint(path) -> TuckerFactors:
             raise DataError(f"{path}: checkpoint dims must have 3 entries, got {dims}")
         payload = fh.read()
 
-    shapes = [
-        (dims[0], ranks.r1),
-        (dims[1], ranks.r2),
-        (dims[2], ranks.r3),
-        ranks.as_tuple(),
-        (dims[0],),
-        (dims[1],),
-        (dims[2],),
-    ]
+    # Payload order: the three factor matrices, the core, the three bias vectors.
+    shapes = [*zip(dims, ranks.as_tuple()), ranks.as_tuple(), *((n,) for n in dims)]
     expected = sum(int(np.prod(s)) for s in shapes) * 8
     if len(payload) != expected:
         raise DataError(

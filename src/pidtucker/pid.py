@@ -66,9 +66,3 @@ def adjust(state: PidState, gains: PidGains, pos: int, e: float,
         elif out < -clamp:
             out = -clamp
     return float(out)
-
-
-def reset(state: PidState) -> None:
-    """Zero all history in place (idempotent)."""
-    state.sum_error[:] = 0.0
-    state.prev_error[:] = 0.0

@@ -7,8 +7,8 @@ their pre-update values.  Training stops when the validation RMSE changes by
 less than `tol` between consecutive epochs, or at the epoch cap.
 
 Of the three per-entry calls, model.predict and sgd_step have two backends:
-the compiled kernels of _kernel.c, used when they can be built, and the numpy
-reference (pid.adjust is plain Python).  The backends agree within 1e-12,
+the compiled kernels of _kernel.c, an extension module used when it can be
+built, and the numpy reference (pid.adjust is plain Python).  The backends agree within 1e-12,
 and each is bitwise-deterministic.
 """
 
@@ -120,15 +120,10 @@ def _sgd_step_reference(f: TuckerFactors, idx, adjusted_err: float,
                         hyper: Hyperparams) -> None:
     grad = instance_gradient(f, idx, adjusted_err, hyper.reg)
     eta = hyper.eta
-    i, j, k = idx
-    (g1, g2, g3), (b1, b2, b3) = grad.rows, grad.biases
-    f.factors[0][i] -= eta * g1
-    f.factors[1][j] -= eta * g2
-    f.factors[2][k] -= eta * g3
+    for m, (i, row, b) in enumerate(zip(idx, grad.rows, grad.biases)):
+        f.factors[m][i] -= eta * row
+        f.biases[m][i] -= eta * b
     f.core -= eta * grad.core
-    f.biases[0][i] -= eta * b1
-    f.biases[1][j] -= eta * b2
-    f.biases[2][k] -= eta * b3
 
 
 def _all_finite(f: TuckerFactors) -> bool:

@@ -3,11 +3,13 @@ on a TuckerFactors, and the silent fallback when no kernel can be built."""
 
 import contextlib
 import copy
+import fnmatch
 import os
 import pickle
 import stat
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from pidtucker import (
     identity_mapping,
     init_factors,
     predict,
-    predict_unbiased,
     save_checkpoint,
     sgd_step,
     split,
@@ -94,12 +95,11 @@ def test_kernel_matches_numpy_reference(shape, seed, err, eta, lambdas):
     hyper = Hyperparams(eta=eta, reg=RegWeights(*lambdas))
     with reference_backend():
         g = copy.deepcopy(f)
-        want = predict(g, idx), predict_unbiased(g, idx)
+        want = predict(g, idx)
         sgd_step(g, idx, 0.0, err, hyper)
         assert _kernel.handle(g) is None
     assert _kernel.handle(f) is not None
-    got = predict(f, idx), predict_unbiased(f, idx)
-    assert abs(got[0] - want[0]) <= TOL and abs(got[1] - want[1]) <= TOL
+    assert abs(predict(f, idx) - want) <= TOL
     sgd_step(f, idx, 0.0, err, hyper)
     assert_close(f, g)
 
@@ -169,6 +169,31 @@ def test_factors_pickle_without_their_handle():
     assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
 
 
+@needs_kernel
+def test_the_module_rejects_bad_arguments_without_touching_memory():
+    f = random_factors((4, 3, 5), (2, 2, 2), seed=5)
+    h = _kernel.handle(f)
+    before = [a.copy() for a in arrays(f)]
+    lib = _kernel.library()
+    bad = [
+        (lib.value, (h.model, 1, 1, 1)),                  # too few
+        (lib.value, (h.model, 1, 1, 1, 0.0, 0)),          # too many
+        (lib.step, (h.model, 1, 1, 1, 0.5, 0.1, 0.0, 0.0)),
+        (lib.value, (h.model[:-1], 1, 1, 1, 0.0)),        # not a whole pt_model
+        (lib.value, (bytearray(h.model), 1, 1, 1, 0.0)),  # not bytes
+        (lib.value, (h.model, "1", 1, 1, 0.0)),
+        (lib.value, (h.model, 1.0, 1, 1, 0.0)),
+        (lib.step, (h.model, 1, 1, 1, 0.5, 0.1, 0.0, 0.0, None)),
+    ]
+    for fn, args in bad:
+        with pytest.raises(TypeError):
+            fn(*args)
+    with pytest.raises(OverflowError):
+        lib.step(h.model, 2**64, 1, 1, 0.5, 0.1, 0.0, 0.0, 0.0)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(f), before))
+    assert lib.value(h.model, 1, 2, 3, f.mean) == predict(f, (1, 2, 3))
+
+
 def test_arrays_the_kernel_cannot_take_use_the_reference():
     f = random_factors((4, 3, 5), (2, 2, 2), seed=4)
     f.factors[0].flags.writeable = False
@@ -194,6 +219,16 @@ def test_library_builds_once_into_a_private_cache(tmp_path):
     with kernel_state(XDG_CACHE_HOME=str(tmp_path)):
         assert _kernel.library() is not None
     assert [p.stat().st_mtime_ns for p in cache.iterdir()] == [mtime]
+
+
+def test_the_cache_file_name_is_keyed_on_the_interpreter_abi():
+    source = _kernel._SOURCE.read_bytes()
+    names = {abi: _kernel._file_name(source, abi)
+             for abi in (".cpython-311-x86_64-linux-gnu.so", ".cpython-312-x86_64-linux-gnu.so",
+                         ".cpython-311d-x86_64-linux-gnu.so", EXTENSION_SUFFIXES[0])}
+    assert len(set(names.values())) == len(set(names))
+    assert all(fnmatch.fnmatch(name, "kernel-*.so") for name in names.values())
+    assert _kernel._file_name(source, EXTENSION_SUFFIXES[0]) == names[EXTENSION_SUFFIXES[0]]
 
 
 def test_a_cache_dir_others_can_write_is_not_used(tmp_path):
@@ -229,8 +264,9 @@ def train_both_ways(tmp_path, name, capsys):
     return library_ckpt, (tmp_path / name / "model.ckpt").read_bytes(), err
 
 
-@pytest.mark.parametrize("cause", ["forced", "unwritable-cache", "no-compiler"])
-def test_train_falls_back_to_the_numpy_reference(cause, tmp_path, capsys):
+@pytest.mark.parametrize("cause", ["forced", "unwritable-cache", "no-compiler",
+                                   "no-python-headers", "unloadable-cached-file"])
+def test_train_falls_back_to_the_numpy_reference(cause, tmp_path, capsys, monkeypatch):
     with reference_backend():
         want, want_cli, _err = train_both_ways(tmp_path, "reference", capsys)
     if cause == "forced":
@@ -239,10 +275,21 @@ def test_train_falls_back_to_the_numpy_reference(cause, tmp_path, capsys):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         ctx = kernel_state(XDG_CACHE_HOME=str(blocker))
-    else:
+    elif cause == "no-compiler":
         empty = tmp_path / "empty"
         empty.mkdir()
         ctx = kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(empty))
+    elif cause == "no-python-headers":
+        empty = tmp_path / "include"
+        empty.mkdir()
+        monkeypatch.setattr(_kernel, "_include_dir", lambda: str(empty))
+        ctx = kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"))
+    else:
+        cache = tmp_path / "cache" / "pidtucker"
+        cache.mkdir(mode=0o700, parents=True)
+        name = _kernel._file_name(_kernel._SOURCE.read_bytes(), EXTENSION_SUFFIXES[0])
+        (cache / name).write_bytes(b"not a shared object\n")
+        ctx = kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"))
     with ctx:
         got, got_cli, err = train_both_ways(tmp_path, "r", capsys)
         assert _kernel.library() is None

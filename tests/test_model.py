@@ -1,7 +1,11 @@
 import copy
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pidtucker import (
     DataError,
@@ -13,7 +17,6 @@ from pidtucker import (
     load_checkpoint,
     predict,
     predict_batch,
-    predict_unbiased,
     reconstruct_dense,
     regularized_loss,
     save_checkpoint,
@@ -139,16 +142,6 @@ def test_predict_batch_blocks_match_predict(n):
     singles = np.array([predict(f, tuple(row)) for row in idx.tolist()])
     assert batch.shape == (n,)
     assert np.allclose(batch, singles, atol=1e-12, rtol=0)
-
-
-def test_predict_unbiased_drops_mean_and_biases():
-    f = random_factors(seed=4)
-    unbiased = predict_unbiased(f, (1, 2, 3))
-    g = copy.deepcopy(f)
-    g.mean = 0.0
-    for v in g.biases:
-        v[:] = 0.0
-    assert unbiased == predict(g, (1, 2, 3))
 
 
 def test_predict_invariant_under_core_factor_rescaling():
@@ -313,6 +306,27 @@ def test_checkpoint_round_trip(tmp_path):
     for m in range(3):
         assert np.array_equal(g.factors[m], f.factors[m])
         assert np.array_equal(g.biases[m], f.biases[m])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 6)] * 3, *[st.integers(1, 4)] * 3),
+       mean=finite, data=st.data())
+def test_checkpoint_round_trip_is_bit_exact(shape, mean, data, tmp_path_factory):
+    dims, ranks = shape[:3], Ranks(*shape[3:])
+    f = init_factors(dims, ranks, mean=mean)
+    for a in (f.core, *f.factors, *f.biases):
+        a[:] = data.draw(hnp.arrays(np.float64, a.shape, elements=finite))
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(f, path)
+    g = load_checkpoint(path)
+    assert (g.dims, g.ranks) == (f.dims, f.ranks)
+    assert struct.pack("<d", g.mean) == struct.pack("<d", f.mean)  # keeps -0.0
+    for got, want in zip((g.core, *g.factors, *g.biases), (f.core, *f.factors, *f.biases)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pidtucker import ConfigError, DataError, PidGains, PidState, adjust, reset
+from pidtucker import ConfigError, DataError, PidGains, PidState, adjust
 
 
 def test_proportional_only_is_identity():
@@ -20,25 +20,6 @@ def test_hand_computed_trace():
     # first call: previous error defaults to zero
     assert adjust(state, gains, 0, 1.0) == 1.0 * 1.0 + 0.1 * 1.0 + 0.2 * (1.0 - 0.0)
     assert adjust(state, gains, 0, 0.5) == 1.0 * 0.5 + 0.1 * (1.0 + 0.5) + 0.2 * (0.5 - 1.0)
-
-
-def test_reset_replays_identically():
-    gains = PidGains(1.0, 0.1, 0.2)
-    state = PidState(1)
-    first = [adjust(state, gains, 0, 1.0), adjust(state, gains, 0, 0.5)]
-    reset(state)
-    second = [adjust(state, gains, 0, 1.0), adjust(state, gains, 0, 0.5)]
-    assert first == second
-
-
-def test_reset_idempotent():
-    gains = PidGains(1.0, 0.0, 0.0)
-    state = PidState(2)
-    adjust(state, gains, 0, 2.0)
-    reset(state)
-    reset(state)
-    assert not state.sum_error.any() and not state.prev_error.any()
-    assert adjust(state, gains, 0, 2.0) == 2.0
 
 
 def test_bookkeeping_after_n_calls():
@@ -82,7 +63,7 @@ def test_clamp_bounds_output():
     for _ in range(10):
         out = adjust(state, gains, 0, 5.0, clamp=3.0)
     assert out == 3.0
-    reset(state)
+    state = PidState(1)
     for _ in range(10):
         out = adjust(state, gains, 0, -5.0, clamp=3.0)
     assert out == -3.0
