@@ -54,9 +54,11 @@ for label, vals in traces.items():
     hit = next((ep for ep, v in enumerate(vals, start=1) if v <= target), None)
     print(f"{label:14s} reaches within 1% of plain-SGD final at epoch {hit}")
 
-# sanity: identity gains reproduce plain SGD exactly
-ident, _ = train(tensor, parts, replace(base, gains=PidGains(1.0, 0.0, 0.0)))
-plain, _ = train(tensor, parts, replace(base, plain_sgd=True))
+# sanity: identity gains reproduce plain SGD exactly.  Without a clamp, that
+# is: adjust clamps the PID output, and plain SGD skips adjust altogether.
+unclamped = replace(base, error_clamp=None)
+ident, _ = train(tensor, parts, replace(unclamped, gains=PidGains(1.0, 0.0, 0.0)))
+plain, _ = train(tensor, parts, replace(unclamped, plain_sgd=True))
 assert np.array_equal(ident.core, plain.core)
 print("gains (1, 0, 0) reproduce the plain-SGD parameters bit for bit")
 

@@ -71,7 +71,6 @@ _HYPER_KEYS = {
     "tol": ("float", 1e-5),
     "init-scale": ("float", 0.04),
     "seed": ("int", 0),
-    "shuffle": ("bool", True),
     "plain-sgd": ("bool", False),
 }
 
@@ -226,7 +225,6 @@ def _hyper_from(cfg: dict) -> Hyperparams:
         tol=cfg["tol"],
         init_scale=cfg["init-scale"],
         seed=cfg["seed"],
-        shuffle=cfg["shuffle"],
         plain_sgd=cfg["plain-sgd"],
         error_clamp=cfg["error-clamp"],
     )

@@ -3,15 +3,18 @@
 The sole ingestion format is a UTF-8 CSV with a header and four columns
 (segment id, day, time slot, speed); column names and the number of slots per
 day come from a CsvSchema.  Missing cells are encoded purely by row absence;
-a speed of zero is a valid observation.  One row parser checks every file
-read here (data records, and target cells, which have no speed column).
-load_csv either builds the id-to-index mapping from the file or is given the
-one a checkpoint was trained with.  A built mapping assigns distinct segment
-ids and days contiguous indices in deterministic sorted order (numeric when
-every id parses as a number, lexicographic otherwise); a given mapping fixes
-the indices and the slot count, and ids outside it are an error.  The mapping
-is kept in a JSON sidecar so imputations can be written back under original
-identifiers.
+a speed of zero is a valid observation.  One reader checks every file read
+here (data records, and target cells, which have no speed column): a single
+csv.reader pass appends typed columns and stops at the first bad row, naming
+its physical line; ids then map to indices in bulk, and load_csv finds
+duplicated cells with the one vectorized check sparse.from_records also
+uses.  load_csv either builds the id-to-index mapping from the file or is
+given the one a checkpoint was trained with.  A built mapping assigns
+distinct segment ids and days contiguous indices in deterministic sorted
+order (numeric when every id parses as a number, lexicographic otherwise); a
+given mapping fixes the indices and the slot count, and ids outside it are an
+error.  The mapping is kept in a JSON sidecar so imputations can be written
+back under original identifiers.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .model import Ranks, TuckerFactors, predict_batch
-from .sparse import SparseTensor, from_records
+from .sparse import SparseTensor, _first_duplicate, _freeze
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
 
@@ -115,56 +119,77 @@ def _sorted_ids(ids) -> list[str]:
         return sorted(ids)
 
 
-def _read_rows(path, schema: CsvSchema, slots_per_day: int, speed: bool = True):
-    """Checked (line, segment, day, slot, speed) rows of a speed-record CSV.
+def _as_dict(header, row) -> dict:
+    """A row as csv.DictReader shows it, for error messages."""
+    extra = {None: row[len(header):]} if len(row) > len(header) else {}
+    return {**dict(zip(header, row)), **dict.fromkeys(header[len(row):]), **extra}
 
-    With speed=False the file needs no speed column and each row's speed is
-    None.  Raises DataError naming the line for malformed rows, out-of-range
-    slots, and negative or non-finite speeds.
+
+def _read_rows(path, schema: CsvSchema, mapping: IndexMapping | None, speed: bool = True):
+    """Checked, indexed columns of a speed-record CSV, read in one pass.
+
+    Returns (lines, cells, speeds, mapping): each row's physical (last) line,
+    its (n, 3) int64 cell, the speeds (all 0 with speed=False, when no speed
+    column is needed), and the mapping, built from the file's ids when None
+    is given.  Blank lines are skipped.  Raises DataError naming the line for
+    malformed rows, out-of-range slots, negative or non-finite speeds, and
+    ids outside a given mapping.
     """
+    slots_per_day = schema.slots_per_day if mapping is None else mapping.slots_per_day
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read file: {exc}") from None
     columns = (schema.segment, schema.day, schema.slot) + ((schema.speed,) if speed else ())
-    rows = []
+    lines, codes, speeds = array("q"), array("q"), array("d")
+    segments, days = {}, {}  # id -> code, in first-seen order
     with fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        position = {name: pos for pos, name in enumerate(header)}  # last one wins
+        missing = [c for c in columns if c not in position]
         if missing:
             raise DataError(f"{path}: missing required column(s) {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            seg = row[schema.segment]
-            day = row[schema.day]
+        s, d, t, v = (position.get(c) for c in (*columns[:3], schema.speed))
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
             try:
-                slot = int(row[schema.slot])
-                value = float(row[schema.speed]) if speed else None
-            except (TypeError, ValueError):
-                raise DataError(f"{path}: malformed row at line {lineno}: {row}") from None
-            if not seg or not day:
-                raise DataError(f"{path}: malformed row at line {lineno}: {row}")
+                seg, day, slot = row[s], row[d], int(row[t])
+                value = float(row[v]) if speed else 0.0
+                if not seg or not day:
+                    raise ValueError
+            except (IndexError, ValueError):
+                raise DataError(
+                    f"{path}: malformed row at line {line}: {_as_dict(header, row)}"
+                ) from None
             if not 0 <= slot < slots_per_day:
                 raise DataError(
-                    f"{path}: line {lineno}: slot {slot} out of range [0, {slots_per_day})"
+                    f"{path}: line {line}: slot {slot} out of range [0, {slots_per_day})"
                 )
-            if speed and (not math.isfinite(value) or value < 0):
-                raise DataError(f"{path}: line {lineno}: invalid speed {value}")
-            rows.append((lineno, seg, day, slot, value))
-    return rows
+            if not 0 <= value < math.inf:
+                raise DataError(f"{path}: line {line}: invalid speed {value}")
+            lines.append(line)
+            codes.extend((segments.setdefault(seg, len(segments)),
+                          days.setdefault(day, len(days)), slot))
+            speeds.append(value)
 
-
-def _index_rows(path, rows, mapping: IndexMapping) -> list[tuple[int, int, int]]:
-    """Cell indices of parsed rows; ids absent from the mapping are an error."""
-    seg_index = {s: i for i, s in enumerate(mapping.segments)}
-    day_index = {d: j for j, d in enumerate(mapping.days)}
-    out = []
-    for lineno, seg, day, slot, _ in rows:
-        if seg not in seg_index:
-            raise DataError(f"{path}: line {lineno}: unknown segment id {seg!r}")
-        if day not in day_index:
-            raise DataError(f"{path}: line {lineno}: unknown day {day!r}")
-        out.append((seg_index[seg], day_index[day], slot))
-    return out
+    if mapping is None:
+        mapping = IndexMapping(tuple(_sorted_ids(segments)), tuple(_sorted_ids(days)),
+                               slots_per_day)
+    cells = np.asarray(codes).reshape(-1, 3)
+    mapped = np.empty((len(cells), 2), dtype=np.int64)
+    for m, (coded, ids) in enumerate(((segments, mapping.segments), (days, mapping.days))):
+        index = {x: i for i, x in enumerate(ids)}
+        mapped[:, m] = np.array([index.get(x, -1) for x in coded], dtype=np.int64)[cells[:, m]]
+    unknown = (mapped < 0).ravel()  # row-major: a row's segment comes before its day
+    if unknown.any():
+        pos, m = divmod(int(np.argmax(unknown)), 2)
+        what, ids = ("segment id", segments) if m == 0 else ("day", days)
+        raise DataError(f"{path}: line {lines[pos]}: unknown {what} {list(ids)[cells[pos, m]]!r}")
+    cells[:, :2] = mapped
+    return lines, cells, np.asarray(speeds), mapping
 
 
 def load_csv(path, schema: CsvSchema,
@@ -178,35 +203,22 @@ def load_csv(path, schema: CsvSchema,
     Raises DataError naming the line for malformed rows, out-of-range slots,
     negative or non-finite speeds, and duplicated (segment, day, slot) cells.
     """
-    slots = schema.slots_per_day if mapping is None else mapping.slots_per_day
-    rows = _read_rows(path, schema, slots)
-    if not rows:
+    lines, cells, speeds, mapping = _read_rows(path, schema, mapping)
+    if not lines:
         raise DataError(f"{path}: no data rows")
-    seen: dict[tuple[str, str, int], int] = {}
-    for lineno, seg, day, slot, _ in rows:
-        key = (seg, day, slot)
-        if key in seen:
-            raise DataError(
-                f"{path}: duplicate (segment, day, slot) {key} at lines "
-                f"{seen[key]} and {lineno}"
-            )
-        seen[key] = lineno
-
-    if mapping is None:
-        mapping = IndexMapping(
-            segments=tuple(_sorted_ids({r[1] for r in rows})),
-            days=tuple(_sorted_ids({r[2] for r in rows})),
-            slots_per_day=slots,
+    dup = _first_duplicate(cells, mapping.dims)
+    if dup is not None:
+        i, j, k = cells[dup[1]].tolist()
+        raise DataError(
+            f"{path}: duplicate (segment, day, slot) {(mapping.segments[i], mapping.days[j], k)} "
+            f"at lines {lines[dup[0]]} and {lines[dup[1]]}"
         )
-    cells = _index_rows(path, rows, mapping)
-    records = [(i, j, k, r[4]) for (i, j, k), r in zip(cells, rows)]
-    return from_records(mapping.dims, records), mapping
+    return SparseTensor(mapping.dims, _freeze(cells), _freeze(speeds)), mapping
 
 
 def read_targets_csv(path, schema: CsvSchema, mapping: IndexMapping) -> np.ndarray:
     """Read (segment, day, slot) target cells and map them to indices."""
-    rows = _read_rows(path, schema, mapping.slots_per_day, speed=False)
-    return np.asarray(_index_rows(path, rows, mapping), dtype=np.int64).reshape(-1, 3)
+    return _read_rows(path, schema, mapping, speed=False)[1]
 
 
 @dataclass(frozen=True)
@@ -266,9 +278,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SparseTensor, TuckerFactors
     if spec.noise_sigma > 0:
         values = values + rng.normal(0.0, spec.noise_sigma, size=n_obs)
 
-    records = [(int(a), int(b), int(c), float(v))
-               for (a, b, c), v in zip(indices, values)]
-    return from_records(dims, records), truth
+    if not np.isfinite(values).all():
+        raise DataError(f"{spec} gives non-finite values")
+    return SparseTensor(dims, _freeze(indices), _freeze(values)), truth
 
 
 def identity_mapping(dims) -> IndexMapping:

@@ -96,19 +96,16 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
     return ExperimentSummary(results, rmse_mean, rmse_std, sec_mean, sec_std)
 
 
-def summary_to_dict(summary: ExperimentSummary) -> dict:
-    return {
+def write_summary_json(summary: ExperimentSummary, path) -> None:
+    payload = {
         "rmse_mean": summary.rmse_mean,
         "rmse_std": summary.rmse_std,
         "seconds_mean": summary.seconds_mean,
         "seconds_std": summary.seconds_std,
         "repeats": [asdict(r) for r in summary.results],
     }
-
-
-def write_summary_json(summary: ExperimentSummary, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_to_dict(summary), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

@@ -327,21 +327,14 @@ def load_checkpoint(path) -> TuckerFactors:
 
     # Payload order: the three factor matrices, the core, the three bias vectors.
     shapes = [*zip(dims, ranks.as_tuple()), ranks.as_tuple(), *((n,) for n in dims)]
-    expected = sum(int(np.prod(s)) for s in shapes) * 8
+    ends = np.cumsum([int(np.prod(s)) for s in shapes])
+    expected = int(ends[-1]) * 8
     if len(payload) != expected:
         raise DataError(
             f"{path}: checkpoint payload is {len(payload)} bytes, expected {expected}"
         )
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arrays.append(
-            np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        offset += count * 8
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    arrays = [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)]
     if not (math.isfinite(mean) and all(np.isfinite(a).all() for a in arrays)):
         raise DataError(f"{path}: checkpoint holds non-finite parameters")
     return TuckerFactors(

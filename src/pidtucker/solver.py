@@ -1,6 +1,6 @@
 """Sequential SGD training loop with PID residual adjustment and early stopping.
 
-One epoch visits every training entry once (seeded shuffle by default).  For
+One epoch visits every training entry once, in a seeded shuffled order.  For
 each entry the residual is computed from current parameters, optionally
 PID-adjusted, and all touched parameters are updated simultaneously from
 their pre-update values.  Training stops when the validation RMSE changes by
@@ -49,7 +49,6 @@ class Hyperparams:
     tol: float = 1e-5
     init_scale: float = 0.04
     seed: int = 0
-    shuffle: bool = True
     plain_sgd: bool = False          # bypass the PID adjustment entirely
     error_clamp: float | None = None
 
@@ -170,10 +169,7 @@ def train(tensor: SparseTensor, data_split: DataSplit,
     start = time.perf_counter()
 
     for epoch in range(1, hyper.max_epochs + 1):
-        if hyper.shuffle:
-            order = np.random.default_rng(hyper.seed + epoch).permutation(n_train).tolist()
-        else:
-            order = range(n_train)
+        order = np.random.default_rng(hyper.seed + epoch).permutation(n_train).tolist()
         try:
             # Overflow on the way to divergence is detected and reported below;
             # silence the interim numpy warnings.

@@ -61,6 +61,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _first_duplicate(indices: np.ndarray, dims) -> tuple[int, int] | None:
+    """(first, repeat): the lowest position whose cell occurs earlier, and
+    where that cell first occurs; None without repeats.  Indices lie in dims."""
+    flat = np.ravel_multi_index(indices.T, dims)
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != np.arange(len(flat)))
+    return (int(first[inverse[repeats[0]]]), int(repeats[0])) if len(repeats) else None
+
+
 def from_records(dims, records) -> SparseTensor:
     """Build a SparseTensor from (i, j, k, value) records.
 
@@ -76,33 +85,27 @@ def from_records(dims, records) -> SparseTensor:
     n = len(records)
     indices = np.zeros((n, 3), dtype=np.int64)
     values = np.zeros(n, dtype=np.float64)
-    for pos, rec in enumerate(records):
-        i, j, k, v = rec
+    for pos, (i, j, k, v) in enumerate(records):
         indices[pos] = (i, j, k)
         values[pos] = v
 
-    if n:
-        oob = (indices < 0) | (indices >= np.asarray(dims, dtype=np.int64))
-        if oob.any():
-            pos = int(np.argmax(oob.any(axis=1)))
-            raise DataError(
-                f"record {pos} has out-of-bounds index {tuple(indices[pos])} "
-                f"for dims {dims}"
-            )
-        bad = ~np.isfinite(values)
-        if bad.any():
-            pos = int(np.argmax(bad))
-            raise DataError(f"record {pos} has non-finite value {values[pos]}")
-        order = np.lexsort((indices[:, 2], indices[:, 1], indices[:, 0]))
-        ordered = indices[order]
-        dup = np.all(ordered[1:] == ordered[:-1], axis=1)
-        if dup.any():
-            at = int(np.argmax(dup))
-            first, second = sorted((int(order[at]), int(order[at + 1])))
-            raise DataError(
-                f"duplicate index {tuple(ordered[at])} at record positions "
-                f"{first} and {second}"
-            )
+    oob = (indices < 0) | (indices >= np.asarray(dims, dtype=np.int64))
+    if oob.any():
+        pos = int(np.argmax(oob.any(axis=1)))
+        raise DataError(
+            f"record {pos} has out-of-bounds index {tuple(indices[pos])} "
+            f"for dims {dims}"
+        )
+    bad = ~np.isfinite(values)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise DataError(f"record {pos} has non-finite value {values[pos]}")
+    dup = _first_duplicate(indices, dims)
+    if dup is not None:
+        raise DataError(
+            f"duplicate index {tuple(indices[dup[1]])} at record positions "
+            f"{dup[0]} and {dup[1]}"
+        )
 
     return SparseTensor(dims, _freeze(indices), _freeze(values))
 

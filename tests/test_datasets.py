@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pidtucker
@@ -63,6 +63,23 @@ def test_load_malformed_row_names_line(tmp_path):
     with pytest.raises(DataError) as exc:
         load_csv(path, SCHEMA)
     assert "line 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("before", [["a,1,0,1.0", ""], ['"seg\nment",1,0,1.0']],
+                         ids=["blank-line", "quoted-newline"])
+def test_errors_name_the_physical_line(tmp_path, before):
+    # lines 2-3 hold a row and a blank line, or one row whose quoted id spans both
+    path = write_csv(tmp_path / "d.csv", before + ["a,1,oops,2.0"])
+    with pytest.raises(DataError, match="malformed row at line 4:"):
+        load_csv(path, SCHEMA)
+    path = write_csv(tmp_path / "d.csv", before + ["b,1,0,2.0", "b,1,0,3.0"])
+    with pytest.raises(DataError, match="at lines 4 and 5$"):
+        load_csv(path, SCHEMA)
+    targets = write_csv(tmp_path / "t.csv", [r.rsplit(",", 1)[0] for r in before] + ["a,7,0"],
+                        header="segment,day,slot")
+    mapping = IndexMapping(("a", "seg\nment"), ("1",), 288)
+    with pytest.raises(DataError, match="line 4: unknown day '7'"):
+        read_targets_csv(targets, SCHEMA, mapping)
 
 
 def test_load_duplicate_cell_names_both_lines(tmp_path):
@@ -210,6 +227,9 @@ def test_synthetic_validation():
                       noise_sigma=-1.0)
     with pytest.raises(ConfigError, match="seed"):
         SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=0.5, seed=-1)
+    with pytest.raises(DataError, match="non-finite"):
+        generate_synthetic(SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1),
+                                         observed_fraction=0.5, value_offset=float("inf")))
 
 
 # ---------------------------------------------------------------- export
@@ -386,3 +406,76 @@ def test_load_csv_with_mapping_uses_training_mapping(tmp_path):
     late = write_csv(tmp_path / "late.csv", ["a,1,4,30.0"])
     with pytest.raises(DataError, match=r"slot 4 out of range \[0, 4\)"):
         load_csv(late, SCHEMA, mapping)
+
+
+# ---------------------------------------------------------------- CSV properties
+
+_IDS = st.text("abcXYZ019.-_", min_size=1, max_size=4)
+
+
+@st.composite
+def record_files(draw):
+    """Sorted segment ids and days, plus cells that use every one, in any order."""
+    segments = tuple(_sorted_ids(draw(st.sets(_IDS, min_size=1, max_size=5))))
+    days = tuple(_sorted_ids(draw(st.sets(_IDS, min_size=1, max_size=4))))
+    slots = draw(st.integers(1, 6))
+    cover = {(i, 0, 0) for i in range(len(segments))} | {(0, j, 0) for j in range(len(days))}
+    extra = draw(st.sets(st.tuples(st.integers(0, len(segments) - 1),
+                                   st.integers(0, len(days) - 1), st.integers(0, slots - 1))))
+    cells = draw(st.permutations(sorted(cover | extra)))
+    values = draw(st.lists(st.floats(0.0, 1e5), min_size=len(cells), max_size=len(cells)))
+    return IndexMapping(segments, days, slots), np.array(cells, dtype=np.int64), values
+
+
+@settings(max_examples=30, deadline=None)
+@given(record_files())
+def test_write_then_load_csv_round_trips(tmp_path_factory, drawn):
+    mapping, cells, values = drawn
+    path = tmp_path_factory.mktemp("rt") / "d.csv"
+    schema = CsvSchema(slots_per_day=mapping.slots_per_day)
+    write_records_csv(cells, values, mapping, path, schema)
+    tensor, loaded = load_csv(path, schema)
+    assert loaded == mapping
+    assert np.array_equal(tensor.indices, cells)
+    assert np.allclose(tensor.values, values, rtol=0, atol=5e-7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(record_files(), st.randoms(use_true_random=False))
+def test_row_order_changes_neither_mapping_nor_entries(tmp_path_factory, drawn, rnd):
+    mapping, cells, values = drawn
+    rows = [f"{mapping.segments[i]},{mapping.days[j]},{k},{v!r}"
+            for (i, j, k), v in zip(cells.tolist(), values)]
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    schema = CsvSchema(slots_per_day=mapping.slots_per_day)
+    out = tmp_path_factory.mktemp("perm")
+    loads = [load_csv(write_csv(out / f"{n}.csv", r), schema) for n, r in ((0, rows), (1, shuffled))]
+    (a, map_a), (b, map_b) = loads
+    assert map_a == map_b == mapping
+    entries = [set(zip(map(tuple, t.indices.tolist()), t.values.tolist())) for t in (a, b)]
+    assert entries[0] == entries[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(record_files(), st.data())
+def test_duplicates_name_the_earliest_repeat(tmp_path_factory, drawn, data):
+    mapping, cells, _ = drawn
+    assume(len(cells) >= 2)
+    keys = [f"{mapping.segments[i]},{mapping.days[j]},{k}" for i, j, k in cells.tolist()]
+    # repeat two different cells, each somewhere after its first row
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True)):
+        keys.insert(data.draw(st.integers(keys.index(key) + 1, len(keys))), key)
+    first_line = {}
+    for line, key in enumerate(keys, start=2):
+        if key in first_line:
+            break
+        first_line[key] = line
+    seg, day, slot = key.split(",")
+    path = write_csv(tmp_path_factory.mktemp("dup") / "d.csv", [f"{k},1.5" for k in keys])
+    with pytest.raises(DataError) as exc:
+        load_csv(path, CsvSchema(slots_per_day=mapping.slots_per_day))
+    assert str(exc.value).endswith(
+        f"duplicate (segment, day, slot) {(seg, day, int(slot))} "
+        f"at lines {first_line[key]} and {line}"
+    )

@@ -197,16 +197,6 @@ def test_train_error_clamp_keeps_run_alive():
     assert report.epochs_run >= 1
 
 
-def test_train_shuffle_off_is_deterministic_and_different():
-    tensor, parts = small_problem()
-    base = Hyperparams(ranks=Ranks(2, 2, 2), max_epochs=5, tol=1e-12, seed=3)
-    f1, _ = train(tensor, parts, replace(base, shuffle=False))
-    f2, _ = train(tensor, parts, replace(base, shuffle=False))
-    f3, _ = train(tensor, parts, base)
-    assert factors_equal(f1, f2)
-    assert not factors_equal(f1, f3)
-
-
 # ---------------------------------------------------------------- stopping rule
 
 
