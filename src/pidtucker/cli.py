@@ -1,10 +1,10 @@
 """Command-line entry point: train, benchmark, impute, synth, evaluate.
 
-Options may come from a flat key=value config file (--config) and from flags;
-flags override file keys, unknown keys are rejected, and the effective merged
-configuration is echoed into the output directory.  Every command writes into
-a fresh per-run directory (staged under a temporary name and renamed on
-success, so failures leave no partial outputs).
+Config keys are flags: a --config file's key=value lines count as flags put
+before the command line's own, which win.  Every usage error (unknown or
+abbreviated key, bad value, missing option) exits 2.  A run writes its outputs
+and effective configuration (config.txt) into a fresh directory, staged under
+a temporary name and renamed on success, so failures leave no partial outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 divergence.
 """
@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -23,6 +22,7 @@ from pathlib import Path
 from .datasets import (
     CsvSchema,
     SyntheticSpec,
+    _write_json,
     export_imputed,
     generate_synthetic,
     identity_mapping,
@@ -46,158 +46,132 @@ from .pid import PidGains
 from .solver import Hyperparams, train, write_trace
 from .sparse import split
 
-# Option tables: key -> (type tag, default).  None defaults mark required keys
-# unless the command treats the key as optional itself.
-_SCHEMA_KEYS = {
-    "col-segment": ("str", "segment"),
-    "col-day": ("str", "day"),
-    "col-slot": ("str", "slot"),
-    "col-speed": ("str", "speed"),
-    "slots-per-day": ("int", 288),
-}
+def _three(kind):
+    """An argparse type reading three comma-separated `kind` values."""
 
-_HYPER_KEYS = {
-    "ratios": ("floats3", (0.08, 0.02, 0.90)),
-    "eta": ("float", 0.01),
-    "lambda1": ("float", 0.01),
-    "lambda2": ("float", 0.01),
-    "lambda3": ("float", 0.01),
-    "kp": ("float", 1.0),
-    "ki": ("float", 0.1),
-    "kd": ("float", 0.1),
-    "error-clamp": ("optfloat", None),
-    "ranks": ("ints3", (5, 5, 5)),
-    "max-epochs": ("int", 1000),
-    "tol": ("float", 1e-5),
-    "init-scale": ("float", 0.04),
-    "seed": ("int", 0),
-    "plain-sgd": ("bool", False),
-}
+    def parse(text: str) -> tuple:
+        try:
+            parts = tuple(map(kind, text.split(",")))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError("expected three comma-separated values")
+        return parts
 
-_COMMAND_KEYS = {
-    "train": {"data": ("str", None), **_SCHEMA_KEYS, **_HYPER_KEYS},
-    "benchmark": {
-        "data": ("str", None),
-        **_SCHEMA_KEYS,
-        **_HYPER_KEYS,
-        "repeats": ("int", 20),
-        "base-seed": ("int", 0),
-        "jobs": ("int", 1),
-    },
-    "synth": {
-        "dims": ("ints3", None),
-        "ranks": ("ints3", (5, 5, 5)),
-        "observed-fraction": ("float", 0.1),
-        "noise-sigma": ("float", 0.0),
-        # speed-like offset; must keep every generated value nonnegative so the
-        # emitted CSV is a valid speed-record file
-        "value-offset": ("float", 10.0),
-        "seed": ("int", 0),
-    },
-    "impute": {
-        "checkpoint": ("str", None),
-        "mapping": ("str", None),
-        "targets": ("str", None),
-        "all-missing": ("bool", False),
-        "data": ("str", None),
-        **_SCHEMA_KEYS,
-    },
-    "evaluate": {
-        "checkpoint": ("str", None),
-        "mapping": ("str", None),
-        "data": ("str", None),
-        **_SCHEMA_KEYS,
-    },
-}
-
-_REQUIRED = {
-    "train": ("data",),
-    "benchmark": ("data",),
-    "synth": ("dims",),
-    "impute": ("checkpoint", "mapping"),
-    "evaluate": ("checkpoint", "mapping", "data"),
-}
+    return parse
 
 
-def _parse_bool(text: str) -> bool:
+def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
-def _convert(key: str, tag: str, text: str):
+def _float_or_none(text: str) -> float | None:
+    if text.strip().lower() == "none":
+        return None
     try:
-        if tag == "str":
-            return text
-        if tag == "int":
-            return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "bool":
-            return _parse_bool(text)
-        if tag == "optfloat":
-            return None if text.strip().lower() == "none" else float(text)
-        if tag in ("floats3", "ints3"):
-            parts = tuple(map(float if tag == "floats3" else int, text.split(",")))
-            if len(parts) != 3:
-                raise ValueError("expected three comma-separated values")
-            return parts
+        return float(text)
     except ValueError as exc:
-        raise ConfigError(f"invalid value for {key!r}: {exc}") from None
-    raise AssertionError(f"unknown option tag {tag}")
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# Option tables: key -> (argparse type, default).  Each default is read from
+# the library class that owns the setting; only the CLI's own keys have literal
+# ones.  ... marks a required key, checked after parsing since its value may
+# come from a config file.  None is unset.
+_SCHEMA_KEYS = {
+    "col-segment": (str, CsvSchema.segment),
+    "col-day": (str, CsvSchema.day),
+    "col-slot": (str, CsvSchema.slot),
+    "col-speed": (str, CsvSchema.speed),
+    "slots-per-day": (int, CsvSchema.slots_per_day),
+}
+
+_HYPER_KEYS = {
+    "ratios": (_three(float), ExperimentConfig.ratios),
+    "eta": (float, Hyperparams.eta),
+    "lambda1": (float, RegWeights.lambda1),
+    "lambda2": (float, RegWeights.lambda2),
+    "lambda3": (float, RegWeights.lambda3),
+    "kp": (float, PidGains.kp),
+    "ki": (float, PidGains.ki),
+    "kd": (float, PidGains.kd),
+    "error-clamp": (_float_or_none, Hyperparams.error_clamp),
+    "ranks": (_three(int), Ranks().as_tuple()),
+    "max-epochs": (int, Hyperparams.max_epochs),
+    "tol": (float, Hyperparams.tol),
+    "init-scale": (float, Hyperparams.init_scale),
+    "plain-sgd": (_bool, Hyperparams.plain_sgd),
+}
+
+_COMMAND_KEYS = {
+    "train": {"data": (str, ...), "seed": (int, Hyperparams.seed),
+              **_SCHEMA_KEYS, **_HYPER_KEYS},
+    "benchmark": {
+        "data": (str, ...),
+        **_SCHEMA_KEYS,
+        **_HYPER_KEYS,
+        "repeats": (int, ExperimentConfig.repeats),
+        "base-seed": (int, ExperimentConfig.base_seed),
+        "jobs": (int, 1),
+    },
+    "synth": {
+        "dims": (_three(int), ...),
+        "ranks": (_three(int), Ranks().as_tuple()),
+        "observed-fraction": (float, 0.1),
+        "noise-sigma": (float, SyntheticSpec.noise_sigma),
+        # speed-like offset; must keep every generated value nonnegative so the
+        # emitted CSV is a valid speed-record file
+        "value-offset": (float, 10.0),
+        "seed": (int, SyntheticSpec.seed),
+    },
+    "impute": {
+        "checkpoint": (str, ...),
+        "mapping": (str, ...),
+        "targets": (str, None),
+        "all-missing": (_bool, False),
+        "data": (str, None),
+        **_SCHEMA_KEYS,
+    },
+    "evaluate": {
+        "checkpoint": (str, ...),
+        "mapping": (str, ...),
+        "data": (str, ...),
+        **_SCHEMA_KEYS,
+    },
+}
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, tuple):
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
+        return ",".join(map(str, value))
     return str(value)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str) -> list[str]:
+    """The file's key=value lines as --key=value arguments, in file order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    out: dict[str, str] = {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    args = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-        key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _merge_config(command: str, args: argparse.Namespace) -> dict:
-    keys = _COMMAND_KEYS[command]
-    merged = {key: default for key, (_, default) in keys.items()}
-
-    if args.config:
-        for key, text in _read_config_file(args.config).items():
-            if key not in keys:
-                raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-            merged[key] = _convert(key, keys[key][0], text)
-
-    for key, (tag, _) in keys.items():
-        flag_value = getattr(args, key.replace("-", "_"))
-        if flag_value is not None:
-            merged[key] = _convert(key, tag, flag_value)
-
-    for key in _REQUIRED[command]:
-        if merged[key] is None:
-            raise ConfigError(f"missing required option {key!r} for command {command!r}")
-    return merged
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in ("config", "outdir", "run-name"):
+            raise ConfigError(f"{path}: line {lineno}: {key!r} can only be set by a flag")
+        args.append(f"--{key}={value}")
+    return args
 
 
 def _write_effective_config(cfg: dict, path: Path) -> None:
@@ -215,7 +189,7 @@ def _schema_from(cfg: dict) -> CsvSchema:
     )
 
 
-def _hyper_from(cfg: dict) -> Hyperparams:
+def _hyper_from(cfg: dict, **extra) -> Hyperparams:
     return Hyperparams(
         eta=cfg["eta"],
         reg=RegWeights(cfg["lambda1"], cfg["lambda2"], cfg["lambda3"]),
@@ -224,20 +198,15 @@ def _hyper_from(cfg: dict) -> Hyperparams:
         max_epochs=cfg["max-epochs"],
         tol=cfg["tol"],
         init_scale=cfg["init-scale"],
-        seed=cfg["seed"],
         plain_sgd=cfg["plain-sgd"],
         error_clamp=cfg["error-clamp"],
+        **extra,
     )
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
 
 
 def cmd_train(cfg: dict, rundir: Path) -> None:
     tensor, mapping = load_csv(cfg["data"], _schema_from(cfg))
-    hyper = _hyper_from(cfg)
+    hyper = _hyper_from(cfg, seed=cfg["seed"])
     parts = split(tensor, cfg["ratios"], cfg["seed"])
     t0 = time.perf_counter()
     factors, report = train(tensor, parts, hyper)
@@ -328,25 +297,46 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ConfigError (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _parse(argv) -> tuple[argparse.Namespace, dict]:
+    """The parsed arguments and the command's option values; ConfigError on misuse.
+
+    A --config file's lines go in right after the command name, so the
+    command line's own flags, which come later, win.
+    """
+    parser = _Parser(
         prog="pidtucker",
         description="Sparse 3-mode tensor completion with PID-adjusted SGD.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, keys in _COMMAND_KEYS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--outdir", default="runs", help="parent directory for run outputs")
         p.add_argument("--run-name", default=None, help="output directory name under outdir")
-        for key in keys:
-            p.add_argument(f"--{key}", dest=key.replace("-", "_"), default=None)
-    return parser
+        for key, (kind, default) in keys.items():
+            p.add_argument(f"--{key}", dest=key, type=kind, default=default)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
+    if args.config:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _read_config_file(args.config) + argv[at:])
+    cfg = {key: getattr(args, key) for key in _COMMAND_KEYS[args.command]}
+    for key, value in cfg.items():
+        if value is ...:
+            raise ConfigError(f"missing required option {key!r} for command {args.command!r}")
+    return args, cfg
 
 
 def _make_rundir(outdir: str, run_name: str | None, command: str) -> tuple[Path, Path]:
     parent = Path(outdir)
-    parent.mkdir(parents=True, exist_ok=True)
     if run_name is None:
         stamp = time.strftime("%Y%m%d-%H%M%S")
         run_name = f"{command}-{stamp}"
@@ -357,9 +347,13 @@ def _make_rundir(outdir: str, run_name: str | None, command: str) -> tuple[Path,
     final = parent / run_name
     if final.exists():
         raise ConfigError(f"output directory already exists: {final}")
-    # A unique staging name, so concurrent runs never share or remove each
-    # other's staging directory.
-    staging = Path(tempfile.mkdtemp(prefix=f".{run_name}.", suffix=".tmp", dir=parent))
+    try:
+        parent.mkdir(parents=True, exist_ok=True)
+        # A unique staging name, so concurrent runs never share or remove each
+        # other's staging directory.
+        staging = Path(tempfile.mkdtemp(prefix=f".{run_name}.", suffix=".tmp", dir=parent))
+    except OSError as exc:
+        raise ConfigError(f"cannot create run directory {final}: {exc}") from None
     # mkdtemp's directory is private; give the run the mode a plain mkdir would.
     umask = os.umask(0)
     os.umask(umask)
@@ -378,9 +372,8 @@ def _publish(staging: Path, final: Path) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args.command, args)
+        args, cfg = _parse(argv)
         staging, final = _make_rundir(args.outdir, args.run_name, args.command)
         try:
             _write_effective_config(cfg, staging / "config.txt")

@@ -65,16 +65,19 @@ class IndexMapping:
         return (len(self.segments), len(self.days), self.slots_per_day)
 
 
+def _write_json(payload: dict, path) -> None:
+    """Write payload as JSON with sorted keys, a 2-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def save_mapping(mapping: IndexMapping, path) -> None:
-    payload = {
+    _write_json({
         "format": MAPPING_FORMAT,
         "segments": list(mapping.segments),
         "days": list(mapping.days),
         "slots_per_day": mapping.slots_per_day,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def load_mapping(path) -> IndexMapping:
@@ -132,8 +135,9 @@ def _read_rows(path, schema: CsvSchema, mapping: IndexMapping | None, speed: boo
     its (n, 3) int64 cell, the speeds (all 0 with speed=False, when no speed
     column is needed), and the mapping, built from the file's ids when None
     is given.  Blank lines are skipped.  Raises DataError naming the line for
-    malformed rows, out-of-range slots, negative or non-finite speeds, and
-    ids outside a given mapping.
+    malformed rows, out-of-range slots, negative or non-finite speeds, ids
+    outside a given mapping and text the csv module rejects, and naming only
+    the file for text that is not UTF-8.
     """
     slots_per_day = schema.slots_per_day if mapping is None else mapping.slots_per_day
     try:
@@ -145,35 +149,40 @@ def _read_rows(path, schema: CsvSchema, mapping: IndexMapping | None, speed: boo
     segments, days = {}, {}  # id -> code, in first-seen order
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None) or []
-        position = {name: pos for pos, name in enumerate(header)}  # last one wins
-        missing = [c for c in columns if c not in position]
-        if missing:
-            raise DataError(f"{path}: missing required column(s) {missing}")
-        s, d, t, v = (position.get(c) for c in (*columns[:3], schema.speed))
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            try:
-                seg, day, slot = row[s], row[d], int(row[t])
-                value = float(row[v]) if speed else 0.0
-                if not seg or not day:
-                    raise ValueError
-            except (IndexError, ValueError):
-                raise DataError(
-                    f"{path}: malformed row at line {line}: {_as_dict(header, row)}"
-                ) from None
-            if not 0 <= slot < slots_per_day:
-                raise DataError(
-                    f"{path}: line {line}: slot {slot} out of range [0, {slots_per_day})"
-                )
-            if not 0 <= value < math.inf:
-                raise DataError(f"{path}: line {line}: invalid speed {value}")
-            lines.append(line)
-            codes.extend((segments.setdefault(seg, len(segments)),
-                          days.setdefault(day, len(days)), slot))
-            speeds.append(value)
+        try:
+            header = next(reader, None) or []
+            position = {name: pos for pos, name in enumerate(header)}  # last one wins
+            missing = [c for c in columns if c not in position]
+            if missing:
+                raise DataError(f"{path}: missing required column(s) {missing}")
+            s, d, t, v = (position.get(c) for c in (*columns[:3], schema.speed))
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                try:
+                    seg, day, slot = row[s], row[d], int(row[t])
+                    value = float(row[v]) if speed else 0.0
+                    if not seg or not day:
+                        raise ValueError
+                except (IndexError, ValueError):
+                    raise DataError(
+                        f"{path}: malformed row at line {line}: {_as_dict(header, row)}"
+                    ) from None
+                if not 0 <= slot < slots_per_day:
+                    raise DataError(
+                        f"{path}: line {line}: slot {slot} out of range [0, {slots_per_day})"
+                    )
+                if not 0 <= value < math.inf:
+                    raise DataError(f"{path}: line {line}: invalid speed {value}")
+                lines.append(line)
+                codes.extend((segments.setdefault(seg, len(segments)),
+                              days.setdefault(day, len(days)), slot))
+                speeds.append(value)
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
     if mapping is None:
         mapping = IndexMapping(tuple(_sorted_ids(segments)), tuple(_sorted_ids(days)),

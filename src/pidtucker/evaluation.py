@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .datasets import _write_json
 from .errors import ConfigError, DataError, DivergenceError
 from .model import rmse
 from .solver import Hyperparams, train
@@ -97,16 +97,13 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:
-    payload = {
+    _write_json({
         "rmse_mean": summary.rmse_mean,
         "rmse_std": summary.rmse_std,
         "seconds_mean": summary.seconds_mean,
         "seconds_std": summary.seconds_std,
         "repeats": [asdict(r) for r in summary.results],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def write_summary_csv(summary: ExperimentSummary, path) -> None:

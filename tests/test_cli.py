@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,3 +398,165 @@ def test_divergence_exit_4(tmp_path, capsys):
     assert code == 4
     assert "epoch" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["train", "--data", "d.csv", "--bogus", "1"], None, "--bogus"),
+    (["train"], "data=d.csv\nbogus-key=1\n", "bogus-key"),
+    (["train", "--data", "d.csv", "--max-epochs", "many"], None, "--max-epochs"),
+    (["train", "--data", "d.csv"], "eta=fast\n", "--eta"),
+    (["train", "--max-epochs", "3"], None, "'data'"),
+    ([], None, "command"),
+    (["benchmark", "--data", "d.csv", "--seed", "3"], None, "--seed"),
+    (["train", "--data", "d.csv", "--max", "3"], None, "--max"),
+    (["train", "--data", "d.csv"], "outdir=elsewhere\n", "'outdir'"),
+], ids=["unknown-flag", "unknown-file-key", "bad-flag-value", "bad-file-value",
+        "missing-required", "missing-command", "benchmark-seed", "abbreviated-flag",
+        "file-sets-outdir"])
+def test_usage_error_exit_2(tmp_path, monkeypatch, capsys, argv, config, key):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = [*argv, "--config", "run.cfg"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["run.cfg"])
+
+
+# The effective config.txt of each command given its required options only:
+# every default the option table supplies.
+GOLDEN_CONFIG = {
+    "train": ["--data", "d.csv"],
+    "benchmark": ["--data", "d.csv"],
+    "synth": ["--dims", "6,5,8"],
+    "impute": ["--checkpoint", "m.ckpt", "--mapping", "m.json"],
+    "evaluate": ["--checkpoint", "m.ckpt", "--mapping", "m.json", "--data", "d.csv"],
+}
+GOLDEN_CONFIG_TXT = {
+    "train": """\
+col-day=day
+col-segment=segment
+col-slot=slot
+col-speed=speed
+data=d.csv
+error-clamp=none
+eta=0.01
+init-scale=0.04
+kd=0.1
+ki=0.1
+kp=1.0
+lambda1=0.01
+lambda2=0.01
+lambda3=0.01
+max-epochs=1000
+plain-sgd=false
+ranks=5,5,5
+ratios=0.08,0.02,0.9
+seed=0
+slots-per-day=288
+tol=1e-05
+""",
+    "benchmark": """\
+base-seed=0
+col-day=day
+col-segment=segment
+col-slot=slot
+col-speed=speed
+data=d.csv
+error-clamp=none
+eta=0.01
+init-scale=0.04
+jobs=1
+kd=0.1
+ki=0.1
+kp=1.0
+lambda1=0.01
+lambda2=0.01
+lambda3=0.01
+max-epochs=1000
+plain-sgd=false
+ranks=5,5,5
+ratios=0.08,0.02,0.9
+repeats=20
+slots-per-day=288
+tol=1e-05
+""",
+    "synth": """\
+dims=6,5,8
+noise-sigma=0.0
+observed-fraction=0.1
+ranks=5,5,5
+seed=0
+value-offset=10.0
+""",
+    "impute": """\
+all-missing=false
+checkpoint=m.ckpt
+col-day=day
+col-segment=segment
+col-slot=slot
+col-speed=speed
+data=none
+mapping=m.json
+slots-per-day=288
+targets=none
+""",
+    "evaluate": """\
+checkpoint=m.ckpt
+col-day=day
+col-segment=segment
+col-slot=slot
+col-speed=speed
+data=d.csv
+mapping=m.json
+slots-per-day=288
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CONFIG))
+def test_config_txt_of_required_options_only(tmp_path, monkeypatch, command):
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, rundir: None)
+    assert run_cli(command, *GOLDEN_CONFIG[command], "--outdir", tmp_path, "--run-name", "r") == 0
+    assert (tmp_path / "r" / "config.txt").read_text() == GOLDEN_CONFIG_TXT[command]
+
+
+def _non_utf8_data(tmp_path):
+    (tmp_path / "d.csv").write_bytes("segment,day,slot,speed\n\xe9t\xe9,1,0,1.0\n"
+                                     .encode("latin-1"))
+    return 3, "d.csv: not UTF-8 text", ["train", "--data", "d.csv"]
+
+
+def _oversize_field(tmp_path):
+    (tmp_path / "d.csv").write_text('segment,day,slot,speed\n"' + "x" * 200_000 + '",1,0,1.0\n')
+    return 3, "d.csv: line 2: field larger than field limit", ["train", "--data", "d.csv"]
+
+
+def _non_utf8_config(tmp_path):
+    (tmp_path / "run.cfg").write_bytes("data=\xe9t\xe9.csv\n".encode("latin-1"))
+    return 2, "cannot read config file run.cfg", ["train", "--config", "run.cfg"]
+
+
+def _outdir_under_a_file(tmp_path):
+    (tmp_path / "runs").write_text("")
+    return 2, "Not a directory: 'runs/sub'", ["synth", "--dims", "6,5,8", "--outdir", "runs/sub"]
+
+
+def _run_name_with_a_slash(tmp_path):
+    return 2, "cannot create run directory runs/a/b", ["synth", "--dims", "6,5,8",
+                                                       "--run-name", "a/b"]
+
+
+@pytest.mark.parametrize("case", [_non_utf8_data, _oversize_field, _non_utf8_config,
+                                  _outdir_under_a_file, _run_name_with_a_slash])
+def test_unusable_input_exits_cleanly(tmp_path, case):
+    code, message, argv = case(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "pidtucker.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    runs = tmp_path / "runs"
+    assert not runs.is_dir() or list(runs.iterdir()) == []  # no staging directory left

@@ -114,6 +114,20 @@ def test_load_missing_file():
     assert "speeds.csv" in str(exc.value)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("a,1,0,1.0\n\xe9t\xe9,1,1,1.0\n".encode("latin-1"), "d.csv: not UTF-8 text"),
+    (b'a,1,0,1.0\n"' + b"x" * 200_000 + b'",1,1,1.0\n', "d.csv: line 3: field larger"),
+], ids=["latin-1", "oversize-field"])
+def test_unreadable_text_is_a_data_error(tmp_path, body, message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"segment,day,slot,speed\n" + body)
+    for read in (lambda: load_csv(path, SCHEMA),
+                 lambda: read_targets_csv(path, SCHEMA, identity_mapping((2, 2, 288)))):
+        with pytest.raises(DataError) as exc:
+            read()
+        assert str(exc.value).startswith(str(tmp_path / message))
+
+
 def test_load_custom_schema(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["s7,2024-01-03,11,55.2"],
                      header="sensor,date,interval,kmh")
