@@ -8,13 +8,22 @@
  * without floating-point contraction, so results do not depend on whether
  * the CPU has fused multiply-add.
  *
- * The caller validates indices, passes only C-contiguous float64 arrays
- * whose shapes match the ranks, and sizes the scratch buffer from the ranks
- * (r1*r2 + r1 + r2 + 2*r3 doubles).  There are no fixed-size buffers here.
+ * Where each check lives:
+ *  - _kernel.py (_Handle) packs a pt_model only for C-contiguous, aligned,
+ *    writeable float64 arrays whose shapes match dims and the ranks, and
+ *    sizes the scratch buffer from the ranks (r1*r2 + r1 + r2 + 2*r3
+ *    doubles).  There are no fixed-size buffers here.
+ *  - The bindings below check the argument count and the handle, convert
+ *    every argument, reject a non-finite err (FloatingPointError, before
+ *    the index) and an index outside dims (IndexError) before any memory
+ *    is touched.
+ *  - model.predict and solver.sgd_step turn those exceptions into the
+ *    library's DataError and DivergenceError.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <string.h>
 
 typedef struct {
@@ -23,6 +32,7 @@ typedef struct {
     double *core;       /* (rank[0], rank[1], rank[2]), row-major */
     double *scratch;    /* written by pt_step */
     long rank[3];
+    long dims[3];
 } pt_model;
 
 /* mean + multilinear term + the three biases.  The term is contracted in
@@ -119,11 +129,11 @@ static void pt_step(const pt_model *h, long i, long j, long k, double err, doubl
 }
 
 /* Python bindings, called with the GIL held.  args[0] is the handle, a bytes
- * object holding one pt_model (_Handle in _kernel.py); then come i, j, k and
- * the double arguments in C order.  A wrong argument count, handle or type
- * raises instead of reaching the kernels. */
-static int unpack(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want,
-                  pt_model *h, long *idx, double *x)
+ * object holding one pt_model (_Handle in _kernel.py); args[1] is the index,
+ * a sequence of three integers; then come the double arguments in C order.
+ * A wrong argument count, handle or type, or an index outside dims, raises
+ * instead of reaching the kernels. */
+static int unpack_model(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want, pt_model *h)
 {
     if (nargs != want || !PyBytes_Check(args[0])
         || PyBytes_GET_SIZE(args[0]) != (Py_ssize_t)sizeof *h) {
@@ -132,27 +142,60 @@ static int unpack(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want,
         return -1;
     }
     memcpy(h, PyBytes_AS_STRING(args[0]), sizeof *h);
-    for (Py_ssize_t a = 1; a < 4; a++)
-        if ((idx[a - 1] = PyLong_AsLong(args[a])) == -1 && PyErr_Occurred())
-            return -1;
-    for (Py_ssize_t a = 4; a < want; a++)
-        if ((x[a - 4] = PyFloat_AsDouble(args[a])) == -1.0 && PyErr_Occurred())
+    return 0;
+}
+
+static int unpack_index(const pt_model *h, PyObject *arg, long *idx)
+{
+    PyObject *seq = PySequence_Fast(arg, "the index must be a sequence of three integers");
+    if (seq == NULL)
+        return -1;
+    int rc = 0;
+    if (PySequence_Fast_GET_SIZE(seq) != 3) {
+        PyErr_SetString(PyExc_ValueError, "the index must have three entries");
+        rc = -1;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (int m = 0; m < 3 && rc == 0; m++) {
+        if ((idx[m] = PyLong_AsLong(items[m])) == -1 && PyErr_Occurred())
+            rc = -1;
+        else if (idx[m] < 0 || idx[m] >= h->dims[m]) {
+            PyErr_Format(PyExc_IndexError, "index %ld out of range [0, %ld) in mode %d",
+                         idx[m], h->dims[m], m + 1);
+            rc = -1;
+        }
+    }
+    Py_DECREF(seq);
+    return rc;
+}
+
+static int unpack_doubles(PyObject *const *args, Py_ssize_t n, double *x)
+{
+    for (Py_ssize_t a = 0; a < n; a++)
+        if ((x[a] = PyFloat_AsDouble(args[a])) == -1.0 && PyErr_Occurred())
             return -1;
     return 0;
 }
 
 static PyObject *value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    pt_model h; long idx[3]; double x[1];
-    if (unpack(args, nargs, 5, &h, idx, x) < 0)
+    pt_model h; long idx[3]; double mean;
+    if (unpack_model(args, nargs, 3, &h) < 0 || unpack_index(&h, args[1], idx) < 0
+        || unpack_doubles(args + 2, 1, &mean) < 0)
         return NULL;
-    return PyFloat_FromDouble(pt_value(&h, idx[0], idx[1], idx[2], x[0]));
+    return PyFloat_FromDouble(pt_value(&h, idx[0], idx[1], idx[2], mean));
 }
 
 static PyObject *step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     pt_model h; long idx[3]; double x[5];
-    if (unpack(args, nargs, 9, &h, idx, x) < 0)
+    if (unpack_model(args, nargs, 7, &h) < 0 || unpack_doubles(args + 2, 1, x) < 0)
+        return NULL;
+    if (!isfinite(x[0])) {
+        PyErr_SetString(PyExc_FloatingPointError, "non-finite err");
+        return NULL;
+    }
+    if (unpack_index(&h, args[1], idx) < 0 || unpack_doubles(args + 3, 4, x + 1) < 0)
         return NULL;
     pt_step(&h, idx[0], idx[1], idx[2], x[0], x[1], x[2], x[3], x[4]);
     Py_RETURN_NONE;
@@ -160,9 +203,9 @@ static PyObject *step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef methods[] = {
     {"value", (PyCFunction)(void (*)(void))value, METH_FASTCALL,
-     "value(handle, i, j, k, mean): the model value at cell (i, j, k)."},
+     "value(handle, (i, j, k), mean): the model value at cell (i, j, k)."},
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
-     "step(handle, i, j, k, err, eta, lambda1, lambda2, lambda3): one entry's update."},
+     "step(handle, (i, j, k), err, eta, lambda1, lambda2, lambda3): one entry's update."},
     {NULL, NULL, 0, NULL},
 };
 

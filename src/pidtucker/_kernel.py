@@ -11,7 +11,8 @@ every caller then runs the numpy reference code instead.  There is no switch
 for the backend.
 
 `handle(f)` gives the kernel's view of one TuckerFactors: a packed pt_model
-struct of pointers to its arrays plus a scratch buffer sized from its ranks.
+struct of pointers to its arrays, a scratch buffer sized from its ranks, the
+ranks and dims (which the kernel checks every index against).
 It is cached on the factors and rebuilt whenever a parameter array, the
 factor or bias tuple, or dims is replaced; TuckerFactors drops it when copied
 or pickled, so a copy never writes through the original's pointers.
@@ -30,10 +31,14 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _MODULE = "pidtucker._pt_kernel"  # _kernel.c defines PyInit__pt_kernel
-_PT_MODEL = "8P3l"  # pt_model: factor[3], bias[3], core, scratch, then rank[3]
+_PT_MODEL = "8P6l"  # pt_model: factor[3], bias[3], core, scratch, rank[3], dims[3]
 
-# Attribute of TuckerFactors.__dict__ that caches the handle.
+# Attribute of a TuckerFactors that caches its handle.
 HANDLE_ATTR = "_kernel_handle"
+
+# What the module's value and step raise for an index they cannot take: one
+# that is not a sequence of three integers, or lies outside dims.
+INDEX_ERRORS = (IndexError, OverflowError, TypeError, ValueError)
 
 _lock = threading.Lock()
 _tried = False
@@ -139,7 +144,8 @@ class _Handle:
         ranks = self.core.shape
         self.scratch = np.empty(ranks[0] * ranks[1] + ranks[0] + ranks[1] + 2 * ranks[2])
         arrays = (*self.factors, *self.biases, self.core, self.scratch)
-        self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in arrays), *ranks)
+        self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in arrays), *ranks,
+                                 *self.dims)
         self.value, self.step = lib.value, lib.step
 
     def _consistent(self) -> bool:
@@ -152,9 +158,15 @@ class _Handle:
 
 
 def handle(f):
-    """The kernel handle for f, or None when the numpy reference must run."""
-    h = f.__dict__.get(HANDLE_ATTR)
+    """The kernel handle for f, or None when the numpy reference must run.
+
+    Reads and sets the cache as an attribute, never through f.__dict__: on
+    CPython 3.11, touching __dict__ builds a dict that then slows every
+    attribute read on f.
+    """
+    h = getattr(f, HANDLE_ATTR, None)
     if (h is None or h.core is not f.core or h.factors is not f.factors
             or h.biases is not f.biases or h.dims is not f.dims):
-        h = f.__dict__[HANDLE_ATTR] = _Handle(f)
+        h = _Handle(f)
+        setattr(f, HANDLE_ATTR, h)
     return h if h.value is not None else None

@@ -246,8 +246,8 @@ class SyntheticSpec:
             raise ConfigError(
                 f"observed_fraction must be in (0, 1], got {self.observed_fraction}"
             )
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         cells = self.dims[0] * self.dims[1] * self.dims[2]

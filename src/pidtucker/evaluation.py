@@ -67,8 +67,11 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
     Repeat r uses seed base_seed + r for both the split and the model
     initialization.  Wall time covers training only.  A failing repeat is
     recorded with its error message and does not abort the others.  Results
-    are deterministic for a fixed (tensor, cfg) regardless of `jobs`.
+    are deterministic for a fixed (tensor, cfg) regardless of `jobs`, which
+    must be >= 1.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     def one(r: int) -> RepeatResult:
         seed = cfg.base_seed + r

@@ -15,7 +15,10 @@ predict and solver.sgd_step have two backends: compiled per-entry kernels
 (_kernel.c, an extension module built on first use) and the numpy code in
 this module and in solver.py, which is the reference.  The kernels are used
 when they can be built and every parameter array is a C-contiguous, aligned,
-writeable float64 array; they agree with the reference within 1e-12.
+writeable float64 array; they agree with the reference within 1e-12.  The
+reference checks each index with check_index; the kernels check it in C, and
+an index they reject is passed to check_index, so both backends raise the
+same DataError for it.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def check_index(f: TuckerFactors, idx) -> tuple[int, int, int]:
     """Unpack one (i, j, k) index; DataError if it lies outside f.dims."""
     i, j, k = idx
     if not (0 <= i < f.dims[0] and 0 <= j < f.dims[1] and 0 <= k < f.dims[2]):
-        raise DataError(f"index {(i, j, k)} out of bounds for dims {f.dims}")
+        raise DataError(f"index {(i, j, k)} out of bounds for dims {f.dims}") from None
     return i, j, k
 
 
@@ -143,10 +146,14 @@ def predict(f: TuckerFactors, idx) -> float:
     Runs the compiled kernel when it is available (see the module docstring),
     else the numpy reference below; the two agree within 1e-12.
     """
-    i, j, k = check_index(f, idx)
     h = _kernel.handle(f)
     if h is not None:
-        return h.value(h.model, i, j, k, f.mean)
+        try:
+            return h.value(h.model, idx, f.mean)
+        except _kernel.INDEX_ERRORS:
+            check_index(f, idx)
+            raise
+    i, j, k = check_index(f, idx)
     phi = (f.core @ f.factors[2][k]) @ f.factors[1][j]
     return float(f.mean + f.factors[0][i] @ phi + f.biases[0][i] + f.biases[1][j] + f.biases[2][k])
 

@@ -8,8 +8,12 @@ less than `tol` between consecutive epochs, or at the epoch cap.
 
 Of the three per-entry calls, model.predict and sgd_step have two backends:
 the compiled kernels of _kernel.c, an extension module used when it can be
-built, and the numpy reference (pid.adjust is plain Python).  The backends agree within 1e-12,
-and each is bitwise-deterministic.
+built, and the numpy reference; pid.adjust is plain Python.  The backends
+agree within 1e-12, and each is bitwise-deterministic.  Both reject a
+non-finite update before the index and an index outside dims before touching
+a parameter: the reference with math.isfinite and model.check_index, the
+kernel in C, whose exceptions sgd_step turns into the same DivergenceError
+and DataError.
 """
 
 from __future__ import annotations
@@ -102,17 +106,24 @@ def sgd_step(f: TuckerFactors, idx, y: float, adjusted_err: float,
     else the numpy reference in _sgd_step_reference; the two agree within
     1e-12.
     """
-    if not math.isfinite(adjusted_err):
-        raise DivergenceError(
-            f"non-finite update at entry {tuple(int(x) for x in idx)} (y={y!r})"
-        )
-    i, j, k = check_index(f, idx)
     h = _kernel.handle(f)
     if h is None:
-        _sgd_step_reference(f, (i, j, k), adjusted_err, hyper)
+        if not math.isfinite(adjusted_err):
+            raise _divergence(idx, y)
+        _sgd_step_reference(f, check_index(f, idx), adjusted_err, hyper)
         return
     reg = hyper.reg
-    h.step(h.model, i, j, k, adjusted_err, hyper.eta, reg.lambda1, reg.lambda2, reg.lambda3)
+    try:
+        h.step(h.model, idx, adjusted_err, hyper.eta, reg.lambda1, reg.lambda2, reg.lambda3)
+    except FloatingPointError:
+        raise _divergence(idx, y) from None
+    except _kernel.INDEX_ERRORS:
+        check_index(f, idx)
+        raise
+
+
+def _divergence(idx, y: float) -> DivergenceError:
+    return DivergenceError(f"non-finite update at entry {tuple(int(x) for x in idx)} (y={y!r})")
 
 
 def _sgd_step_reference(f: TuckerFactors, idx, adjusted_err: float,
@@ -176,12 +187,10 @@ def train(tensor: SparseTensor, data_split: DataSplit,
             with np.errstate(over="ignore", invalid="ignore"):
                 for pos in order:
                     idx = idx_rows[pos]
-                    e = ys[pos] - predict(f, idx)
-                    if hyper.plain_sgd:
-                        err = e
-                    else:
-                        err = adjust(state, gains, pos, e, clamp)
-                    sgd_step(f, idx, ys[pos], err, hyper)
+                    y = ys[pos]
+                    e = y - predict(f, idx)
+                    err = e if state is None else adjust(state, gains, pos, e, clamp)
+                    sgd_step(f, idx, y, err, hyper)
         except DivergenceError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from None
         if not _all_finite(f):

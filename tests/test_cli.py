@@ -335,6 +335,22 @@ def test_negative_seed_exit_2(tmp_path, capsys, command, flag, value):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("synth", "--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+    ("synth", "--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+    ("benchmark", "--jobs", "0", "jobs must be >= 1, got 0"),
+    ("benchmark", "--jobs", "-3", "jobs must be >= 1, got -3"),
+])
+def test_out_of_range_value_exit_2(tmp_path, capsys, command, flag, value, message):
+    assert run_cli(*synth_args(tmp_path, "s")) == 0
+    inputs = (["--dims", "6,5,8"] if command == "synth"
+              else ["--data", tmp_path / "s" / "data.csv", "--slots-per-day", "8"])
+    code = run_cli(command, "--outdir", tmp_path, "--run-name", "r", *inputs, flag, value)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_pipeline_matches_in_process_run(tmp_path):
     assert run_cli(*synth_args(tmp_path, "s")) == 0
     data = tmp_path / "s" / "data.csv"

@@ -236,9 +236,10 @@ def test_synthetic_validation():
         SyntheticSpec(dims=(2, 2, 2), ranks=Ranks(1, 1, 1), observed_fraction=0.5)
     with pytest.raises(ConfigError):
         SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=1.5)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=0.5,
-                      noise_sigma=-1.0)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="noise_sigma must be finite and >= 0"):
+            SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=0.5,
+                          noise_sigma=sigma)
     with pytest.raises(ConfigError, match="seed"):
         SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=0.5, seed=-1)
     with pytest.raises(DataError, match="non-finite"):

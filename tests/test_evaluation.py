@@ -112,6 +112,9 @@ def test_experiment_jobs_match_sequential(synthetic_fixture):
     seq = run_experiment(tensor, cfg, jobs=1)
     par = run_experiment(tensor, cfg, jobs=4)
     assert [r.rmse for r in seq.results] == [r.rmse for r in par.results]
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            run_experiment(tensor, cfg, jobs=jobs)
 
 
 def test_experiment_isolates_failed_repeats(synthetic_fixture, monkeypatch):

@@ -1,9 +1,11 @@
-"""The compiled per-entry kernels against the numpy reference, their handle
-on a TuckerFactors, and the silent fallback when no kernel can be built."""
+"""The compiled per-entry kernels against the numpy reference, the checks
+they make on their arguments, their handle on a TuckerFactors, and the silent
+fallback when no kernel can be built."""
 
 import contextlib
 import copy
 import fnmatch
+import math
 import os
 import pickle
 import stat
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pidtucker import (
+    DataError,
+    DivergenceError,
     Hyperparams,
     PidGains,
     Ranks,
@@ -104,6 +108,85 @@ def test_kernel_matches_numpy_reference(shape, seed, err, eta, lambdas):
     assert_close(f, g)
 
 
+# ---------------------------------------------------------------- checks
+
+# Indices for dims (4, 3, 5): half of them in range, the rest with entries
+# that may be -1, == dim or beyond, at least 2**63 (no C long holds it), or
+# far below zero.
+index_entries = st.one_of(st.integers(-1, 6), st.integers(2**63, 2**65), st.just(-2**70))
+indices = st.one_of(st.tuples(*[st.integers(0, 2)] * 3), st.tuples(*[index_entries] * 3))
+
+
+def _fits_int64(v):
+    return -2**63 <= v < 2**63
+
+
+INDEX_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "ndarray row": lambda v: np.array([v], dtype=np.int64 if all(map(_fits_int64, v))
+                                      else object)[0],
+    "numpy ints": lambda v: tuple(np.int64(x) if _fits_int64(x)
+                                  else np.uint64(x) if 0 <= x < 2**64 else x for x in v),
+}
+
+
+def outcome(fn, *args):
+    """fn's result, or its DataError or DivergenceError as a string."""
+    try:
+        return fn(*args)
+    except (DataError, DivergenceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@needs_kernel
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), form=st.sampled_from(sorted(INDEX_FORMS)), entries=indices)
+@example(seed=1, form="tuple", entries=(4, 0, 0))
+@example(seed=1, form="list", entries=(0, 3, 0))
+@example(seed=1, form="ndarray row", entries=(0, 0, 5))
+@example(seed=1, form="numpy ints", entries=(3, 2, -1))
+@example(seed=1, form="numpy ints", entries=(0, 2**63, 0))
+@example(seed=1, form="ndarray row", entries=(0, 0, -2**70))
+def test_both_backends_take_and_reject_the_same_indices(seed, form, entries):
+    f = random_factors((4, 3, 5), (2, 2, 3), seed)
+    idx = INDEX_FORMS[form](entries)
+    hyper = Hyperparams(eta=0.1)
+    with reference_backend():
+        g = copy.deepcopy(f)
+        want = outcome(predict, g, idx)
+        want_step = outcome(sgd_step, g, idx, 1.5, 0.25, hyper)
+        assert _kernel.handle(g) is None
+    assert _kernel.handle(f) is not None
+    got = outcome(predict, f, idx)
+    got_step = outcome(sgd_step, f, idx, 1.5, 0.25, hyper)
+    if all(0 <= v < n for v, n in zip(entries, f.dims)):
+        assert abs(got - want) <= TOL
+        assert got_step is want_step is None
+        assert_close(f, g)
+    else:
+        message = f"DataError: index {tuple(idx)} out of bounds for dims {f.dims}"
+        assert got == want == got_step == want_step == message
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
+
+
+@pytest.mark.parametrize("backend", ["kernel", "numpy"])
+@settings(max_examples=40, deadline=None)
+@given(err=st.sampled_from([math.nan, math.inf, -math.inf]), entries=indices)
+@example(err=math.nan, entries=(4, 0, 0))
+def test_a_non_finite_update_raises_before_the_index_is_checked(backend, err, entries):
+    if backend == "kernel" and _kernel.library() is None:
+        pytest.skip("no kernel can be built here (gcc or cache dir)")
+    ctx = reference_backend() if backend == "numpy" else contextlib.nullcontext()
+    f = random_factors((4, 3, 5), (2, 2, 3), seed=6)
+    before = [a.tobytes() for a in arrays(f)]
+    with ctx:
+        assert (_kernel.handle(f) is None) == (backend == "numpy")
+        got = outcome(sgd_step, f, entries, 2.5, err, Hyperparams(eta=0.1))
+    assert got == f"DivergenceError: non-finite update at entry {entries} (y=2.5)"
+    assert [a.tobytes() for a in arrays(f)] == before
+
+
 def small_run(plain=False, epochs=4):
     spec = SyntheticSpec((7, 6, 8), Ranks(2, 3, 1), 0.5, noise_sigma=0.01, seed=5)
     tensor, _truth = generate_synthetic(spec)
@@ -176,22 +259,29 @@ def test_the_module_rejects_bad_arguments_without_touching_memory():
     before = [a.copy() for a in arrays(f)]
     lib = _kernel.library()
     bad = [
-        (lib.value, (h.model, 1, 1, 1)),                  # too few
-        (lib.value, (h.model, 1, 1, 1, 0.0, 0)),          # too many
-        (lib.step, (h.model, 1, 1, 1, 0.5, 0.1, 0.0, 0.0)),
-        (lib.value, (h.model[:-1], 1, 1, 1, 0.0)),        # not a whole pt_model
-        (lib.value, (bytearray(h.model), 1, 1, 1, 0.0)),  # not bytes
-        (lib.value, (h.model, "1", 1, 1, 0.0)),
-        (lib.value, (h.model, 1.0, 1, 1, 0.0)),
-        (lib.step, (h.model, 1, 1, 1, 0.5, 0.1, 0.0, 0.0, None)),
+        (TypeError, lib.value, (h.model, (1, 1, 1))),                  # too few
+        (TypeError, lib.value, (h.model, (1, 1, 1), 0.0, 0)),          # too many
+        (TypeError, lib.step, (h.model, (1, 1, 1), 0.5, 0.1, 0.0, 0.0)),
+        (TypeError, lib.value, (h.model[:-1], (1, 1, 1), 0.0)),        # not a whole pt_model
+        (TypeError, lib.value, (bytearray(h.model), (1, 1, 1), 0.0)),  # not bytes
+        (TypeError, lib.value, (h.model, ("1", 1, 1), 0.0)),
+        (TypeError, lib.value, (h.model, (1.0, 1, 1), 0.0)),
+        (TypeError, lib.step, (h.model, (1, 1, 1), 0.5, 0.1, 0.0, 0.0, None)),
+        (TypeError, lib.value, (h.model, 1, 0.0)),                     # not a sequence
+        (ValueError, lib.value, (h.model, (1, 1), 0.0)),
+        (OverflowError, lib.step, (h.model, (2**64, 1, 1), 0.5, 0.1, 0.0, 0.0, 0.0)),
+        (IndexError, lib.value, (h.model, (4, 1, 1), 0.0)),            # == dim
+        (IndexError, lib.value, (h.model, [1, -1, 1], 0.0)),
+        (IndexError, lib.step, (h.model, (1, 1, 5), 0.5, 0.1, 0.0, 0.0, 0.0)),
+        (FloatingPointError, lib.step, (h.model, (1, 1, 1), math.nan, 0.1, 0.0, 0.0, 0.0)),
+        (FloatingPointError, lib.step, (h.model, (1, 1, 1), -math.inf, 0.1, 0.0, 0.0, 0.0)),
+        (FloatingPointError, lib.step, (h.model, (9, 1, 1), math.inf, 0.1, 0.0, 0.0, 0.0)),
     ]
-    for fn, args in bad:
-        with pytest.raises(TypeError):
+    for exc, fn, args in bad:
+        with pytest.raises(exc):
             fn(*args)
-    with pytest.raises(OverflowError):
-        lib.step(h.model, 2**64, 1, 1, 0.5, 0.1, 0.0, 0.0, 0.0)
     assert all(np.array_equal(a, b) for a, b in zip(arrays(f), before))
-    assert lib.value(h.model, 1, 2, 3, f.mean) == predict(f, (1, 2, 3))
+    assert lib.value(h.model, (1, 2, 3), f.mean) == predict(f, (1, 2, 3))
 
 
 def test_arrays_the_kernel_cannot_take_use_the_reference():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidtucker import ConfigError, DataError, PidGains, PidState, adjust
 
@@ -82,3 +84,25 @@ def test_negative_gains_rejected():
         PidGains(-0.1, 0.0, 0.0)
     with pytest.raises(ConfigError):
         PidGains(1.0, float("nan"), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gains=st.tuples(*[st.floats(0.0, 4.0)] * 3),
+       clamp=st.one_of(st.none(), st.floats(1e-3, 10.0)),
+       n=st.integers(1, 4),
+       calls=st.lists(st.tuples(st.integers(0, 3), st.floats(-50.0, 50.0)), max_size=40))
+def test_adjust_matches_a_python_float_replay_bit_for_bit(gains, clamp, n, calls):
+    kp, ki, kd = gains
+    state = PidState(n)
+    sums, prevs = [0.0] * n, [0.0] * n
+    for pos, e in calls:
+        pos %= n
+        sums[pos] += e
+        want = kp * e + ki * sums[pos] + kd * (e - prevs[pos])
+        prevs[pos] = e
+        if clamp is not None:
+            want = min(max(want, -clamp), clamp)
+        got = adjust(state, PidGains(kp, ki, kd), pos, e, clamp)
+        assert type(got) is float and got.hex() == want.hex()
+    assert [x.hex() for x in state.sum_error] == [x.hex() for x in sums]
+    assert [x.hex() for x in state.prev_error] == [x.hex() for x in prevs]
