@@ -1,12 +1,19 @@
-/* Per-entry kernels of the biased Tucker model, as a CPython extension module.
+/* Compiled kernels of the biased Tucker model and its CSV export, as a
+ * CPython extension module.
  *
- * pt_value is the model value at one cell and pt_step applies one entry's
- * SGD update in place; model.predict and solver.sgd_step call them through
- * the module functions `value` and `step` at the end of this file (built and
- * loaded by _kernel.py).  The numpy code in model.py and solver.py is the
- * reference: these functions agree with it within 1e-12.  They are compiled
- * without floating-point contraction, so results do not depend on whether
- * the CPU has fused multiply-add.
+ * Per-entry kernels: pt_value is the model value at one cell and pt_step
+ * applies one entry's SGD update in place; model.predict and solver.sgd_step
+ * call them through the module functions `value` and `step` at the end of
+ * this file (built and loaded by _kernel.py).  The numpy code in model.py and
+ * solver.py is the reference: these functions agree with it within 1e-12.
+ * They are compiled without floating-point contraction, so results do not
+ * depend on whether the CPU has fused multiply-add.
+ *
+ * Record writer: `records` formats one block of CSV rows
+ * "<segment>,<day>,<slot>,<value>\n" for datasets.write_records_csv.  Each
+ * value goes through PyOS_double_to_string(v, 'f', 6, 0, NULL), the routine
+ * Python's format(v, ".6f") calls, so the bytes equal the f-string reference
+ * in datasets.py for every double, nan, infinities and -0.0 included.
  *
  * Where each check lives:
  *  - _kernel.py (_Handle) packs a pt_model only for C-contiguous, aligned,
@@ -19,11 +26,18 @@
  *    is touched.
  *  - model.predict and solver.sgd_step turn those exceptions into the
  *    library's DataError and DivergenceError.
+ *  - `records` checks its argument count, that both prefix tuples hold only
+ *    bytes, the buffers' formats, item sizes, dimensions and lengths, and
+ *    every index against the tuple lengths and slots_per_day, and raises
+ *    (TypeError, ValueError, IndexError) before it formats anything; its
+ *    output buffer grows as needed.  write_records_csv checks the same
+ *    indices first and raises the library's DataError, for either backend.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 typedef struct {
@@ -177,7 +191,7 @@ static int unpack_doubles(PyObject *const *args, Py_ssize_t n, double *x)
     return 0;
 }
 
-static PyObject *value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *value(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     pt_model h; long idx[3]; double mean;
     if (unpack_model(args, nargs, 3, &h) < 0 || unpack_index(&h, args[1], idx) < 0
@@ -186,7 +200,7 @@ static PyObject *value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(pt_value(&h, idx[0], idx[1], idx[2], mean));
 }
 
-static PyObject *step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     pt_model h; long idx[3]; double x[5];
     if (unpack_model(args, nargs, 7, &h) < 0 || unpack_doubles(args + 2, 1, x) < 0)
@@ -201,15 +215,146 @@ static PyObject *step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
+/* True when b holds 8-byte items of one native type whose struct code is in
+ * codes (numpy's int64 is "l" on LP64 platforms, "q" elsewhere). */
+static int native_items(const Py_buffer *b, const char *codes)
+{
+    const char *f = b->format;
+    if (*f == '@' || *f == '=')
+        f++;
+    return b->itemsize == 8 && f[0] != '\0' && f[1] == '\0' && strchr(codes, f[0]) != NULL;
+}
+
+/* The length of a tuple whose items are all bytes, or -1 with TypeError. */
+static Py_ssize_t prefix_count(PyObject *arg, const char *what)
+{
+    if (PyTuple_Check(arg)) {
+        Py_ssize_t n = PyTuple_GET_SIZE(arg), a = 0;
+        while (a < n && PyBytes_Check(PyTuple_GET_ITEM(arg, a)))
+            a++;
+        if (a == n)
+            return n;
+    }
+    PyErr_Format(PyExc_TypeError, "%s must be a tuple of bytes", what);
+    return -1;
+}
+
+/* The rows of n checked cells, as bytes. */
+static PyObject *format_rows(PyObject *segments, PyObject *days, const int64_t *idx,
+                             const double *values, Py_ssize_t n)
+{
+    size_t len = 0, cap = (size_t)n * 40 + 64;
+    char *buf = PyMem_Malloc(cap);
+    if (buf == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t r = 0; r < n; r++) {
+        PyObject *s = PyTuple_GET_ITEM(segments, idx[3 * r]);
+        PyObject *d = PyTuple_GET_ITEM(days, idx[3 * r + 1]);
+        size_t ls = (size_t)PyBytes_GET_SIZE(s), ld = (size_t)PyBytes_GET_SIZE(d);
+        char slot[24], *k = slot + sizeof slot;
+        int64_t rest = idx[3 * r + 2];
+        *--k = ',';
+        do
+            *--k = (char)('0' + rest % 10);
+        while ((rest /= 10) > 0);
+        size_t lk = (size_t)(slot + sizeof slot - k);
+        char *v = PyOS_double_to_string(values[r], 'f', 6, 0, NULL);
+        if (v == NULL)
+            goto fail;
+        size_t lv = strlen(v), need = len + ls + ld + lk + lv + 1;
+        if (need > cap) {
+            char *grown = PyMem_Realloc(buf, cap = 2 * need);
+            if (grown == NULL) {
+                PyMem_Free(v);
+                PyErr_NoMemory();
+                goto fail;
+            }
+            buf = grown;
+        }
+        char *out = buf + len;
+        memcpy(out, PyBytes_AS_STRING(s), ls);
+        memcpy(out += ls, PyBytes_AS_STRING(d), ld);
+        memcpy(out += ld, k, lk);
+        memcpy(out += lk, v, lv);
+        out[lv] = '\n';
+        len = need;
+        PyMem_Free(v);
+    }
+    PyObject *rows = PyBytes_FromStringAndSize(buf, (Py_ssize_t)len);
+    PyMem_Free(buf);
+    return rows;
+fail:
+    PyMem_Free(buf);
+    return NULL;
+}
+
+/* The first row of idx with an entry outside [0, dims[m]), or -1; *mode is
+ * set to that entry's mode. */
+static Py_ssize_t first_bad_row(const int64_t *idx, Py_ssize_t n, const long long *dims,
+                                int *mode)
+{
+    for (Py_ssize_t r = 0; r < n; r++)
+        for (int m = 0; m < 3; m++)
+            if (idx[3 * r + m] < 0 || idx[3 * r + m] >= dims[m]) {
+                *mode = m;
+                return r;
+            }
+    return -1;
+}
+
+static PyObject *records(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "records expects (segments, days, slots_per_day, idx, values)");
+        return NULL;
+    }
+    long long dims[3];
+    if ((dims[0] = prefix_count(args[0], "segments")) < 0
+        || (dims[1] = prefix_count(args[1], "days")) < 0
+        || ((dims[2] = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred()))
+        return NULL;
+    Py_buffer ib, vb;
+    if (PyObject_GetBuffer(args[3], &ib, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return NULL;
+    if (PyObject_GetBuffer(args[4], &vb, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        PyBuffer_Release(&ib);
+        return NULL;
+    }
+    PyObject *out = NULL;
+    const int64_t *idx = ib.buf;
+    Py_ssize_t n = ib.ndim == 2 && ib.shape[1] == 3 && native_items(&ib, "lq") ? ib.shape[0] : -1;
+    if (n < 0)
+        PyErr_SetString(PyExc_ValueError, "idx must be a C-contiguous (n, 3) int64 buffer");
+    else if (vb.ndim != 1 || vb.shape[0] != n || !native_items(&vb, "d"))
+        PyErr_Format(PyExc_ValueError, "values must be a C-contiguous (%zd,) float64 buffer", n);
+    else {
+        int m = 0;
+        Py_ssize_t r = first_bad_row(idx, n, dims, &m);
+        if (r >= 0)
+            PyErr_Format(PyExc_IndexError, "row %zd: index %lld out of range [0, %lld) in mode %d",
+                         r, (long long)idx[3 * r + m], dims[m], m + 1);
+        else
+            out = format_rows(args[0], args[1], idx, vb.buf, n);
+    }
+    PyBuffer_Release(&vb);
+    PyBuffer_Release(&ib);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"value", (PyCFunction)(void (*)(void))value, METH_FASTCALL,
      "value(handle, (i, j, k), mean): the model value at cell (i, j, k)."},
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
      "step(handle, (i, j, k), err, eta, lambda1, lambda2, lambda3): one entry's update."},
+    {"records", (PyCFunction)(void (*)(void))records, METH_FASTCALL,
+     "records(segments, days, slots_per_day, idx, values): one block of CSV rows as bytes."},
     {NULL, NULL, 0, NULL},
 };
 
-static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_pt_kernel", NULL, -1, methods};
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, .m_name = "_pt_kernel", .m_size = -1, .m_methods = methods,
+};
 
 PyMODINIT_FUNC PyInit__pt_kernel(void)
 {

@@ -1,14 +1,21 @@
-"""Build and load the compiled per-entry kernels in `_kernel.c` as an extension module.
+"""Build and load the compiled kernels in `_kernel.c` as an extension module.
 
-The module is compiled on first use with the system gcc and the Python
-headers into a per-user cache directory ($XDG_CACHE_HOME/pidtucker, else
-~/.cache/pidtucker), under a file name keyed on a CRC-32 of the source, the
-compiler command, the machine and the interpreter's extension ABI tag, so a
-new source version builds once per interpreter and later processes only load
-it.  Any failure (no gcc or no Python headers, an unwritable or foreign cache
+The module holds the per-entry kernels behind model.predict and
+solver.sgd_step (`value`, `step`, through `handle` below) and the CSV record
+writer behind datasets.write_records_csv (`records`, called on `library()`).
+It is compiled on first use with the system gcc and the Python headers into
+a per-user cache directory ($XDG_CACHE_HOME/pidtucker, else
+~/.cache/pidtucker), under a file name holding the interpreter's extension
+ABI tag and a CRC-32 of the source, the compiler command, the machine and
+that tag, so a new source version builds once per interpreter and later
+processes only load it.  A fresh build deletes the other builds with the same
+ABI tag that are more than a day old; builds for other ABI tags are never
+touched.  A younger build is kept, so two checkouts with different sources
+used alternately do not delete and rebuild each other's kernel every time.
+Any failure (no gcc or no Python headers, an unwritable or foreign cache
 directory, a file that will not load) makes `library()` return None, and
-every caller then runs the numpy reference code instead.  There is no switch
-for the backend.
+every caller then runs the numpy or Python reference code instead.  There is
+no switch for the backend.
 
 `handle(f)` gives the kernel's view of one TuckerFactors: a packed pt_model
 struct of pointers to its arrays, a scratch buffer sized from its ranks, the
@@ -23,6 +30,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -32,6 +40,9 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _MODULE = "pidtucker._pt_kernel"  # _kernel.c defines PyInit__pt_kernel
 _PT_MODEL = "8P6l"  # pt_model: factor[3], bias[3], core, scratch, rank[3], dims[3]
+
+# A fresh build deletes other builds with its ABI tag older than this.
+_STALE_S = 24 * 3600
 
 # Attribute of a TuckerFactors that caches its handle.
 HANDLE_ATTR = "_kernel_handle"
@@ -53,10 +64,31 @@ def _cache_dir() -> Path:
 
 
 def _file_name(source: bytes, abi: str) -> str:
-    """Cache file name for this source, compiler command, machine and ABI tag."""
+    """Cache file name for this source, compiler command, machine and ABI tag.
+
+    The name is kernel-<tag>-<crc>.so, where tag is abi (an extension suffix
+    such as .cpython-311-x86_64-linux-gnu.so) without its dots and extension.
+    """
     key = zlib.crc32(b"\0".join([source, " ".join(_COMPILE).encode(),
                                  os.uname().machine.encode(), abi.encode()]))
-    return f"kernel-{key:08x}.so"
+    return f"kernel-{abi.rsplit('.', 1)[0].lstrip('.')}-{key:08x}.so"
+
+
+def _prune(built: Path) -> None:
+    """Delete the other builds with built's ABI tag that are more than a day old.
+
+    Only names kernel-<that tag>-<8 hex digits>.so qualify.  A deletion that
+    fails is left for a later build.
+    """
+    prefix, stale = built.name[: -len("00000000.so")], time.time() - _STALE_S
+    for path in built.parent.iterdir():
+        name = path.name
+        if name != built.name and name.startswith(prefix) and len(name) == len(built.name):
+            try:
+                if path.stat().st_mtime < stale:
+                    path.unlink()
+            except OSError:
+                pass
 
 
 def _include_dir() -> str:
@@ -106,6 +138,7 @@ def _load():
         path = cache / _file_name(source, EXTENSION_SUFFIXES[0])
         if not path.exists():
             _compile(source, path)
+            _prune(path)
         loader = ExtensionFileLoader(_MODULE, str(path))
         module = loader.create_module(ModuleSpec(_MODULE, loader, origin=str(path)))
         loader.exec_module(module)

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConfigError, DataError
 from .model import Ranks, TuckerFactors, predict_batch
-from .sparse import SparseTensor, _first_duplicate, _freeze
+from .sparse import SparseTensor, _first_duplicate, _first_out_of_bounds, _freeze
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
 
@@ -319,23 +320,40 @@ def write_records_csv(indices, values, mapping: IndexMapping, path,
                       schema: CsvSchema | None = None) -> None:
     """Write observed entries as a speed-record CSV (6 decimal places).
 
-    Rows are formatted _CSV_BLOCK_ROWS at a time and each block is written
-    with one call; the bytes equal one write per row.
+    Every index is checked against mapping.dims before the file is opened;
+    DataError names the first row outside them.  Rows are formatted
+    _CSV_BLOCK_ROWS at a time and each block is written with one call.  A
+    block's bytes come from the compiled `records` writer in _kernel.c when
+    the kernel loads, else from the f-string code below, the reference; both
+    format a value as format(v, ".6f") does, so the bytes are the same.
     """
     schema = schema or CsvSchema()
-    idx = np.asarray(indices, dtype=np.int64)
-    vals = np.asarray(values, dtype=np.float64)
+    idx = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, 3)
+    vals = np.ascontiguousarray(values, dtype=np.float64)
+    if vals.shape != (len(idx),):
+        raise DataError(f"{vals.size} values for {len(idx)} indices")
+    pos = _first_out_of_bounds(idx, mapping.dims)
+    if pos is not None:
+        raise DataError(f"row {pos}: index {tuple(idx[pos].tolist())} out of bounds "
+                        f"for dims {mapping.dims}")
     segments = [f"{s}," for s in mapping.segments]
     days = [f"{d}," for d in mapping.days]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{schema.segment},{schema.day},{schema.slot},{schema.speed}\n")
+    lib = _kernel.library()
+    if lib is not None:
+        prefixes = (tuple(s.encode() for s in segments), tuple(d.encode() for d in days))
+    with open(path, "wb") as fh:
+        fh.write(f"{schema.segment},{schema.day},{schema.slot},{schema.speed}\n".encode())
         for start in range(0, len(idx), _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
-            ii, jj, kk = idx[start:stop].T.tolist()
-            fh.write("".join([
-                f"{segments[i]}{days[j]}{k},{v:.6f}\n"
-                for i, j, k, v in zip(ii, jj, kk, vals[start:stop].tolist())
-            ]))
+            if lib is not None:
+                fh.write(lib.records(*prefixes, mapping.slots_per_day, idx[start:stop],
+                                     vals[start:stop]))
+            else:
+                ii, jj, kk = idx[start:stop].T.tolist()
+                fh.write("".join([
+                    f"{segments[i]}{days[j]}{k},{v:.6f}\n"
+                    for i, j, k, v in zip(ii, jj, kk, vals[start:stop].tolist())
+                ]).encode())
 
 
 _IMPUTED_SCHEMA = CsvSchema("segment_id", "day", "slot", "predicted_speed")

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, DataError
+from .sparse import _first_out_of_bounds
 
 CHECKPOINT_FORMAT = "pidtucker-checkpoint-v1"
 
@@ -171,9 +172,9 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
         return np.zeros(0)
     if idx.ndim != 2 or idx.shape[1] != 3:
         raise DataError(f"indices must have shape (n, 3), got {idx.shape}")
-    if (idx < 0).any() or (idx >= np.asarray(f.dims, dtype=np.int64)).any():
-        pos = int(np.argmax(((idx < 0) | (idx >= np.asarray(f.dims))).any(axis=1)))
-        raise DataError(f"index {tuple(idx[pos])} out of bounds for dims {f.dims}")
+    pos = _first_out_of_bounds(idx, f.dims)
+    if pos is not None:
+        raise DataError(f"index {tuple(idx[pos].tolist())} out of bounds for dims {f.dims}")
     r1, r2, r3 = f.core.shape
     core = f.core.reshape(r1, r2 * r3)
     out = np.empty(len(idx))

@@ -70,6 +70,12 @@ def _first_duplicate(indices: np.ndarray, dims) -> tuple[int, int] | None:
     return (int(first[inverse[repeats[0]]]), int(repeats[0])) if len(repeats) else None
 
 
+def _first_out_of_bounds(indices: np.ndarray, dims) -> int | None:
+    """The lowest position of an (n, 3) index row outside dims, or None."""
+    oob = (indices < 0) | (indices >= np.asarray(dims, dtype=np.int64))
+    return int(np.argmax(oob.any(axis=1))) if oob.any() else None
+
+
 def from_records(dims, records) -> SparseTensor:
     """Build a SparseTensor from (i, j, k, value) records.
 
@@ -89,11 +95,10 @@ def from_records(dims, records) -> SparseTensor:
         indices[pos] = (i, j, k)
         values[pos] = v
 
-    oob = (indices < 0) | (indices >= np.asarray(dims, dtype=np.int64))
-    if oob.any():
-        pos = int(np.argmax(oob.any(axis=1)))
+    pos = _first_out_of_bounds(indices, dims)
+    if pos is not None:
         raise DataError(
-            f"record {pos} has out-of-bounds index {tuple(indices[pos])} "
+            f"record {pos} has out-of-bounds index {tuple(indices[pos].tolist())} "
             f"for dims {dims}"
         )
     bad = ~np.isfinite(values)
@@ -103,7 +108,7 @@ def from_records(dims, records) -> SparseTensor:
     dup = _first_duplicate(indices, dims)
     if dup is not None:
         raise DataError(
-            f"duplicate index {tuple(indices[dup[1]])} at record positions "
+            f"duplicate index {tuple(indices[dup[1]].tolist())} at record positions "
             f"{dup[0]} and {dup[1]}"
         )
 

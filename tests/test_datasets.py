@@ -352,9 +352,15 @@ def write_rows_one_by_one(indices, values, mapping, path, schema):
             fh.write(f"{mapping.segments[i]},{mapping.days[j]},{k},{v:.6f}\n")
 
 
-@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-                               _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3])
-def test_write_records_csv_matches_row_by_row_reference(tmp_path, n):
+@pytest.mark.parametrize(
+    "n, each_backend",
+    [pytest.param(n, backend, id=str(n) if backend == "kernel" else f"{n}-{backend}")
+     for backend in ("kernel", "numpy")
+     for n in (0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+               2 * _CSV_BLOCK_ROWS + 3)],
+    indirect=["each_backend"],
+)
+def test_write_records_csv_matches_row_by_row_reference(tmp_path, n, each_backend):
     rng = np.random.default_rng(n)
     mapping = IndexMapping(
         segments=tuple(f"seg-{s}" for s in rng.permutation(37)),
@@ -370,6 +376,23 @@ def test_write_records_csv_matches_row_by_row_reference(tmp_path, n):
     got = (tmp_path / "blocked.csv").read_bytes()
     assert got == (tmp_path / "reference.csv").read_bytes()
     assert got.count(b"\n") == n + 1
+
+
+def test_write_records_csv_rejects_rows_outside_the_mapping(tmp_path, each_backend):
+    mapping = identity_mapping((3, 2, 4))
+    path = tmp_path / "out.csv"
+    for rows, message in [
+        ([(0, 0, 9), (-1, -1, -3)], "row 0: index (0, 0, 9)"),
+        ([(2, 1, 3), (-1, -1, -3)], "row 1: index (-1, -1, -3)"),
+        ([(0, 0, 0), (1, 1, 1), (3, 0, 0)], "row 2: index (3, 0, 0)"),
+        ([(0, 2, 0)], "row 0: index (0, 2, 0)"),
+    ]:
+        with pytest.raises(DataError) as exc:
+            write_records_csv(rows, [1.0] * len(rows), mapping, path)
+        assert str(exc.value) == f"{message} out of bounds for dims (3, 2, 4)"
+    with pytest.raises(DataError, match="^1 values for 2 indices$"):
+        write_records_csv([(0, 0, 0), (1, 1, 1)], [1.0], mapping, path)
+    assert not path.exists()
 
 
 def test_write_and_read_records_round_trip(tmp_path):

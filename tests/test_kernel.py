@@ -1,5 +1,6 @@
-"""The compiled per-entry kernels against the numpy reference, the checks
-they make on their arguments, their handle on a TuckerFactors, and the silent
+"""The compiled kernels against the numpy and Python reference code (the
+per-entry kernels and the CSV record writer), the checks they make on their
+arguments, their handle on a TuckerFactors, the build cache, and the silent
 fallback when no kernel can be built."""
 
 import contextlib
@@ -9,10 +10,8 @@ import math
 import os
 import pickle
 import stat
-import subprocess
-import sys
+import time
 from importlib.machinery import EXTENSION_SUFFIXES
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from pidtucker import (
     DataError,
     DivergenceError,
     Hyperparams,
+    IndexMapping,
     PidGains,
     Ranks,
     RegWeights,
@@ -106,6 +106,43 @@ def test_kernel_matches_numpy_reference(shape, seed, err, eta, lambdas):
     assert abs(predict(f, idx) - want) <= TOL
     sgd_step(f, idx, 0.0, err, hyper)
     assert_close(f, g)
+
+
+ids = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=5)
+doubles = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def record_blocks(draw):
+    """Distinct ids, any text but lone surrogates, and rows over them with any doubles."""
+    segments = tuple(draw(st.lists(ids, min_size=1, max_size=4, unique=True)))
+    days = tuple(draw(st.lists(ids, min_size=1, max_size=3, unique=True)))
+    mapping = IndexMapping(segments, days, draw(st.integers(1, 400)))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in mapping.dims], doubles),
+                         max_size=40))
+    return mapping, [r[:3] for r in rows], [r[3] for r in rows]
+
+
+EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e300, -1.7976931348623157e308, 0.0078125,
+               0.0000005, 0.0000015, 2.5e-7, 999999.9999995, 123.4564999999999, 1e16]
+
+
+@needs_kernel
+@settings(max_examples=80, deadline=None)
+@given(drawn=record_blocks())
+@example(drawn=(IndexMapping(("Straße-1", "路段"), ("2024-03-01", "día"), 288),
+                [(i % 2, i % 3 % 2, i % 288) for i in range(len(EDGE_VALUES))], EDGE_VALUES))
+def test_the_compiled_writer_gives_the_reference_bytes(tmp_path_factory, drawn):
+    mapping, rows, values = drawn
+    out = tmp_path_factory.mktemp("records")
+    write_records_csv(rows, values, mapping, out / "kernel.csv")
+    with reference_backend():
+        write_records_csv(rows, values, mapping, out / "reference.csv")
+        assert _kernel.library() is None
+    got = (out / "kernel.csv").read_bytes()
+    assert got == (out / "reference.csv").read_bytes()
+    assert got.count(b"\n") >= len(rows) + 1
 
 
 # ---------------------------------------------------------------- checks
@@ -277,11 +314,35 @@ def test_the_module_rejects_bad_arguments_without_touching_memory():
         (FloatingPointError, lib.step, (h.model, (1, 1, 1), -math.inf, 0.1, 0.0, 0.0, 0.0)),
         (FloatingPointError, lib.step, (h.model, (9, 1, 1), math.inf, 0.1, 0.0, 0.0, 0.0)),
     ]
+    seg, day, cell, val = (b"a,", b"b,"), (b"x,",), np.array([[1, 0, 2]]), np.array([1.5])
+    rec = lib.records
+    bad += [
+        (TypeError, rec, (seg, day, 3, cell)),                          # too few
+        (TypeError, rec, (seg, day, 3, cell, val, val)),                # too many
+        (ValueError, rec, (seg, day, 3, cell.astype(np.int32), val)),   # wrong dtype
+        (ValueError, rec, (seg, day, 3, cell.astype(np.float64), val)),
+        (ValueError, rec, (seg, day, 3, cell.astype(">i8"), val)),      # not native order
+        (ValueError, rec, (seg, day, 3, cell, val.astype(np.float32))),
+        (ValueError, rec, (seg, day, 3, cell.ravel(), val)),             # wrong shape
+        (ValueError, rec, (seg, day, 3, np.zeros((1, 2), np.int64), val)),
+        (ValueError, rec, (seg, day, 3, np.zeros((2, 3), np.int64), val)),  # short values
+        (ValueError, rec, (seg, day, 3, cell, np.array([[1.5]]))),
+        (ValueError, rec, (seg, day, 3, np.zeros((1, 6), np.int64)[:, ::2], val)),  # strided
+        (TypeError, rec, (("a,", b"b,"), day, 3, cell, val)),           # not bytes
+        (TypeError, rec, (seg, [b"x,"], 3, cell, val)),                 # not a tuple
+        (TypeError, rec, (seg, day, 3.0, cell, val)),
+        (IndexError, rec, (seg, day, 3, np.array([[0, -1, 0]]), val)),  # negative
+        (IndexError, rec, (seg, day, 3, np.array([[1, 0, 3]]), val)),   # slot == slots_per_day
+        (IndexError, rec, (seg, day, 3, np.array([[2, 0, 0]]), val)),   # == len(segments)
+        (IndexError, rec, (seg, day, 3, np.array([[0, 0, 0], [0, 0, -5]]), np.ones(2))),
+    ]
     for exc, fn, args in bad:
         with pytest.raises(exc):
             fn(*args)
     assert all(np.array_equal(a, b) for a, b in zip(arrays(f), before))
     assert lib.value(h.model, (1, 2, 3), f.mean) == predict(f, (1, 2, 3))
+    assert rec(seg, day, 3, cell, val) == b"b,x,2,1.500000\n"
+    assert rec(seg, day, 3, np.zeros((0, 3), np.int64), np.zeros(0)) == b""
 
 
 def test_arrays_the_kernel_cannot_take_use_the_reference():
@@ -321,6 +382,41 @@ def test_the_cache_file_name_is_keyed_on_the_interpreter_abi():
     assert _kernel._file_name(source, EXTENSION_SUFFIXES[0]) == names[EXTENSION_SUFFIXES[0]]
 
 
+def test_a_fresh_build_prunes_old_builds_of_its_own_abi_tag_only(tmp_path, monkeypatch):
+    cache, abi = tmp_path / "pidtucker", EXTENSION_SUFFIXES[0]
+    long_ago = time.time() - 2 * _kernel._STALE_S
+
+    def build(version):
+        source = tmp_path / f"kernel-v{version}.c"
+        source.write_bytes(_kernel._SOURCE.read_bytes() + f"/* v{version} */\n".encode())
+        monkeypatch.setattr(_kernel, "_SOURCE", source)
+        with kernel_state(XDG_CACHE_HOME=str(tmp_path)):
+            if _kernel.library() is None:
+                pytest.skip("no kernel can be built here (gcc or cache dir)")
+        return _kernel._file_name(source.read_bytes(), abi)
+
+    def age(*names):
+        for name in names:
+            os.utime(cache / name, (long_ago, long_ago))
+
+    def cached():
+        return sorted(p.name for p in cache.iterdir())
+
+    v1 = build(1)
+    foreign = _kernel._file_name(b"another source", ".cpython-312-x86_64-linux-gnu.so")
+    untagged = "kernel-0123abcd.so"  # the name builds had before they carried a tag
+    for name in (foreign, untagged):
+        (cache / name).write_bytes(b"")
+    age(v1, foreign, untagged)
+    v2 = build(2)
+    assert cached() == sorted([v2, foreign, untagged])  # two versions leave one file
+    v3 = build(3)
+    assert cached() == sorted([v2, v3, foreign, untagged])  # v2 is less than a day old
+    age(v2)
+    v4 = build(4)
+    assert cached() == sorted([v3, v4, foreign, untagged])
+
+
 def test_a_cache_dir_others_can_write_is_not_used(tmp_path):
     cache = tmp_path / "pidtucker"
     cache.mkdir()
@@ -354,55 +450,73 @@ def train_both_ways(tmp_path, name, capsys):
     return library_ckpt, (tmp_path / name / "model.ckpt").read_bytes(), err
 
 
-@pytest.mark.parametrize("cause", ["forced", "unwritable-cache", "no-compiler",
-                                   "no-python-headers", "unloadable-cached-file"])
-def test_train_falls_back_to_the_numpy_reference(cause, tmp_path, capsys, monkeypatch):
-    with reference_backend():
-        want, want_cli, _err = train_both_ways(tmp_path, "reference", capsys)
+FALLBACK_CAUSES = ["forced", "unwritable-cache", "no-compiler", "no-python-headers",
+                   "unloadable-cached-file"]
+
+
+def fallback(cause, tmp_path, monkeypatch):
+    """A context in which the kernel cannot load, for the given cause."""
     if cause == "forced":
-        ctx = reference_backend()
-    elif cause == "unwritable-cache":
+        return reference_backend()
+    if cause == "unwritable-cache":
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
-        ctx = kernel_state(XDG_CACHE_HOME=str(blocker))
-    elif cause == "no-compiler":
+        return kernel_state(XDG_CACHE_HOME=str(blocker))
+    if cause == "no-compiler":
         empty = tmp_path / "empty"
         empty.mkdir()
-        ctx = kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(empty))
-    elif cause == "no-python-headers":
+        return kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(empty))
+    if cause == "no-python-headers":
         empty = tmp_path / "include"
         empty.mkdir()
         monkeypatch.setattr(_kernel, "_include_dir", lambda: str(empty))
-        ctx = kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"))
-    else:
-        cache = tmp_path / "cache" / "pidtucker"
-        cache.mkdir(mode=0o700, parents=True)
-        name = _kernel._file_name(_kernel._SOURCE.read_bytes(), EXTENSION_SUFFIXES[0])
-        (cache / name).write_bytes(b"not a shared object\n")
-        ctx = kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"))
-    with ctx:
+        return kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"))
+    cache = tmp_path / "cache" / "pidtucker"
+    cache.mkdir(mode=0o700, parents=True)
+    name = _kernel._file_name(_kernel._SOURCE.read_bytes(), EXTENSION_SUFFIXES[0])
+    (cache / name).write_bytes(b"not a shared object\n")
+    return kernel_state(XDG_CACHE_HOME=str(tmp_path / "cache"))
+
+
+@pytest.mark.parametrize("cause", FALLBACK_CAUSES)
+def test_train_falls_back_to_the_numpy_reference(cause, tmp_path, capsys, monkeypatch):
+    with reference_backend():
+        want, want_cli, _err = train_both_ways(tmp_path, "reference", capsys)
+    with fallback(cause, tmp_path, monkeypatch):
         got, got_cli, err = train_both_ways(tmp_path, "r", capsys)
         assert _kernel.library() is None
     assert err == ""
     assert (got, got_cli) == (want, want_cli)
 
 
-def test_impute_never_loads_the_kernel(tmp_path):
-    _tensor, data = write_data(tmp_path)
-    assert main(["train", "--data", str(data), "--slots-per-day", "8", "--ratios",
-                 "0.5,0.2,0.3", "--max-epochs", "2", "--outdir", str(tmp_path),
-                 "--run-name", "t"]) == 0
-    code = (
-        "import sys, pidtucker._kernel as k, pidtucker.cli as c\n"
-        "rc = c.main(sys.argv[1:])\n"
-        "assert rc == 0 and not k._tried, (rc, k._tried)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(_kernel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "impute", "--all-missing", "true", "--checkpoint",
-         str(tmp_path / "t" / "model.ckpt"), "--mapping", str(tmp_path / "t" / "mapping.json"),
-         "--data", str(data), "--slots-per-day", "8", "--outdir", str(tmp_path),
-         "--run-name", "i"],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def impute_both_ways(tmp_path, name, capsys):
+    """imputed.csv bytes of impute --all-missing and of impute --targets, with stderr."""
+    trained = tmp_path / "t"
+    if not trained.exists():
+        _tensor, data = write_data(tmp_path)
+        assert main(["train", "--data", str(data), "--slots-per-day", "8", "--ratios",
+                     "0.5,0.2,0.3", "--max-epochs", "2", "--outdir", str(tmp_path),
+                     "--run-name", "t"]) == 0
+        rows = [f"{i},{j},{k}" for i in range(6) for j in (4, 0, 2) for k in (7, 0, 3)]
+        (tmp_path / "targets.csv").write_text("segment,day,slot\n" + "\n".join(rows) + "\n")
+    capsys.readouterr()
+    model = ["--checkpoint", str(trained / "model.ckpt"), "--mapping",
+             str(trained / "mapping.json"), "--outdir", str(tmp_path)]
+    outputs = []
+    for run, source in [("all", ["--all-missing", "true", "--data", str(tmp_path / "data.csv")]),
+                        ("targets", ["--targets", str(tmp_path / "targets.csv")])]:
+        assert main(["impute", *model, *source, "--run-name", f"{name}-{run}"]) == 0
+        outputs.append((tmp_path / f"{name}-{run}" / "imputed.csv").read_bytes())
+    return outputs, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cause", FALLBACK_CAUSES)
+def test_impute_output_is_the_same_with_and_without_the_kernel(cause, tmp_path, capsys,
+                                                                monkeypatch):
+    want, _err = impute_both_ways(tmp_path, "kernel", capsys)
+    with fallback(cause, tmp_path, monkeypatch):
+        got, err = impute_both_ways(tmp_path, "r", capsys)
+        assert _kernel.library() is None
+    assert err == ""
+    assert got == want
+    assert [out.count(b"\n") for out in got] == [6 * 5 * 8 - 144 + 1, 6 * 9 + 1]

@@ -132,6 +132,14 @@ def test_predict_batch_matches_predict():
     assert np.allclose(batch, singles, atol=1e-12, rtol=0)
 
 
+def test_predict_batch_names_an_out_of_bounds_row_in_plain_ints():
+    f = init_factors((2, 3, 4), Ranks(1, 1, 1), seed=0)
+    for idx, row in [([(1, 2, 3), (-1, 0, 0)], "(-1, 0, 0)"), ([(0, 3, 0)], "(0, 3, 0)")]:
+        with pytest.raises(DataError) as exc:
+            predict_batch(f, np.array(idx, dtype=np.int64))
+        assert str(exc.value) == f"index {row} out of bounds for dims (2, 3, 4)"
+
+
 @pytest.mark.parametrize("n", [0, 1, _PREDICT_BLOCK_ROWS - 1, _PREDICT_BLOCK_ROWS,
                                _PREDICT_BLOCK_ROWS + 1, 2 * _PREDICT_BLOCK_ROWS + 3])
 def test_predict_batch_blocks_match_predict(n):

@@ -1,3 +1,6 @@
+import shutil
+import subprocess
+import sysconfig
 from importlib.resources import files
 from pathlib import Path
 
@@ -18,3 +21,13 @@ def test_kernel_source_ships_with_the_package():
     tomllib = pytest.importorskip("tomllib")
     config = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
     assert "_kernel.c" in config["tool"]["setuptools"]["package-data"]["pidtucker"]
+
+
+def test_kernel_compiles_without_warnings():
+    include = sysconfig.get_path("include")
+    if shutil.which("gcc") is None or not Path(include, "Python.h").is_file():
+        pytest.skip("gcc or the Python headers are not installed")
+    source = files("pidtucker").joinpath("_kernel.c")
+    proc = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", include,
+                           "-x", "c", str(source)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

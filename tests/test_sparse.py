@@ -31,6 +31,18 @@ def test_out_of_bounds_reports_record():
     assert "record 1" in str(exc.value)
 
 
+def test_index_errors_show_the_cell_as_plain_ints():
+    for records, message in [
+        ([(0, 0, 0, 1.0), (-1, 2, 0, 1.0)],
+         "record 1 has out-of-bounds index (-1, 2, 0) for dims (2, 2, 2)"),
+        ([(0, 1, 0, 1.0), (1, 1, 1, 1.0), (1, 1, 1, 2.0)],
+         "duplicate index (1, 1, 1) at record positions 1 and 2"),
+    ]:
+        with pytest.raises(DataError) as exc:
+            from_records((2, 2, 2), records)
+        assert str(exc.value) == message
+
+
 def test_non_finite_value_rejected():
     with pytest.raises(DataError):
         from_records((2, 2, 2), [(0, 0, 0, float("nan"))])
