@@ -9,6 +9,14 @@
  * They are compiled without floating-point contraction, so results do not
  * depend on whether the CPU has fused multiply-add.
  *
+ * Batch evaluation: `values` writes pt_value for each row of an (n, 3) cell
+ * array (model.predict_batch), `sums` returns in one pass the sums of squared
+ * residuals, of the core's squares, of the touched factor rows' squares and
+ * of the touched biases' squares (model.rmse and model.regularized_loss), and
+ * `all_finite` scans every parameter array (solver's divergence check).
+ * Every value comes from pt_value, so on this backend predict, predict_batch,
+ * rmse and regularized_loss agree bit for bit.
+ *
  * Record writer: `records` formats one block of CSV rows
  * "<segment>,<day>,<slot>,<value>\n" for datasets.write_records_csv.  Each
  * value goes through PyOS_double_to_string(v, 'f', 6, 0, NULL), the routine
@@ -24,14 +32,20 @@
  *    every argument, reject a non-finite err (FloatingPointError, before
  *    the index) and an index outside dims (IndexError) before any memory
  *    is touched.
- *  - model.predict and solver.sgd_step turn those exceptions into the
- *    library's DataError and DivergenceError.
- *  - `records` checks its argument count, that both prefix tuples hold only
- *    bytes, the buffers' formats, item sizes, dimensions and lengths, and
- *    every index against the tuple lengths and slots_per_day, and raises
- *    (TypeError, ValueError, IndexError) before it formats anything; its
- *    output buffer grows as needed.  write_records_csv checks the same
- *    indices first and raises the library's DataError, for either backend.
+ *  - `values`, `sums` and `records` take their arrays through one helper,
+ *    get_array, which checks each buffer's format, item size, dimensions,
+ *    shape and C-contiguity, that `out` is writable with one slot a cell,
+ *    and that `y` or `values` holds one double a cell (ValueError); then
+ *    every index is checked against pt_model.dims or the prefix tuples
+ *    (IndexError), all before any row is read.  `records` also checks that
+ *    both prefix tuples hold only bytes (TypeError); its output buffer grows
+ *    as needed.
+ *  - model.predict, model.predict_batch, model.rmse, model.regularized_loss
+ *    and solver.sgd_step turn those exceptions into the library's DataError
+ *    and DivergenceError; model.rmse and model.regularized_loss check that
+ *    there is one value a cell before any backend runs, and
+ *    write_records_csv checks its indices first and raises the library's
+ *    DataError, for either backend.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -288,18 +302,130 @@ fail:
     return NULL;
 }
 
-/* The first row of idx with an entry outside [0, dims[m]), or -1; *mode is
- * set to that entry's mode. */
-static Py_ssize_t first_bad_row(const int64_t *idx, Py_ssize_t n, const long long *dims,
-                                int *mode)
+/* Acquire arg as a C-contiguous buffer of native 8-byte items: (n, 3) int64
+ * cells when n < 0, and then the row count is returned, else (n,) float64
+ * values, writable when flags holds PyBUF_WRITABLE.  On a mismatch the
+ * buffer is released and -1 returned with ValueError, or with the buffer
+ * protocol's own exception. */
+static Py_ssize_t get_array(PyObject *arg, Py_buffer *b, Py_ssize_t n, int flags,
+                            const char *name)
+{
+    if (PyObject_GetBuffer(arg, b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0)
+        return -1;
+    if (n < 0 ? b->ndim == 2 && b->shape[1] == 3 && native_items(b, "lq")
+              : b->ndim == 1 && b->shape[0] == n && native_items(b, "d"))
+        return b->shape[0];
+    if (n < 0)
+        PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous (n, 3) int64 buffer", name);
+    else
+        PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous (%zd,) float64 buffer",
+                     name, n);
+    PyBuffer_Release(b);
+    return -1;
+}
+
+/* 0 when every entry of the n cells lies in [0, dims[m]), else -1 with
+ * IndexError naming the first row outside. */
+static int check_rows(const int64_t *idx, Py_ssize_t n, const long long *dims)
 {
     for (Py_ssize_t r = 0; r < n; r++)
         for (int m = 0; m < 3; m++)
             if (idx[3 * r + m] < 0 || idx[3 * r + m] >= dims[m]) {
-                *mode = m;
-                return r;
+                PyErr_Format(PyExc_IndexError,
+                             "row %zd: index %lld out of range [0, %lld) in mode %d",
+                             r, (long long)idx[3 * r + m], dims[m], m + 1);
+                return -1;
             }
-    return -1;
+    return 0;
+}
+
+/* The cells in arg, checked against h's dims, and the (n,) float64 buffer
+ * in data (flags as in get_array).  Returns n, or -1 with an exception and
+ * neither buffer held. */
+static Py_ssize_t get_cells(const pt_model *h, PyObject *arg, Py_buffer *ib, PyObject *data,
+                            Py_buffer *db, int flags, const char *name)
+{
+    Py_ssize_t n = get_array(arg, ib, -1, 0, "idx");
+    if (n < 0)
+        return -1;
+    if (get_array(data, db, n, flags, name) < 0) {
+        PyBuffer_Release(ib);
+        return -1;
+    }
+    const long long dims[3] = {h->dims[0], h->dims[1], h->dims[2]};
+    if (check_rows(ib->buf, n, dims) < 0) {
+        PyBuffer_Release(db);
+        PyBuffer_Release(ib);
+        return -1;
+    }
+    return n;
+}
+
+static PyObject *values(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    pt_model h; double mean; Py_buffer ib, ob; Py_ssize_t n;
+    if (unpack_model(args, nargs, 4, &h) < 0 || unpack_doubles(args + 2, 1, &mean) < 0
+        || (n = get_cells(&h, args[1], &ib, args[3], &ob, PyBUF_WRITABLE, "out")) < 0)
+        return NULL;
+    const int64_t *idx = ib.buf;
+    double *out = ob.buf;
+    for (Py_ssize_t r = 0; r < n; r++)
+        out[r] = pt_value(&h, idx[3 * r], idx[3 * r + 1], idx[3 * r + 2], mean);
+    PyBuffer_Release(&ob);
+    PyBuffer_Release(&ib);
+    Py_RETURN_NONE;
+}
+
+static double sum_squares(const double *x, long n)
+{
+    double s = 0.0;
+    for (long a = 0; a < n; a++)
+        s += x[a] * x[a];
+    return s;
+}
+
+static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    pt_model h; double mean; Py_buffer ib, yb; Py_ssize_t n;
+    if (unpack_model(args, nargs, 4, &h) < 0 || unpack_doubles(args + 3, 1, &mean) < 0
+        || (n = get_cells(&h, args[1], &ib, args[2], &yb, 0, "y")) < 0)
+        return NULL;
+    const int64_t *idx = ib.buf;
+    const double *y = yb.buf;
+    double resid = 0.0, rows = 0.0, biases = 0.0;
+    for (Py_ssize_t r = 0; r < n; r++) {
+        const int64_t *c = idx + 3 * r;
+        double e = y[r] - pt_value(&h, c[0], c[1], c[2], mean);
+        resid += e * e;
+        for (int m = 0; m < 3; m++) {
+            rows += sum_squares(h.factor[m] + c[m] * h.rank[m], h.rank[m]);
+            biases += h.bias[m][c[m]] * h.bias[m][c[m]];
+        }
+    }
+    PyBuffer_Release(&yb);
+    PyBuffer_Release(&ib);
+    double core = sum_squares(h.core, h.rank[0] * h.rank[1] * h.rank[2]);
+    return Py_BuildValue("(dddd)", resid, core, rows, biases);
+}
+
+static int all_finite_doubles(const double *x, long n)
+{
+    for (long a = 0; a < n; a++)
+        if (!isfinite(x[a]))
+            return 0;
+    return 1;
+}
+
+static PyObject *all_finite(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    pt_model h;
+    if (unpack_model(args, nargs, 1, &h) < 0)
+        return NULL;
+    int ok = all_finite_doubles(h.core, h.rank[0] * h.rank[1] * h.rank[2]);
+    for (int m = 0; m < 3 && ok; m++)
+        ok = all_finite_doubles(h.factor[m], h.dims[m] * h.rank[m])
+             && all_finite_doubles(h.bias[m], h.dims[m]);
+    return PyBool_FromLong(ok);
 }
 
 static PyObject *records(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
@@ -315,29 +441,15 @@ static PyObject *records(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ss
         || ((dims[2] = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred()))
         return NULL;
     Py_buffer ib, vb;
-    if (PyObject_GetBuffer(args[3], &ib, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return NULL;
-    if (PyObject_GetBuffer(args[4], &vb, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
-        PyBuffer_Release(&ib);
-        return NULL;
-    }
-    PyObject *out = NULL;
-    const int64_t *idx = ib.buf;
-    Py_ssize_t n = ib.ndim == 2 && ib.shape[1] == 3 && native_items(&ib, "lq") ? ib.shape[0] : -1;
+    Py_ssize_t n = get_array(args[3], &ib, -1, 0, "idx");
     if (n < 0)
-        PyErr_SetString(PyExc_ValueError, "idx must be a C-contiguous (n, 3) int64 buffer");
-    else if (vb.ndim != 1 || vb.shape[0] != n || !native_items(&vb, "d"))
-        PyErr_Format(PyExc_ValueError, "values must be a C-contiguous (%zd,) float64 buffer", n);
-    else {
-        int m = 0;
-        Py_ssize_t r = first_bad_row(idx, n, dims, &m);
-        if (r >= 0)
-            PyErr_Format(PyExc_IndexError, "row %zd: index %lld out of range [0, %lld) in mode %d",
-                         r, (long long)idx[3 * r + m], dims[m], m + 1);
-        else
-            out = format_rows(args[0], args[1], idx, vb.buf, n);
+        return NULL;
+    PyObject *out = NULL;
+    if (get_array(args[4], &vb, n, 0, "values") >= 0) {
+        if (check_rows(ib.buf, n, dims) == 0)
+            out = format_rows(args[0], args[1], ib.buf, vb.buf, n);
+        PyBuffer_Release(&vb);
     }
-    PyBuffer_Release(&vb);
     PyBuffer_Release(&ib);
     return out;
 }
@@ -347,6 +459,13 @@ static PyMethodDef methods[] = {
      "value(handle, (i, j, k), mean): the model value at cell (i, j, k)."},
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
      "step(handle, (i, j, k), err, eta, lambda1, lambda2, lambda3): one entry's update."},
+    {"values", (PyCFunction)(void (*)(void))values, METH_FASTCALL,
+     "values(handle, idx, mean, out): the model value at each (n, 3) int64 cell, into out."},
+    {"sums", (PyCFunction)(void (*)(void))sums, METH_FASTCALL,
+     "sums(handle, idx, y, mean): the sums of squared residuals, core, touched factor rows "
+     "and touched biases."},
+    {"all_finite", (PyCFunction)(void (*)(void))all_finite, METH_FASTCALL,
+     "all_finite(handle): whether every factor, core and bias entry is finite."},
     {"records", (PyCFunction)(void (*)(void))records, METH_FASTCALL,
      "records(segments, days, slots_per_day, idx, values): one block of CSV rows as bytes."},
     {NULL, NULL, 0, NULL},

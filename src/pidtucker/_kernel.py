@@ -1,8 +1,11 @@
 """Build and load the compiled kernels in `_kernel.c` as an extension module.
 
 The module holds the per-entry kernels behind model.predict and
-solver.sgd_step (`value`, `step`, through `handle` below) and the CSV record
-writer behind datasets.write_records_csv (`records`, called on `library()`).
+solver.sgd_step (`value`, `step`), the batch evaluation behind
+model.predict_batch, model.rmse, model.regularized_loss and the divergence
+check in solver.train (`values`, `sums`, `all_finite`), all called through
+`handle` below, and the CSV record writer behind datasets.write_records_csv
+(`records`, called on `library()`).
 It is compiled on first use with the system gcc and the Python headers into
 a per-user cache directory ($XDG_CACHE_HOME/pidtucker, else
 ~/.cache/pidtucker), under a file name holding the interpreter's extension
@@ -166,7 +169,8 @@ def _usable(a) -> bool:
 class _Handle:
     """Pointers to one TuckerFactors' arrays, with the arrays kept alive beside them."""
 
-    __slots__ = ("dims", "core", "factors", "biases", "scratch", "model", "value", "step")
+    __slots__ = ("dims", "core", "factors", "biases", "scratch", "model", "value", "step",
+                 "values", "sums", "all_finite")
 
     def __init__(self, f):
         self.dims, self.core, self.factors, self.biases = f.dims, f.core, f.factors, f.biases
@@ -179,7 +183,8 @@ class _Handle:
         arrays = (*self.factors, *self.biases, self.core, self.scratch)
         self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in arrays), *ranks,
                                  *self.dims)
-        self.value, self.step = lib.value, lib.step
+        self.value, self.step, self.values = lib.value, lib.step, lib.values
+        self.sums, self.all_finite = lib.sums, lib.all_finite
 
     def _consistent(self) -> bool:
         """Every array usable from C, with shapes that match dims and the core's ranks."""

@@ -82,7 +82,11 @@ def save_mapping(mapping: IndexMapping, path) -> None:
 
 
 def load_mapping(path) -> IndexMapping:
-    """Read a mapping written by save_mapping; DataError if it cannot be used."""
+    """Read a mapping written by save_mapping; DataError if it cannot be used.
+
+    That includes an id UTF-8 cannot encode (a lone surrogate, which JSON's
+    \\u escapes can spell), since imputations are written back under it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -95,13 +99,20 @@ def load_mapping(path) -> IndexMapping:
     if payload.get("format") != MAPPING_FORMAT:
         raise DataError(f"{path}: unsupported mapping format {payload.get('format')!r}")
     try:
-        return IndexMapping(
+        mapping = IndexMapping(
             segments=tuple(payload["segments"]),
             days=tuple(payload["days"]),
             slots_per_day=int(payload["slots_per_day"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed mapping ({exc!r})") from None
+    for kind, ids in (("segment", mapping.segments), ("day", mapping.days)):
+        for s in ids:
+            try:
+                f"{s}".encode()
+            except UnicodeEncodeError:
+                raise DataError(f"{path}: {kind} id {s!r} is not encodable as UTF-8") from None
+    return mapping
 
 
 def _numeric_key(s: str):

@@ -11,14 +11,20 @@ squared residual plus Tikhonov penalties on every parameter the entry touches
 (core and factor rows inside the per-entry sum, so frequently observed rows
 are penalized more).
 
-predict and solver.sgd_step have two backends: compiled per-entry kernels
-(_kernel.c, an extension module built on first use) and the numpy code in
-this module and in solver.py, which is the reference.  The kernels are used
-when they can be built and every parameter array is a C-contiguous, aligned,
-writeable float64 array; they agree with the reference within 1e-12.  The
-reference checks each index with check_index; the kernels check it in C, and
-an index they reject is passed to check_index, so both backends raise the
-same DataError for it.
+predict, predict_batch, rmse, regularized_loss and solver.sgd_step have two
+backends: compiled kernels (_kernel.c, an extension module built on first
+use) and the numpy code in this module and in solver.py, which is the
+reference.  The kernels are used when they can be built and every parameter
+array is a C-contiguous, aligned, writeable float64 array; they agree with
+the reference within 1e-12.  On the kernel backend every model value comes
+from one C routine, so predict, predict_batch, rmse and regularized_loss
+agree bit for bit (rmse is 0.0 on values predict_batch gave).  Values that
+differ from the reference in their last bits can round differently where
+they are written with 6 decimals: imputed.csv is the same on both backends
+except for a value within ~1e-12 of a 6th-decimal rounding boundary.  The
+reference checks each index with check_index or _check_cells; the kernels
+check it in C, and an index they reject is passed to the reference check,
+so both backends raise the same DataError for it.
 """
 
 from __future__ import annotations
@@ -159,25 +165,61 @@ def predict(f: TuckerFactors, idx) -> float:
     return float(f.mean + f.factors[0][i] @ phi + f.biases[0][i] + f.biases[1][j] + f.biases[2][k])
 
 
-def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
-    """Vectorized predict over an (n, 3) index array.
-
-    The multilinear term is formed by mode products (factor rows of mode 1
-    times the unfolded core, then contracted with the mode-3 and mode-2 rows)
-    in blocks of _PREDICT_BLOCK_ROWS rows written into one preallocated
-    output, so temporaries stay bounded however many cells are asked for.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
+def _cells(indices) -> np.ndarray:
+    """indices as a C-contiguous (n, 3) int64 array; DataError for another shape."""
+    idx = np.ascontiguousarray(indices, dtype=np.int64)
     if idx.size == 0:
-        return np.zeros(0)
+        return idx.reshape(0, 3)
     if idx.ndim != 2 or idx.shape[1] != 3:
         raise DataError(f"indices must have shape (n, 3), got {idx.shape}")
+    return idx
+
+
+def _entries(indices, values) -> tuple[np.ndarray, np.ndarray]:
+    """Cells as _cells gives them and their (n,) float64 values; DataError unless one a cell."""
+    idx = _cells(indices)
+    vals = np.ascontiguousarray(values, dtype=np.float64)
+    if vals.shape != (len(idx),):
+        raise DataError(f"{vals.size} values for {len(idx)} indices")
+    return idx, vals
+
+
+def _check_cells(f: TuckerFactors, idx: np.ndarray) -> None:
+    """DataError naming the first cell of idx outside f.dims."""
     pos = _first_out_of_bounds(idx, f.dims)
     if pos is not None:
         raise DataError(f"index {tuple(idx[pos].tolist())} out of bounds for dims {f.dims}")
+
+
+def _on_kernel(f: TuckerFactors, idx: np.ndarray, fn, *args):
+    """fn(*args), a kernel function over the cells idx; a cell it rejects for
+    lying outside f.dims raises the reference's DataError."""
+    try:
+        return fn(*args)
+    except IndexError:
+        _check_cells(f, idx)
+        raise
+
+
+def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
+    """Vectorized predict over an (n, 3) index array.
+
+    Runs the compiled kernel when it is available (see the module
+    docstring); its values are predict's, bit for bit.  The numpy reference
+    forms the multilinear term by mode products (factor rows of mode 1 times
+    the unfolded core, then contracted with the mode-3 and mode-2 rows) in
+    blocks of _PREDICT_BLOCK_ROWS rows written into one preallocated output,
+    so temporaries stay bounded however many cells are asked for.
+    """
+    idx = _cells(indices)
+    out = np.empty(len(idx))
+    h = _kernel.handle(f)
+    if h is not None:
+        _on_kernel(f, idx, h.values, h.model, idx, f.mean, out)
+        return out
+    _check_cells(f, idx)
     r1, r2, r3 = f.core.shape
     core = f.core.reshape(r1, r2 * r3)
-    out = np.empty(len(idx))
     for start in range(0, len(idx), _PREDICT_BLOCK_ROWS):
         stop = start + _PREDICT_BLOCK_ROWS
         ii, jj, kk = idx[start:stop].T
@@ -189,11 +231,17 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
 
 
 def rmse(f: TuckerFactors, indices, values) -> float:
-    """Root mean squared error of model predictions over a held-out entry set."""
-    idx = np.asarray(indices, dtype=np.int64)
-    vals = np.asarray(values, dtype=np.float64)
+    """Root mean squared error of model predictions over a held-out entry set.
+
+    DataError unless there is one value per index, and for an empty set.
+    """
+    idx, vals = _entries(indices, values)
     if vals.size == 0:
         raise DataError("rmse over an empty entry set is undefined")
+    h = _kernel.handle(f)
+    if h is not None:
+        squares = _on_kernel(f, idx, h.sums, h.model, idx, vals, f.mean)[0]
+        return math.sqrt(squares / len(vals))
     resid = vals - predict_batch(f, idx)
     return float(np.sqrt(np.mean(resid * resid)))
 
@@ -229,14 +277,18 @@ def regularized_loss(f: TuckerFactors, indices, values, reg: RegWeights) -> floa
 
     Each entry's summand penalizes the full core (lambda1), the three factor
     rows it touches (lambda2), and its three bias components (lambda3).
+    DataError unless there is one value per index.
     """
-    idx = np.asarray(indices, dtype=np.int64)
-    vals = np.asarray(values, dtype=np.float64)
+    idx, vals = _entries(indices, values)
     if idx.size == 0:
         return 0.0
+    n = len(vals)
+    h = _kernel.handle(f)
+    if h is not None:
+        resid, core, rows, biases = _on_kernel(f, idx, h.sums, h.model, idx, vals, f.mean)
+        return 0.5 * (resid + reg.lambda1 * core * n + reg.lambda2 * rows + reg.lambda3 * biases)
     resid = vals - predict_batch(f, idx)
     ii, jj, kk = idx[:, 0], idx[:, 1], idx[:, 2]
-    n = len(vals)
     total = float(resid @ resid)
     total += reg.lambda1 * float(np.sum(f.core**2)) * n
     total += reg.lambda2 * float(

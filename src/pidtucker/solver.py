@@ -8,12 +8,13 @@ less than `tol` between consecutive epochs, or at the epoch cap.
 
 Of the three per-entry calls, model.predict and sgd_step have two backends:
 the compiled kernels of _kernel.c, an extension module used when it can be
-built, and the numpy reference; pid.adjust is plain Python.  The backends
-agree within 1e-12, and each is bitwise-deterministic.  Both reject a
-non-finite update before the index and an index outside dims before touching
-a parameter: the reference with math.isfinite and model.check_index, the
-kernel in C, whose exceptions sgd_step turns into the same DivergenceError
-and DataError.
+built, and the numpy reference; pid.adjust is plain Python.  So do the
+epoch-end steps: the divergence check _all_finite, model.regularized_loss
+and the validation model.rmse.  The backends agree within 1e-12, and each
+is bitwise-deterministic.  Both reject a non-finite update before the index
+and an index outside dims before touching a parameter: the reference with
+math.isfinite and model.check_index, the kernel in C, whose exceptions
+sgd_step turns into the same DivergenceError and DataError.
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ def _sgd_step_reference(f: TuckerFactors, idx, adjusted_err: float,
 
 
 def _all_finite(f: TuckerFactors) -> bool:
+    """Whether every parameter is finite; the kernel's all_finite when it is available."""
+    h = _kernel.handle(f)
+    if h is not None:
+        return h.all_finite(h.model)
     return (
         np.isfinite(f.core).all()
         and all(np.isfinite(m).all() for m in f.factors)

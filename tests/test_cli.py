@@ -245,6 +245,21 @@ def test_impute_all_missing_rejects_id_outside_training_mapping(tmp_path, capsys
     assert not (tmp_path / "i").exists()
 
 
+def test_impute_rejects_a_mapping_id_utf8_cannot_encode(tmp_path, capsys):
+    data, trained = synth_and_train(tmp_path)
+    mapping = json.loads((trained / "mapping.json").read_text())
+    dropped, mapping["segments"][-1] = mapping["segments"][-1], "\ud800x"
+    (trained / "mapping.json").write_text(json.dumps(mapping))  # spelled as "\ud800x"
+    header, *rows = data.read_text().splitlines()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("\n".join([header, *(r for r in rows if r.split(",")[0] != dropped)]) + "\n")
+    code = run_cli("impute", "--outdir", tmp_path, "--run-name", "i", *model_args(trained),
+                   "--all-missing", "true", "--data", kept)
+    assert code == 3
+    assert "segment id '\\ud800x'" in capsys.readouterr().err
+    assert not (tmp_path / "i").exists()
+
+
 def test_impute_all_missing_takes_slot_count_from_mapping(tmp_path):
     data, trained = synth_and_train(tmp_path)
     args = ["impute", "--outdir", tmp_path, *model_args(trained),

@@ -1,7 +1,7 @@
 """The compiled kernels against the numpy and Python reference code (the
-per-entry kernels and the CSV record writer), the checks they make on their
-arguments, their handle on a TuckerFactors, the build cache, and the silent
-fallback when no kernel can be built."""
+per-entry kernels, the batch evaluation and the CSV record writer), the
+checks they make on their arguments, their handle on a TuckerFactors, the
+build cache, and the silent fallback when no kernel can be built."""
 
 import contextlib
 import copy
@@ -31,6 +31,9 @@ from pidtucker import (
     identity_mapping,
     init_factors,
     predict,
+    predict_batch,
+    regularized_loss,
+    rmse,
     save_checkpoint,
     sgd_step,
     split,
@@ -38,6 +41,7 @@ from pidtucker import (
     write_records_csv,
 )
 from pidtucker import _kernel
+from pidtucker.solver import _all_finite
 from pidtucker.cli import main
 
 TOL = 1e-12
@@ -106,6 +110,55 @@ def test_kernel_matches_numpy_reference(shape, seed, err, eta, lambdas):
     assert abs(predict(f, idx) - want) <= TOL
     sgd_step(f, idx, 0.0, err, hyper)
     assert_close(f, g)
+
+
+@needs_kernel
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes, seed=st.integers(0, 2**16), n=st.integers(1, 300),
+       lambdas=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_batch_evaluation_matches_numpy_reference(shape, seed, n, lambdas):
+    dims, ranks = shape[:3], shape[3:]
+    f = random_factors(dims, ranks, seed)
+    rng = np.random.default_rng(seed + 1)
+    idx = np.column_stack([rng.integers(0, d, n) for d in dims])  # rows repeat: d <= 6
+    y = f.mean + rng.normal(scale=5.0, size=n)
+    reg = RegWeights(*lambdas)
+    with reference_backend():
+        g = copy.deepcopy(f)
+        want = predict_batch(g, idx), rmse(g, idx, y), regularized_loss(g, idx, y, reg)
+        assert _kernel.handle(g) is None
+    assert _kernel.handle(f) is not None
+    values = predict_batch(f, idx)
+    assert np.max(np.abs(values - want[0])) <= TOL
+    assert abs(rmse(f, idx, y) - want[1]) <= TOL * want[1]
+    assert abs(regularized_loss(f, idx, y, reg) - want[2]) <= TOL * want[2]
+    assert [predict(f, row) for row in idx.tolist()] == values.tolist()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_all_finite_finds_a_non_finite_entry_in_every_array(each_backend, bad):
+    f = random_factors((4, 3, 5), (2, 3, 2), seed=7)
+    assert (_kernel.handle(f) is None) == (each_backend == "numpy")
+    assert _all_finite(f)
+    for a in arrays(f):
+        flat = a.reshape(-1)
+        for pos in (0, a.size - 1):
+            flat[pos], keep = bad, flat[pos]
+            assert not _all_finite(f)
+            flat[pos] = keep
+    assert _all_finite(f)
+
+
+@pytest.mark.parametrize("cell", [(-1, 0, 0), (4, 0, 0), (0, 3, 0), (0, 0, 5), (2, -1, 9)])
+def test_batch_evaluation_rejects_an_out_of_bounds_row_alike(each_backend, cell):
+    f = random_factors((4, 3, 5), (2, 2, 2), seed=8)
+    idx, y = np.array([(1, 1, 1), cell, (3, 2, 4)]), np.ones(3)
+    calls = [lambda: predict_batch(f, idx), lambda: rmse(f, idx, y),
+             lambda: regularized_loss(f, idx, y, RegWeights())]
+    for call in calls:
+        with pytest.raises(DataError) as exc:
+            call()
+        assert str(exc.value) == f"index {cell} out of bounds for dims (4, 3, 5)"
 
 
 ids = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=5)
@@ -336,10 +389,51 @@ def test_the_module_rejects_bad_arguments_without_touching_memory():
         (IndexError, rec, (seg, day, 3, np.array([[2, 0, 0]]), val)),   # == len(segments)
         (IndexError, rec, (seg, day, 3, np.array([[0, 0, 0], [0, 0, -5]]), np.ones(2))),
     ]
+    cells, y, out = np.array([[1, 2, 3], [0, 0, 0]]), np.ones(2), np.full(2, 7.0)
+    frozen = np.full(2, 7.0)
+    frozen.flags.writeable = False
+    mean, values, sums, finite = f.mean, lib.values, lib.sums, lib.all_finite
+    bad += [
+        (TypeError, values, (h.model, cells, mean)),                        # too few
+        (TypeError, values, (h.model, cells, mean, out, out)),              # too many
+        (TypeError, sums, (h.model, cells, y)),
+        (TypeError, sums, (h.model, cells, y, mean, 0)),
+        (TypeError, finite, ()),
+        (TypeError, finite, (h.model, h.model)),
+        (TypeError, finite, (h.model[:-1],)),                               # not a whole pt_model
+        (TypeError, sums, (bytearray(h.model), cells, y, mean)),
+        (TypeError, values, (h.model, cells, "0", out)),
+        (ValueError, values, (h.model, cells.astype(np.int32), mean, out)),  # wrong dtype
+        (ValueError, sums, (h.model, cells.astype(np.float64), y, mean)),
+        (ValueError, values, (h.model, cells, mean, out.astype(np.float32))),
+        (ValueError, sums, (h.model, cells, y.astype(np.int64), mean)),
+        (ValueError, sums, (h.model, cells.astype(">i8"), y, mean)),         # not native order
+        (ValueError, values, (h.model, cells, mean, out.astype(">f8"))),
+        (ValueError, values, (h.model, cells[:, :2].copy(), mean, out)),    # shape (n, 2)
+        (ValueError, sums, (h.model, cells.ravel(), y, mean)),
+        (ValueError, sums, (h.model, np.zeros((2, 6), np.int64)[:, ::2], y, mean)),  # strided
+        (ValueError, values, (h.model, cells, mean, np.full(4, 7.0)[::2])),
+        (ValueError, values, (h.model, cells, mean, out[:1])),              # short out
+        (ValueError, values, (h.model, cells, mean, frozen)),               # read-only out
+        (ValueError, sums, (h.model, cells, y[:1], mean)),                  # y length mismatch
+        (ValueError, sums, (h.model, cells, np.ones(3), mean)),
+        (IndexError, values, (h.model, np.array([[1, -1, 1]]), mean, out[:1])),
+        (IndexError, values, (h.model, np.array([[0, 0, 0], [4, 0, 0]]), mean, out)),  # == dim
+        (IndexError, sums, (h.model, np.array([[0, 0, 5], [0, 0, 0]]), y, mean)),
+        (IndexError, sums, (h.model, np.array([[0, 0, 0], [0, -1, 0]]), y, mean)),
+    ]
     for exc, fn, args in bad:
         with pytest.raises(exc):
             fn(*args)
     assert all(np.array_equal(a, b) for a, b in zip(arrays(f), before))
+    assert out.tolist() == [7.0, 7.0]
+    assert values(h.model, cells, mean, out) is None
+    assert out.tolist() == [predict(f, (1, 2, 3)), predict(f, (0, 0, 0))]
+    assert sums(h.model, cells, out, mean)[0] == 0.0
+    none = np.zeros((0, 3), np.int64)
+    core = sum(x * x for x in f.core.ravel().tolist())  # summed in C's order
+    assert sums(h.model, none, np.zeros(0), mean) == (0.0, core, 0.0, 0.0)
+    assert finite(h.model) is True
     assert lib.value(h.model, (1, 2, 3), f.mean) == predict(f, (1, 2, 3))
     assert rec(seg, day, 3, cell, val) == b"b,x,2,1.500000\n"
     assert rec(seg, day, 3, np.zeros((0, 3), np.int64), np.zeros(0)) == b""

@@ -19,6 +19,7 @@ from pidtucker import (
     predict_batch,
     reconstruct_dense,
     regularized_loss,
+    rmse,
     save_checkpoint,
 )
 from pidtucker.model import _PREDICT_BLOCK_ROWS
@@ -216,6 +217,16 @@ def test_loss_nonnegative():
         idx = np.array([(i % 4, i % 3, i % 5) for i in range(9)])
         y = rng.normal(size=9)
         assert regularized_loss(f, idx, y, RegWeights(0.1, 0.2, 0.3)) >= 0.0
+
+
+@pytest.mark.parametrize("n_idx, n_vals", [(4, 1), (0, 1), (4, 2), (2, 0)])
+def test_rmse_and_loss_need_one_value_per_index(each_backend, n_idx, n_vals):
+    f = random_factors(seed=2)
+    idx = np.array([(0, 0, 0), (1, 2, 3), (3, 1, 4), (2, 2, 2)])[:n_idx]
+    vals = np.ones(n_vals)
+    for fn in (rmse, lambda *a: regularized_loss(*a, RegWeights())):
+        with pytest.raises(DataError, match=f"^{n_vals} values for {n_idx} indices$"):
+            fn(f, idx, vals)
 
 
 @pytest.mark.parametrize("seed", range(5))

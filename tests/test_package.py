@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pidtucker
+from pidtucker import _kernel
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -23,11 +24,31 @@ def test_kernel_source_ships_with_the_package():
     assert "_kernel.c" in config["tool"]["setuptools"]["package-data"]["pidtucker"]
 
 
-def test_kernel_compiles_without_warnings():
+def python_include():
+    """The Python headers' directory; skips the test without them or without gcc."""
     include = sysconfig.get_path("include")
     if shutil.which("gcc") is None or not Path(include, "Python.h").is_file():
         pytest.skip("gcc or the Python headers are not installed")
+    return include
+
+
+def test_kernel_compiles_without_warnings():
+    include = python_include()
     source = files("pidtucker").joinpath("_kernel.c")
     proc = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-I", include,
                            "-x", "c", str(source)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_kernel_loads_wherever_it_can_be_built(tmp_path, monkeypatch):
+    # Without this, a kernel that compiles but fails to load skips every
+    # kernel test, and every run silently takes the reference path.
+    python_include()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernel, "_tried", False)
+    monkeypatch.setattr(_kernel, "_lib", None)
+    lib = _kernel.library()
+    assert lib is not None
+    # What _Handle binds and write_records_csv calls.
+    called = ["value", "step", "values", "sums", "all_finite", "records"]
+    assert [name for name in called if not callable(getattr(lib, name, None))] == []
