@@ -1,51 +1,40 @@
 /* Compiled kernels of the biased Tucker model and its CSV export, as a
- * CPython extension module.
+ * CPython extension module, built and loaded by _kernel.py.  Which library
+ * function calls each module function, the reference it matches and how its
+ * errors reach the user is stated once, in _kernel.py's docstring.
  *
- * Per-entry kernels: pt_value is the model value at one cell and pt_step
- * applies one entry's SGD update in place; model.predict and solver.sgd_step
- * call them through the module functions `value` and `step` at the end of
- * this file (built and loaded by _kernel.py).  The numpy code in model.py and
- * solver.py is the reference: these functions agree with it within 1e-12.
- * They are compiled without floating-point contraction, so results do not
- * depend on whether the CPU has fused multiply-add.
+ * pt_value is the model value at one cell and pt_step applies one entry's
+ * SGD update in place.  `value` and `step` call them for one cell, `values`
+ * for each row of an (n, 3) cell array, and `sums` returns in one pass the
+ * sums of squared residuals, of the core's squares, of the touched factor
+ * rows' squares and of the touched biases' squares; `all_finite` scans every
+ * parameter array.  Everything is compiled without floating-point
+ * contraction, so results do not depend on whether the CPU has fused
+ * multiply-add.
  *
- * Batch evaluation: `values` writes pt_value for each row of an (n, 3) cell
- * array (model.predict_batch), `sums` returns in one pass the sums of squared
- * residuals, of the core's squares, of the touched factor rows' squares and
- * of the touched biases' squares (model.rmse and model.regularized_loss), and
- * `all_finite` scans every parameter array (solver's divergence check).
- * Every value comes from pt_value, so on this backend predict, predict_batch,
- * rmse and regularized_loss agree bit for bit.
- *
- * Record writer: `records` formats one block of CSV rows
- * "<segment>,<day>,<slot>,<value>\n" for datasets.write_records_csv.  Each
- * value goes through PyOS_double_to_string(v, 'f', 6, 0, NULL), the routine
- * Python's format(v, ".6f") calls, so the bytes equal the f-string reference
- * in datasets.py for every double, nan, infinities and -0.0 included.
+ * `records` formats one block of CSV rows "<segment><day><slot>,<value>\n"
+ * from prefix tuples the caller has already quoted.  Each value goes through
+ * PyOS_double_to_string(v, 'f', 6, 0, NULL), the routine Python's
+ * format(v, ".6f") calls, so the bytes equal the Python reference's for
+ * every double, nan, infinities and -0.0 included.
  *
  * Where each check lives:
  *  - _kernel.py (_Handle) packs a pt_model only for C-contiguous, aligned,
  *    writeable float64 arrays whose shapes match dims and the ranks, and
  *    sizes the scratch buffer from the ranks (r1*r2 + r1 + r2 + 2*r3
  *    doubles).  There are no fixed-size buffers here.
- *  - The bindings below check the argument count and the handle, convert
- *    every argument, reject a non-finite err (FloatingPointError, before
- *    the index) and an index outside dims (IndexError) before any memory
- *    is touched.
- *  - `values`, `sums` and `records` take their arrays through one helper,
- *    get_array, which checks each buffer's format, item size, dimensions,
- *    shape and C-contiguity, that `out` is writable with one slot a cell,
- *    and that `y` or `values` holds one double a cell (ValueError); then
- *    every index is checked against pt_model.dims or the prefix tuples
- *    (IndexError), all before any row is read.  `records` also checks that
- *    both prefix tuples hold only bytes (TypeError); its output buffer grows
- *    as needed.
- *  - model.predict, model.predict_batch, model.rmse, model.regularized_loss
- *    and solver.sgd_step turn those exceptions into the library's DataError
- *    and DivergenceError; model.rmse and model.regularized_loss check that
- *    there is one value a cell before any backend runs, and
- *    write_records_csv checks its indices first and raises the library's
- *    DataError, for either backend.
+ *  - The bindings below check the argument count and the handle, and
+ *    convert every argument (TypeError, ValueError, OverflowError); `step`
+ *    rejects a non-finite err (FloatingPointError) before it reads the index.
+ *  - `values`, `sums` and `records` take their arrays through get_array,
+ *    which checks each buffer's format, item size, dimensions, shape and
+ *    C-contiguity, that `out` is writable with one slot a cell, and that `y`
+ *    or `values` holds one double a cell (ValueError).  `records` also checks
+ *    that both prefix tuples hold only bytes (TypeError); its output buffer
+ *    grows as needed.
+ *  - check_rows is the one bounds check: every index, from unpack_index or
+ *    get_cells, lies within pt_model.dims or the prefix tuples and slot
+ *    count (IndexError).  All of this runs before any memory is touched.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -60,7 +49,7 @@ typedef struct {
     double *core;       /* (rank[0], rank[1], rank[2]), row-major */
     double *scratch;    /* written by pt_step */
     long rank[3];
-    long dims[3];
+    int64_t dims[3];
 } pt_model;
 
 /* mean + multilinear term + the three biases.  The term is contracted in
@@ -158,9 +147,9 @@ static void pt_step(const pt_model *h, long i, long j, long k, double err, doubl
 
 /* Python bindings, called with the GIL held.  args[0] is the handle, a bytes
  * object holding one pt_model (_Handle in _kernel.py); args[1] is the index,
- * a sequence of three integers; then come the double arguments in C order.
- * A wrong argument count, handle or type, or an index outside dims, raises
- * instead of reaching the kernels. */
+ * a sequence of three integers, or an (n, 3) cell array; then come the
+ * other arguments in C order.  A wrong argument count, handle or type, or
+ * an index outside dims, raises instead of reaching the kernels. */
 static int unpack_model(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want, pt_model *h)
 {
     if (nargs != want || !PyBytes_Check(args[0])
@@ -173,7 +162,22 @@ static int unpack_model(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want
     return 0;
 }
 
-static int unpack_index(const pt_model *h, PyObject *arg, long *idx)
+/* 0 when every entry of the n cells lies in [0, dims[m]), else -1 with
+ * IndexError naming the first row outside.  The one bounds check here. */
+static int check_rows(const int64_t *idx, Py_ssize_t n, const int64_t *dims)
+{
+    for (Py_ssize_t r = 0; r < n; r++)
+        for (int m = 0; m < 3; m++)
+            if (idx[3 * r + m] < 0 || idx[3 * r + m] >= dims[m]) {
+                PyErr_Format(PyExc_IndexError,
+                             "row %zd: index %lld out of range [0, %lld) in mode %d",
+                             r, (long long)idx[3 * r + m], (long long)dims[m], m + 1);
+                return -1;
+            }
+    return 0;
+}
+
+static int unpack_index(const pt_model *h, PyObject *arg, int64_t *idx)
 {
     PyObject *seq = PySequence_Fast(arg, "the index must be a sequence of three integers");
     if (seq == NULL)
@@ -184,17 +188,11 @@ static int unpack_index(const pt_model *h, PyObject *arg, long *idx)
         rc = -1;
     }
     PyObject **items = PySequence_Fast_ITEMS(seq);
-    for (int m = 0; m < 3 && rc == 0; m++) {
-        if ((idx[m] = PyLong_AsLong(items[m])) == -1 && PyErr_Occurred())
+    for (int m = 0; m < 3 && rc == 0; m++)
+        if ((idx[m] = PyLong_AsLongLong(items[m])) == -1 && PyErr_Occurred())
             rc = -1;
-        else if (idx[m] < 0 || idx[m] >= h->dims[m]) {
-            PyErr_Format(PyExc_IndexError, "index %ld out of range [0, %ld) in mode %d",
-                         idx[m], h->dims[m], m + 1);
-            rc = -1;
-        }
-    }
     Py_DECREF(seq);
-    return rc;
+    return rc < 0 ? rc : check_rows(idx, 1, h->dims);
 }
 
 static int unpack_doubles(PyObject *const *args, Py_ssize_t n, double *x)
@@ -207,7 +205,7 @@ static int unpack_doubles(PyObject *const *args, Py_ssize_t n, double *x)
 
 static PyObject *value(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    pt_model h; long idx[3]; double mean;
+    pt_model h; int64_t idx[3]; double mean;
     if (unpack_model(args, nargs, 3, &h) < 0 || unpack_index(&h, args[1], idx) < 0
         || unpack_doubles(args + 2, 1, &mean) < 0)
         return NULL;
@@ -216,7 +214,7 @@ static PyObject *value(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssiz
 
 static PyObject *step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    pt_model h; long idx[3]; double x[5];
+    pt_model h; int64_t idx[3]; double x[5];
     if (unpack_model(args, nargs, 7, &h) < 0 || unpack_doubles(args + 2, 1, x) < 0)
         return NULL;
     if (!isfinite(x[0])) {
@@ -324,25 +322,10 @@ static Py_ssize_t get_array(PyObject *arg, Py_buffer *b, Py_ssize_t n, int flags
     return -1;
 }
 
-/* 0 when every entry of the n cells lies in [0, dims[m]), else -1 with
- * IndexError naming the first row outside. */
-static int check_rows(const int64_t *idx, Py_ssize_t n, const long long *dims)
-{
-    for (Py_ssize_t r = 0; r < n; r++)
-        for (int m = 0; m < 3; m++)
-            if (idx[3 * r + m] < 0 || idx[3 * r + m] >= dims[m]) {
-                PyErr_Format(PyExc_IndexError,
-                             "row %zd: index %lld out of range [0, %lld) in mode %d",
-                             r, (long long)idx[3 * r + m], dims[m], m + 1);
-                return -1;
-            }
-    return 0;
-}
-
-/* The cells in arg, checked against h's dims, and the (n,) float64 buffer
- * in data (flags as in get_array).  Returns n, or -1 with an exception and
+/* The cells in arg, checked against dims, and the (n,) float64 buffer in
+ * data (flags as in get_array).  Returns n, or -1 with an exception and
  * neither buffer held. */
-static Py_ssize_t get_cells(const pt_model *h, PyObject *arg, Py_buffer *ib, PyObject *data,
+static Py_ssize_t get_cells(const int64_t *dims, PyObject *arg, Py_buffer *ib, PyObject *data,
                             Py_buffer *db, int flags, const char *name)
 {
     Py_ssize_t n = get_array(arg, ib, -1, 0, "idx");
@@ -352,7 +335,6 @@ static Py_ssize_t get_cells(const pt_model *h, PyObject *arg, Py_buffer *ib, PyO
         PyBuffer_Release(ib);
         return -1;
     }
-    const long long dims[3] = {h->dims[0], h->dims[1], h->dims[2]};
     if (check_rows(ib->buf, n, dims) < 0) {
         PyBuffer_Release(db);
         PyBuffer_Release(ib);
@@ -365,7 +347,7 @@ static PyObject *values(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssi
 {
     pt_model h; double mean; Py_buffer ib, ob; Py_ssize_t n;
     if (unpack_model(args, nargs, 4, &h) < 0 || unpack_doubles(args + 2, 1, &mean) < 0
-        || (n = get_cells(&h, args[1], &ib, args[3], &ob, PyBUF_WRITABLE, "out")) < 0)
+        || (n = get_cells(h.dims, args[1], &ib, args[3], &ob, PyBUF_WRITABLE, "out")) < 0)
         return NULL;
     const int64_t *idx = ib.buf;
     double *out = ob.buf;
@@ -388,7 +370,7 @@ static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
 {
     pt_model h; double mean; Py_buffer ib, yb; Py_ssize_t n;
     if (unpack_model(args, nargs, 4, &h) < 0 || unpack_doubles(args + 3, 1, &mean) < 0
-        || (n = get_cells(&h, args[1], &ib, args[2], &yb, 0, "y")) < 0)
+        || (n = get_cells(h.dims, args[1], &ib, args[2], &yb, 0, "y")) < 0)
         return NULL;
     const int64_t *idx = ib.buf;
     const double *y = yb.buf;
@@ -435,21 +417,14 @@ static PyObject *records(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ss
                         "records expects (segments, days, slots_per_day, idx, values)");
         return NULL;
     }
-    long long dims[3];
+    int64_t dims[3]; Py_buffer ib, vb; Py_ssize_t n;
     if ((dims[0] = prefix_count(args[0], "segments")) < 0
         || (dims[1] = prefix_count(args[1], "days")) < 0
-        || ((dims[2] = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred()))
+        || ((dims[2] = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
+        || (n = get_cells(dims, args[3], &ib, args[4], &vb, 0, "values")) < 0)
         return NULL;
-    Py_buffer ib, vb;
-    Py_ssize_t n = get_array(args[3], &ib, -1, 0, "idx");
-    if (n < 0)
-        return NULL;
-    PyObject *out = NULL;
-    if (get_array(args[4], &vb, n, 0, "values") >= 0) {
-        if (check_rows(ib.buf, n, dims) == 0)
-            out = format_rows(args[0], args[1], ib.buf, vb.buf, n);
-        PyBuffer_Release(&vb);
-    }
+    PyObject *out = format_rows(args[0], args[1], ib.buf, vb.buf, n);
+    PyBuffer_Release(&vb);
     PyBuffer_Release(&ib);
     return out;
 }

@@ -1,13 +1,36 @@
-"""Build and load the compiled kernels in `_kernel.c` as an extension module.
+"""The compiled backend: build and load `_kernel.c` as an extension module.
 
-The module holds the per-entry kernels behind model.predict and
-solver.sgd_step (`value`, `step`), the batch evaluation behind
-model.predict_batch, model.rmse, model.regularized_loss and the divergence
-check in solver.train (`values`, `sums`, `all_finite`), all called through
-`handle` below, and the CSV record writer behind datasets.write_records_csv
-(`records`, called on `library()`).
-It is compiled on first use with the system gcc and the Python headers into
-a per-user cache directory ($XDG_CACHE_HOME/pidtucker, else
+The backend contract, stated here once.  Each function of the module has
+one caller in the library, which also holds the reference code it must
+match (numpy or plain Python):
+
+    value       model.predict
+    step        solver.sgd_step (reference: model.instance_gradient, applied)
+    values      model.predict_batch
+    sums        model._sums, behind model.rmse and model.regularized_loss
+    all_finite  solver._all_finite, the divergence check
+    records     datasets.write_records_csv
+
+- A caller runs the kernel when `library()` has loaded it and, for the model
+  functions, when `handle(f)` can take f's arrays; else it runs the
+  reference.  There is no switch for the backend.
+- The backends agree within 1e-12, and each is bitwise deterministic.  On
+  the kernel every model value comes from one C routine, so predict,
+  predict_batch, rmse and regularized_loss agree bit for bit (rmse is 0.0 on
+  values predict_batch gave).  records writes the reference's bytes.  A value
+  within ~1e-12 of a 6th-decimal rounding boundary can still be written
+  differently by the two backends, so imputed.csv may differ there alone.
+- Errors: a kernel raises IndexError (or TypeError, ValueError,
+  OverflowError for an index that is not three integers) before touching
+  any memory, and step raises FloatingPointError for a non-finite err,
+  before it looks at the index.  The caller then runs the reference's own
+  check (model.check_index, model._check_cells), so both backends raise the
+  same DataError, and sgd_step raises the reference's DivergenceError.
+  Checks the library makes anyway (one value a cell, write_records_csv's
+  bounds) run before either backend.  _kernel.c lists its own checks.
+
+The module is compiled on first use with the system gcc and the Python
+headers into a per-user cache directory ($XDG_CACHE_HOME/pidtucker, else
 ~/.cache/pidtucker), under a file name holding the interpreter's extension
 ABI tag and a CRC-32 of the source, the compiler command, the machine and
 that tag, so a new source version builds once per interpreter and later
@@ -16,13 +39,13 @@ ABI tag that are more than a day old; builds for other ABI tags are never
 touched.  A younger build is kept, so two checkouts with different sources
 used alternately do not delete and rebuild each other's kernel every time.
 Any failure (no gcc or no Python headers, an unwritable or foreign cache
-directory, a file that will not load) makes `library()` return None, and
-every caller then runs the numpy or Python reference code instead.  There is
-no switch for the backend.
+directory, a file that will not load) makes `library()` return None.
 
 `handle(f)` gives the kernel's view of one TuckerFactors: a packed pt_model
 struct of pointers to its arrays, a scratch buffer sized from its ranks, the
-ranks and dims (which the kernel checks every index against).
+ranks and dims (which the kernel checks every index against), or None when
+an array is not C-contiguous, aligned, writeable float64 of the shape dims
+and the ranks give.
 It is cached on the factors and rebuilt whenever a parameter array, the
 factor or bias tuple, or dims is replaced; TuckerFactors drops it when copied
 or pickled, so a copy never writes through the original's pointers.
@@ -42,7 +65,7 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _MODULE = "pidtucker._pt_kernel"  # _kernel.c defines PyInit__pt_kernel
-_PT_MODEL = "8P6l"  # pt_model: factor[3], bias[3], core, scratch, rank[3], dims[3]
+_PT_MODEL = "8P3l3q"  # pt_model: factor[3], bias[3], core, scratch, rank[3], dims[3]
 
 # A fresh build deletes other builds with its ABI tag older than this.
 _STALE_S = 24 * 3600

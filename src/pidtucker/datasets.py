@@ -20,6 +20,7 @@ back under original identifiers.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from array import array
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, DataError
-from .model import Ranks, TuckerFactors, predict_batch
+from .model import Ranks, TuckerFactors, _entries, predict_batch
 from .sparse import SparseTensor, _first_duplicate, _first_out_of_bounds, _freeze
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
@@ -84,8 +85,10 @@ def save_mapping(mapping: IndexMapping, path) -> None:
 def load_mapping(path) -> IndexMapping:
     """Read a mapping written by save_mapping; DataError if it cannot be used.
 
-    That includes an id UTF-8 cannot encode (a lone surrogate, which JSON's
-    \\u escapes can spell), since imputations are written back under it.
+    Segment ids and days must be lists of distinct, non-empty strings that
+    UTF-8 can encode (JSON's \\u escapes can spell a lone surrogate), since
+    imputations are written back under them, and slots_per_day an integer of
+    at least 1.  DataError names the first value that is not.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -99,20 +102,24 @@ def load_mapping(path) -> IndexMapping:
     if payload.get("format") != MAPPING_FORMAT:
         raise DataError(f"{path}: unsupported mapping format {payload.get('format')!r}")
     try:
-        mapping = IndexMapping(
-            segments=tuple(payload["segments"]),
-            days=tuple(payload["days"]),
-            slots_per_day=int(payload["slots_per_day"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed mapping ({exc!r})") from None
-    for kind, ids in (("segment", mapping.segments), ("day", mapping.days)):
+        segments, days, slots = (payload[k] for k in ("segments", "days", "slots_per_day"))
+    except KeyError as exc:
+        raise DataError(f"{path}: malformed mapping (missing {exc})") from None
+    for kind, ids in (("segment", segments), ("day", days)):
+        if not isinstance(ids, list):
+            raise DataError(f"{path}: {kind} ids must be a list, got {ids!r}")
+        seen = set()
         for s in ids:
+            if not (isinstance(s, str) and s and s not in seen):
+                raise DataError(f"{path}: {kind} id {s!r} is not a distinct non-empty string")
             try:
-                f"{s}".encode()
+                s.encode()
             except UnicodeEncodeError:
                 raise DataError(f"{path}: {kind} id {s!r} is not encodable as UTF-8") from None
-    return mapping
+            seen.add(s)
+    if type(slots) is not int or slots < 1:
+        raise DataError(f"{path}: slots_per_day must be an integer >= 1, got {slots!r}")
+    return IndexMapping(tuple(segments), tuple(days), slots)
 
 
 def _numeric_key(s: str):
@@ -327,44 +334,49 @@ def missing_indices(tensor: SparseTensor) -> np.ndarray:
     return np.column_stack((ii, jj, kk)).astype(np.int64)
 
 
+def _csv_line(fields) -> str:
+    """fields as csv.writer writes them, each quoted only where it must be, without a line end."""
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()[:-2]
+
+
 def write_records_csv(indices, values, mapping: IndexMapping, path,
                       schema: CsvSchema | None = None) -> None:
     """Write observed entries as a speed-record CSV (6 decimal places).
 
-    Every index is checked against mapping.dims before the file is opened;
-    DataError names the first row outside them.  Rows are formatted
-    _CSV_BLOCK_ROWS at a time and each block is written with one call.  A
-    block's bytes come from the compiled `records` writer in _kernel.c when
-    the kernel loads, else from the f-string code below, the reference; both
-    format a value as format(v, ".6f") does, so the bytes are the same.
+    Ids and column names are quoted as csv.writer quotes them, so any id
+    reads back as itself.  Every index is checked against mapping.dims before
+    the file is opened; DataError names the first row outside them.  Rows are
+    formatted _CSV_BLOCK_ROWS at a time and each block is written with one
+    call.  A block's bytes come from the compiled `records` writer in
+    _kernel.c when the kernel loads, else from the f-string code below, the
+    reference; both format a value as format(v, ".6f") does, so the bytes are
+    the same.
     """
     schema = schema or CsvSchema()
-    idx = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, 3)
-    vals = np.ascontiguousarray(values, dtype=np.float64)
-    if vals.shape != (len(idx),):
-        raise DataError(f"{vals.size} values for {len(idx)} indices")
+    idx, vals = _entries(indices, values)
     pos = _first_out_of_bounds(idx, mapping.dims)
     if pos is not None:
         raise DataError(f"row {pos}: index {tuple(idx[pos].tolist())} out of bounds "
                         f"for dims {mapping.dims}")
-    segments = [f"{s}," for s in mapping.segments]
-    days = [f"{d}," for d in mapping.days]
+    segments, days = (tuple(f"{_csv_line([x])},".encode() for x in ids)
+                      for ids in (mapping.segments, mapping.days))
+    columns = (schema.segment, schema.day, schema.slot, schema.speed)
     lib = _kernel.library()
-    if lib is not None:
-        prefixes = (tuple(s.encode() for s in segments), tuple(d.encode() for d in days))
     with open(path, "wb") as fh:
-        fh.write(f"{schema.segment},{schema.day},{schema.slot},{schema.speed}\n".encode())
+        fh.write(f"{_csv_line(columns)}\n".encode())
         for start in range(0, len(idx), _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
             if lib is not None:
-                fh.write(lib.records(*prefixes, mapping.slots_per_day, idx[start:stop],
+                fh.write(lib.records(segments, days, mapping.slots_per_day, idx[start:stop],
                                      vals[start:stop]))
             else:
                 ii, jj, kk = idx[start:stop].T.tolist()
-                fh.write("".join([
-                    f"{segments[i]}{days[j]}{k},{v:.6f}\n"
+                fh.write(b"".join([
+                    segments[i] + days[j] + f"{k},{v:.6f}\n".encode()
                     for i, j, k, v in zip(ii, jj, kk, vals[start:stop].tolist())
-                ]).encode())
+                ]))
 
 
 _IMPUTED_SCHEMA = CsvSchema("segment_id", "day", "slot", "predicted_speed")

@@ -11,20 +11,12 @@ squared residual plus Tikhonov penalties on every parameter the entry touches
 (core and factor rows inside the per-entry sum, so frequently observed rows
 are penalized more).
 
-predict, predict_batch, rmse, regularized_loss and solver.sgd_step have two
-backends: compiled kernels (_kernel.c, an extension module built on first
-use) and the numpy code in this module and in solver.py, which is the
-reference.  The kernels are used when they can be built and every parameter
-array is a C-contiguous, aligned, writeable float64 array; they agree with
-the reference within 1e-12.  On the kernel backend every model value comes
-from one C routine, so predict, predict_batch, rmse and regularized_loss
-agree bit for bit (rmse is 0.0 on values predict_batch gave).  Values that
-differ from the reference in their last bits can round differently where
-they are written with 6 decimals: imputed.csv is the same on both backends
-except for a value within ~1e-12 of a 6th-decimal rounding boundary.  The
-reference checks each index with check_index or _check_cells; the kernels
-check it in C, and an index they reject is passed to the reference check,
-so both backends raise the same DataError for it.
+predict, predict_batch, rmse and regularized_loss run the compiled kernels
+of _kernel.c when they can, else the numpy code here, which is the
+reference; _kernel.py states how the two backends agree and fail alike.
+rmse and regularized_loss are arithmetic on the four sums _sums returns.
+The reference checks each index with check_index or _check_cells, which
+also turn an index the kernel rejects into the same DataError.
 """
 
 from __future__ import annotations
@@ -230,6 +222,19 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
     return out
 
 
+def _sums(f: TuckerFactors, idx: np.ndarray, vals: np.ndarray) -> tuple[float, ...]:
+    """Over the entries (idx, vals) as _entries gives them: the sums of squared
+    residuals, of the core's squares, of the touched factor rows' squares and
+    of the touched biases' squares."""
+    h = _kernel.handle(f)
+    if h is not None:
+        return _on_kernel(f, idx, h.sums, h.model, idx, vals, f.mean)
+    resid = vals - predict_batch(f, idx)
+    rows = sum(float(np.sum(a[c] ** 2)) for a, c in zip(f.factors, idx.T))
+    biases = sum(float(np.sum(b[c] ** 2)) for b, c in zip(f.biases, idx.T))
+    return float(resid @ resid), float(np.sum(f.core**2)), rows, biases
+
+
 def rmse(f: TuckerFactors, indices, values) -> float:
     """Root mean squared error of model predictions over a held-out entry set.
 
@@ -238,12 +243,7 @@ def rmse(f: TuckerFactors, indices, values) -> float:
     idx, vals = _entries(indices, values)
     if vals.size == 0:
         raise DataError("rmse over an empty entry set is undefined")
-    h = _kernel.handle(f)
-    if h is not None:
-        squares = _on_kernel(f, idx, h.sums, h.model, idx, vals, f.mean)[0]
-        return math.sqrt(squares / len(vals))
-    resid = vals - predict_batch(f, idx)
-    return float(np.sqrt(np.mean(resid * resid)))
+    return math.sqrt(_sums(f, idx, vals)[0] / len(vals))
 
 
 def reconstruct_dense(f: TuckerFactors, max_cells: int = 1_000_000) -> np.ndarray:
@@ -282,24 +282,9 @@ def regularized_loss(f: TuckerFactors, indices, values, reg: RegWeights) -> floa
     idx, vals = _entries(indices, values)
     if idx.size == 0:
         return 0.0
-    n = len(vals)
-    h = _kernel.handle(f)
-    if h is not None:
-        resid, core, rows, biases = _on_kernel(f, idx, h.sums, h.model, idx, vals, f.mean)
-        return 0.5 * (resid + reg.lambda1 * core * n + reg.lambda2 * rows + reg.lambda3 * biases)
-    resid = vals - predict_batch(f, idx)
-    ii, jj, kk = idx[:, 0], idx[:, 1], idx[:, 2]
-    total = float(resid @ resid)
-    total += reg.lambda1 * float(np.sum(f.core**2)) * n
-    total += reg.lambda2 * float(
-        np.sum(f.factors[0][ii] ** 2)
-        + np.sum(f.factors[1][jj] ** 2)
-        + np.sum(f.factors[2][kk] ** 2)
-    )
-    total += reg.lambda3 * float(
-        np.sum(f.biases[0][ii] ** 2) + np.sum(f.biases[1][jj] ** 2) + np.sum(f.biases[2][kk] ** 2)
-    )
-    return 0.5 * total
+    resid, core, rows, biases = _sums(f, idx, vals)
+    return 0.5 * (resid + reg.lambda1 * core * len(vals) + reg.lambda2 * rows
+                  + reg.lambda3 * biases)
 
 
 def instance_gradient(f: TuckerFactors, idx, err: float, reg: RegWeights) -> InstanceGradient:
@@ -373,6 +358,8 @@ def load_checkpoint(path) -> TuckerFactors:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: not a checkpoint file ({exc})") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: not a checkpoint file (a JSON object is expected)")
         if header.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
         try:

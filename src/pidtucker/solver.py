@@ -6,15 +6,13 @@ PID-adjusted, and all touched parameters are updated simultaneously from
 their pre-update values.  Training stops when the validation RMSE changes by
 less than `tol` between consecutive epochs, or at the epoch cap.
 
-Of the three per-entry calls, model.predict and sgd_step have two backends:
-the compiled kernels of _kernel.c, an extension module used when it can be
-built, and the numpy reference; pid.adjust is plain Python.  So do the
-epoch-end steps: the divergence check _all_finite, model.regularized_loss
-and the validation model.rmse.  The backends agree within 1e-12, and each
-is bitwise-deterministic.  Both reject a non-finite update before the index
-and an index outside dims before touching a parameter: the reference with
-math.isfinite and model.check_index, the kernel in C, whose exceptions
-sgd_step turns into the same DivergenceError and DataError.
+Of the three per-entry calls, model.predict and sgd_step run the compiled
+kernels of _kernel.c when they can, else the numpy reference; pid.adjust is
+plain Python.  So do the epoch-end steps: the divergence check _all_finite,
+model.regularized_loss and the validation model.rmse.  _kernel.py states
+how the backends agree and fail alike.  On either backend sgd_step rejects
+a non-finite update before the index, and an index outside dims before
+touching a parameter.
 """
 
 from __future__ import annotations
@@ -104,14 +102,18 @@ def sgd_step(f: TuckerFactors, idx, y: float, adjusted_err: float,
     raw residual) is formed from pre-update parameter values; then the touched
     factor rows, the full core, and the three bias components move one step
     of size eta against it.  Runs the compiled kernel when it is available,
-    else the numpy reference in _sgd_step_reference; the two agree within
-    1e-12.
+    else the numpy reference below; the two agree within 1e-12.
     """
     h = _kernel.handle(f)
     if h is None:
         if not math.isfinite(adjusted_err):
             raise _divergence(idx, y)
-        _sgd_step_reference(f, check_index(f, idx), adjusted_err, hyper)
+        grad = instance_gradient(f, idx, adjusted_err, hyper.reg)
+        eta = hyper.eta
+        for m, (i, row, b) in enumerate(zip(idx, grad.rows, grad.biases)):
+            f.factors[m][i] -= eta * row
+            f.biases[m][i] -= eta * b
+        f.core -= eta * grad.core
         return
     reg = hyper.reg
     try:
@@ -125,16 +127,6 @@ def sgd_step(f: TuckerFactors, idx, y: float, adjusted_err: float,
 
 def _divergence(idx, y: float) -> DivergenceError:
     return DivergenceError(f"non-finite update at entry {tuple(int(x) for x in idx)} (y={y!r})")
-
-
-def _sgd_step_reference(f: TuckerFactors, idx, adjusted_err: float,
-                        hyper: Hyperparams) -> None:
-    grad = instance_gradient(f, idx, adjusted_err, hyper.reg)
-    eta = hyper.eta
-    for m, (i, row, b) in enumerate(zip(idx, grad.rows, grad.biases)):
-        f.factors[m][i] -= eta * row
-        f.biases[m][i] -= eta * b
-    f.core -= eta * grad.core
 
 
 def _all_finite(f: TuckerFactors) -> bool:

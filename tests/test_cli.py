@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -260,6 +261,27 @@ def test_impute_rejects_a_mapping_id_utf8_cannot_encode(tmp_path, capsys):
     assert not (tmp_path / "i").exists()
 
 
+def test_impute_writes_ids_that_need_quoting_as_csv_fields(tmp_path):
+    segments = ["a,b", 'q"uote', "line\nbreak", "cr\rid", " spaced id "]
+    cells = {(s, d, k) for s in segments for d in ("1", "2") for k in ("0", "1", "2")}
+    observed = sorted(c for n, c in enumerate(sorted(cells)) if n % 3)
+    data = tmp_path / "data.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["segment", "day", "slot", "speed"])
+        writer.writerows([*c, 10.0 + n] for n, c in enumerate(observed))
+    assert run_cli("train", "--outdir", tmp_path, "--run-name", "t", "--data", data,
+                   "--slots-per-day", "3", "--ratios", "0.5,0.2,0.3", "--max-epochs", "2") == 0
+    assert run_cli("impute", "--outdir", tmp_path, "--run-name", "i",
+                   *model_args(tmp_path / "t"), "--all-missing", "true", "--data", data) == 0
+    with open(tmp_path / "i" / "imputed.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["segment_id", "day", "slot", "predicted_speed"]
+    assert all(len(row) == 4 for row in rows)
+    assert {tuple(row[:3]) for row in rows} == cells - set(observed)
+    assert len(rows) == len(cells) - len(observed)
+
+
 def test_impute_all_missing_takes_slot_count_from_mapping(tmp_path):
     data, trained = synth_and_train(tmp_path)
     args = ["impute", "--outdir", tmp_path, *model_args(trained),
@@ -323,9 +345,17 @@ def _checkpoint_with_nan(rundir):
     return "non-finite", model_args(rundir)
 
 
+def _mapping_with_a_repeated_day(rundir):
+    path = rundir / "mapping.json"
+    payload = json.loads(path.read_text())
+    payload["days"][-1] = payload["days"][0]
+    path.write_text(json.dumps(payload))
+    return f"day id {payload['days'][0]!r} is not a distinct non-empty string", model_args(rundir)
+
+
 @pytest.mark.parametrize("breaks", [_missing_checkpoint, _missing_mapping,
                                     _mapping_without_segments, _mapping_not_json,
-                                    _checkpoint_with_nan])
+                                    _checkpoint_with_nan, _mapping_with_a_repeated_day])
 def test_unusable_model_files_exit_3(tmp_path, capsys, breaks):
     data, trained = synth_and_train(tmp_path)
     message, args = breaks(trained)
@@ -579,8 +609,15 @@ def _run_name_with_a_slash(tmp_path):
                                                        "--run-name", "a/b"]
 
 
+def _checkpoint_header_not_an_object(tmp_path):
+    (tmp_path / "m.ckpt").write_bytes(b"[1]\n")
+    return 3, "m.ckpt: not a checkpoint file", ["impute", "--checkpoint", "m.ckpt",
+                                                "--mapping", "m.json", "--targets", "t.csv"]
+
+
 @pytest.mark.parametrize("case", [_non_utf8_data, _oversize_field, _non_utf8_config,
-                                  _outdir_under_a_file, _run_name_with_a_slash])
+                                  _outdir_under_a_file, _run_name_with_a_slash,
+                                  _checkpoint_header_not_an_object])
 def test_unusable_input_exits_cleanly(tmp_path, case):
     code, message, argv = case(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -186,6 +187,42 @@ def test_mapping_round_trip(tmp_path):
     save_mapping(mapping, tmp_path / "map.json")
     assert load_mapping(tmp_path / "map.json") == mapping
 
+
+
+def _broken_mapping(tmp_path, **change):
+    path = tmp_path / "map.json"
+    save_mapping(IndexMapping(("a", "b"), ("1", "2"), 4), path)
+    payload = json.loads(path.read_text())
+    payload.update(change)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"segments": [0, 1]}, "segment id 0 is not a distinct non-empty string",
+                 id="int-ids"),
+    pytest.param({"segments": "ab"}, "segment ids must be a list, got 'ab'", id="string-ids"),
+    pytest.param({"days": {"1": 0}}, "day ids must be a list, got {'1': 0}", id="object-ids"),
+    pytest.param({"days": ["1", "2", "1"]}, "day id '1' is not a distinct non-empty string",
+                 id="repeated-id"),
+    pytest.param({"segments": ["a", ""]}, "segment id '' is not a distinct non-empty string",
+                 id="empty-id"),
+    pytest.param({"days": ["1", None]}, "day id None is not a distinct non-empty string",
+                 id="null-id"),
+    pytest.param({"slots_per_day": 0}, "slots_per_day must be an integer >= 1, got 0",
+                 id="zero-slots"),
+    pytest.param({"slots_per_day": 2.7}, "slots_per_day must be an integer >= 1, got 2.7",
+                 id="fractional-slots"),
+    pytest.param({"slots_per_day": True}, "slots_per_day must be an integer >= 1, got True",
+                 id="bool-slots"),
+    pytest.param({"slots_per_day": "4"}, "slots_per_day must be an integer >= 1, got '4'",
+                 id="string-slots"),
+])
+def test_load_mapping_rejects_ids_and_slot_counts_it_cannot_use(tmp_path, change, message):
+    path = _broken_mapping(tmp_path, **change)
+    with pytest.raises(DataError) as exc:
+        load_mapping(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 # ---------------------------------------------------------------- synthetic
 
@@ -393,6 +430,24 @@ def test_write_records_csv_rejects_rows_outside_the_mapping(tmp_path, each_backe
     with pytest.raises(DataError, match="^1 values for 2 indices$"):
         write_records_csv([(0, 0, 0), (1, 1, 1)], [1.0], mapping, path)
     assert not path.exists()
+
+
+def test_write_records_csv_quotes_ids_so_they_read_back(tmp_path, each_backend):
+    mapping = IndexMapping(
+        segments=("a,b", 'say "hi"', "two\nlines", "cr\rhere", " padded ", "plain"),
+        days=("d 1", "d,2", '"d3"', "d\r\n4"),
+        slots_per_day=3,
+    )
+    cells = np.argwhere(np.ones(mapping.dims, dtype=bool))
+    values = np.random.default_rng(6).random(len(cells)) * 100.0
+    schema = CsvSchema("segment id", "day,name", 'slot "k"', "speed", slots_per_day=3)
+    path = tmp_path / "d.csv"
+    write_records_csv(cells, values, mapping, path, schema)
+    tensor, loaded = load_csv(path, schema, mapping)
+    assert loaded == mapping
+    assert np.array_equal(tensor.indices, cells)
+    assert np.allclose(tensor.values, values, rtol=0, atol=5e-7)
+    assert path.read_bytes().startswith(b'segment id,"day,name","slot ""k""",speed\n"a,b",d 1,0,')
 
 
 def test_write_and_read_records_round_trip(tmp_path):

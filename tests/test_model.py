@@ -361,6 +361,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"\x00\x01\x02 not a checkpoint\n1234")
     with pytest.raises(DataError):
         load_checkpoint(path)
+    for header in (b"null", b"[1]", b"3", b'"x"'):
+        path.write_bytes(header + b"\n1234")
+        with pytest.raises(DataError, match="not a checkpoint file"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
