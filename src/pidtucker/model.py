@@ -37,6 +37,9 @@ CHECKPOINT_FORMAT = "pidtucker-checkpoint-v1"
 # blocks of 65,536 rows raised a training run's peak memory by ~6%.
 _PREDICT_BLOCK_ROWS = 4096
 
+# The TuckerFactors attributes a kernel handle points into.
+_HANDLE_INPUTS = frozenset(("dims", "core", "factors", "biases"))
+
 
 @dataclass(frozen=True)
 class Ranks:
@@ -90,11 +93,21 @@ class TuckerFactors:
     biases: tuple[np.ndarray, np.ndarray, np.ndarray]
     mean: float
 
+    # The kernel handle for these arrays (_kernel.handle): None until one is
+    # built, and dropped whenever a parameter is bound to another object.
+    _kernel_handle = None
+
+    def __setattr__(self, name, value):
+        if (name in _HANDLE_INPUTS and self._kernel_handle is not None
+                and getattr(self, name) is not value):
+            object.__setattr__(self, "_kernel_handle", None)
+        object.__setattr__(self, name, value)
+
     def __getstate__(self):
         # The kernel handle points into these arrays; a copy or an unpickled
         # object builds its own.
         state = self.__dict__.copy()
-        state.pop(_kernel.HANDLE_ATTR, None)
+        state.pop("_kernel_handle", None)
         return state
 
 
@@ -113,7 +126,8 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
 
     Core and factor entries are i.i.d. uniform on (0, init_scale]; biases start
     at zero.  Draw order is factors (mode 1, 2, 3) then core, so results are
-    reproducible for a fixed seed.
+    reproducible for a fixed seed.  ConfigError when the arrays cannot be
+    allocated.
     """
     if not init_scale > 0:
         raise ConfigError(f"init_scale must be > 0, got {init_scale}")
@@ -125,9 +139,13 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
         return init_scale * (1.0 - rng.random(shape))
 
     r1, r2, r3 = ranks.as_tuple()
-    factors = tuple(draw((d, r)) for d, r in zip(dims, (r1, r2, r3)))
-    core = draw((r1, r2, r3))
-    biases = tuple(np.zeros(d) for d in dims)
+    try:
+        factors = tuple(draw((d, r)) for d, r in zip(dims, (r1, r2, r3)))
+        core = draw((r1, r2, r3))
+        biases = tuple(np.zeros(d) for d in dims)
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+        raise ConfigError(f"cannot allocate factors of ranks {(r1, r2, r3)} for dims {dims}: "
+                          f"{exc}") from None
     return TuckerFactors(dims, ranks, core, factors, biases, float(mean))
 
 
@@ -145,7 +163,7 @@ def predict(f: TuckerFactors, idx) -> float:
     Runs the compiled kernel when it is available (see the module docstring),
     else the numpy reference below; the two agree within 1e-12.
     """
-    h = _kernel.handle(f)
+    h = f._kernel_handle or _kernel.handle(f)
     if h is not None:
         try:
             return h.value(h.model, idx, f.mean)

@@ -58,11 +58,15 @@ def adjust(state: PidState, gains: PidGains, pos: int, e: float,
     current residual.  An optional symmetric clamp bounds the output to guard
     against integral windup on long runs.
     """
-    sums, prevs = state.sum_error, state.prev_error
-    if not 0 <= pos < len(sums):
-        raise DataError(f"training-entry position {pos} out of range [0, {len(sums)})")
-    total = sums[pos] + e
+    sums = state.sum_error
+    try:
+        if pos < 0:
+            raise IndexError
+        total = sums[pos] + e
+    except IndexError:
+        raise DataError(f"training-entry position {pos} out of range [0, {len(sums)})") from None
     sums[pos] = total
+    prevs = state.prev_error
     out = gains.kp * e + gains.ki * total + gains.kd * (e - prevs[pos])
     prevs[pos] = e
     if clamp is not None:

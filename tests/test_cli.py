@@ -615,9 +615,26 @@ def _checkpoint_header_not_an_object(tmp_path):
                                                 "--mapping", "m.json", "--targets", "t.csv"]
 
 
+def _oversized_ranks(command):
+    """Ranks whose core the allocator refuses outright (8e15 bytes, beyond any
+    address space), so nothing is allocated and then filled."""
+
+    def case(tmp_path):
+        rows = [f"s{i},d{j},{k},{1.0 + i + j + k}" for i in range(4) for j in range(3)
+                for k in range(5)]
+        (tmp_path / "d.csv").write_text("segment,day,slot,speed\n" + "\n".join(rows) + "\n")
+        return 2, "cannot allocate factors of ranks (100000, 100000, 100000) for dims (4, 3, 288)", [
+            command, "--data", "d.csv", "--ratios", "0.5,0.2,0.3", "--ranks",
+            "100000,100000,100000"]
+
+    case.__name__ = f"_oversized_ranks_{command}"
+    return case
+
+
 @pytest.mark.parametrize("case", [_non_utf8_data, _oversize_field, _non_utf8_config,
                                   _outdir_under_a_file, _run_name_with_a_slash,
-                                  _checkpoint_header_not_an_object])
+                                  _checkpoint_header_not_an_object, _oversized_ranks("train"),
+                                  _oversized_ranks("benchmark")])
 def test_unusable_input_exits_cleanly(tmp_path, case):
     code, message, argv = case(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}

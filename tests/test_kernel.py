@@ -5,7 +5,9 @@ build cache, and the silent fallback when no kernel can be built."""
 
 import contextlib
 import copy
+import dataclasses
 import fnmatch
+import json
 import math
 import os
 import pickle
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from pidtucker import (
     DataError,
     DivergenceError,
+    ExperimentConfig,
     Hyperparams,
     IndexMapping,
     PidGains,
@@ -34,6 +37,7 @@ from pidtucker import (
     predict_batch,
     regularized_loss,
     rmse,
+    run_experiment,
     save_checkpoint,
     sgd_step,
     split,
@@ -133,6 +137,93 @@ def test_batch_evaluation_matches_numpy_reference(shape, seed, n, lambdas):
     assert abs(rmse(f, idx, y) - want[1]) <= TOL * want[1]
     assert abs(regularized_loss(f, idx, y, reg) - want[2]) <= TOL * want[2]
     assert [predict(f, row) for row in idx.tolist()] == values.tolist()
+
+
+def replay_value(f, cell):
+    """predict, as _kernel.c documents its order, in Python floats: each of
+    g[n,l] = sum_m u[m] core[m,n,l], dn = sum_l g[n,l] t[l] and sum_n dn d[n]
+    starts from 0.0 and adds its terms in index order."""
+    i, j, k = cell
+    u, d, t = (a[c].tolist() for a, c in zip(f.factors, cell))
+    core = f.core.tolist()
+    multi = 0.0
+    for n in range(len(d)):
+        dn = 0.0
+        for l in range(len(t)):
+            g = 0.0
+            for m in range(len(u)):
+                g += u[m] * core[m][n][l]
+            dn += g * t[l]
+        multi += dn * d[n]
+    return f.mean + multi + float(f.biases[0][i]) + float(f.biases[1][j]) + float(f.biases[2][k])
+
+
+def replay_step(f, cell, err, eta, lambda1, lambda2, lambda3):
+    """sgd_step, as _kernel.c documents its order, in Python floats, applied to f."""
+    u, d, t = (a[c].tolist() for a, c in zip(f.factors, cell))
+    core = f.core.tolist()
+    r1, r2, r3 = len(u), len(d), len(t)
+    gt = [[0.0] * r2 for _ in range(r1)]
+    for m in range(r1):
+        for n in range(r2):
+            for l in range(r3):
+                gt[m][n] += core[m][n][l] * t[l]
+    g1 = []
+    for m in range(r1):
+        phi = 0.0
+        for n in range(r2):
+            phi += gt[m][n] * d[n]
+        g1.append(lambda2 * u[m] - err * phi)
+    g2 = []
+    for n in range(r2):
+        psi = 0.0
+        for m in range(r1):
+            psi += u[m] * gt[m][n]
+        g2.append(lambda2 * d[n] - err * psi)
+    chi = [0.0] * r3
+    for n in range(r2):
+        for l in range(r3):
+            w = 0.0
+            for m in range(r1):
+                w += u[m] * core[m][n][l]
+            chi[l] += d[n] * w
+    g3 = [lambda2 * t[l] - err * chi[l] for l in range(r3)]
+    for m in range(r1):
+        for n in range(r2):
+            ud = u[m] * d[n]
+            for l in range(r3):
+                c = core[m][n][l]
+                core[m][n][l] = c - eta * (lambda1 * c - err * (ud * t[l]))
+    f.core[...] = core
+    for a, c, row, grad in zip(f.factors, cell, (u, d, t), (g1, g2, g3)):
+        a[c] = [x - eta * g for x, g in zip(row, grad)]
+    for b, c in zip(f.biases, cell):
+        b[c] = float(b[c]) - eta * (lambda3 * float(b[c]) - err)
+
+
+def hexes(f):
+    return [x.hex() for a in arrays(f) for x in a.ravel().tolist()]
+
+
+@needs_kernel
+@settings(max_examples=60, deadline=None)
+@given(ranks=st.tuples(*[st.integers(1, 9)] * 3), seed=st.integers(0, 2**16),
+       steps=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(1e-4, 0.5)), min_size=1,
+                      max_size=3),
+       lambdas=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+@example(ranks=(5, 5, 5), seed=0, steps=[(0.5, 0.01)], lambdas=(0.01, 0.01, 0.01))
+@example(ranks=(9, 4, 1), seed=1, steps=[(-3.0, 0.1)] * 3, lambdas=(0.0, 0.5, 1.0))
+def test_the_kernel_is_a_bitwise_replay_of_its_documented_order(ranks, seed, steps, lambdas):
+    f = random_factors((3, 4, 2), ranks, seed)
+    g = copy.deepcopy(f)
+    rng = np.random.default_rng(seed + 1)
+    assert _kernel.handle(f) is not None
+    for err, eta in steps:
+        cell = tuple(int(rng.integers(n)) for n in f.dims)
+        assert predict(f, cell).hex() == replay_value(g, cell).hex()
+        sgd_step(f, cell, 0.0, err, Hyperparams(eta=eta, reg=RegWeights(*lambdas)))
+        replay_step(g, cell, err, eta, *lambdas)
+        assert hexes(f) == hexes(g)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -337,9 +428,76 @@ def test_factors_pickle_without_their_handle():
     f = random_factors((4, 3, 5), (2, 2, 2), seed=3)
     value = predict(f, (3, 2, 4))
     g = pickle.loads(pickle.dumps(f))
-    assert _kernel.HANDLE_ATTR not in g.__dict__
+    assert "_kernel_handle" not in g.__dict__ and g._kernel_handle is None
     assert predict(g, (3, 2, 4)) == value
     assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", ["core", "factors", "biases", "dims"])
+def test_binding_another_object_to_a_parameter_drops_the_handle(name):
+    f = random_factors((4, 3, 5), (2, 3, 2), seed=9)
+    h = _kernel.handle(f)
+    value = getattr(f, name)
+    setattr(f, name, value)  # the same object again
+    assert f._kernel_handle is h
+    setattr(f, name, value.copy() if name == "core" else tuple(list(value)))
+    assert f._kernel_handle is None
+    assert _kernel.handle(f) not in (None, h)
+
+
+@needs_kernel
+def test_an_in_place_update_keeps_the_handle():
+    f = random_factors((4, 3, 5), (2, 3, 2), seed=10)
+    h = _kernel.handle(f)
+    f.core *= 1.0
+    f.mean = 2.5
+    f.ranks = Ranks(2, 3, 2)
+    assert _kernel.handle(f) is h
+    assert predict(f, (1, 2, 3)) == replay_value(f, (1, 2, 3))
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "replace"])  # pickle: the test above
+def test_a_copy_carries_no_handle(each_backend, how):
+    f = random_factors((4, 3, 5), (2, 3, 2), seed=11)
+    value = predict(f, (3, 2, 4))
+    make = {"copy": copy.copy, "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
+    g = make[how](f)
+    assert "_kernel_handle" not in g.__dict__ and g._kernel_handle is None
+    assert predict(g, (3, 2, 4)) == value
+    if each_backend == "kernel":
+        assert _kernel.handle(g) is not _kernel.handle(f)
+
+
+def test_overlapping_arrays_use_the_reference():
+    f = random_factors((4, 3, 4), (2, 2, 2), seed=12)
+    f.factors = (f.factors[0], f.factors[1], f.factors[0])
+    assert _kernel.handle(f) is None
+
+
+def test_the_kernel_build_is_not_counted_as_training_time(tmp_path):
+    real = _kernel._load
+
+    def slow_load():
+        time.sleep(0.3)
+        return real()
+
+    with kernel_state(load=slow_load):
+        _f, report = small_run(epochs=1)
+    assert report.records[0].elapsed_s < 0.3
+    _tensor, data = write_data(tmp_path)
+    with kernel_state(load=slow_load):
+        assert main(["train", "--data", str(data), "--slots-per-day", "8", "--ratios",
+                     "0.5,0.2,0.3", "--max-epochs", "1", "--outdir", str(tmp_path),
+                     "--run-name", "t"]) == 0
+    assert json.loads((tmp_path / "t" / "summary.json").read_text())["train_seconds"] < 0.3
+    spec = SyntheticSpec((7, 6, 8), Ranks(2, 2, 2), 0.5, noise_sigma=0.01, seed=5)
+    tensor, _truth = generate_synthetic(spec)
+    cfg = ExperimentConfig(Hyperparams(ranks=Ranks(2, 2, 2), max_epochs=1),
+                           ratios=(0.7, 0.15, 0.15), repeats=1)
+    with kernel_state(load=slow_load):
+        summary = run_experiment(tensor, cfg)
+    assert summary.results[0].seconds < 0.3
 
 
 @needs_kernel

@@ -79,6 +79,18 @@ def test_position_out_of_range():
         adjust(state, PidGains(), -1, 1.0)
 
 
+@pytest.mark.parametrize("pos", [-1, 3, 7, -4, np.int64(-1), np.int64(3), np.int32(9),
+                                 np.uint64(3)])
+def test_an_out_of_range_position_raises_data_error_and_changes_nothing(pos):
+    state = PidState(3)
+    adjust(state, PidGains(), 1, 0.5)
+    before = (list(state.sum_error), list(state.prev_error))
+    with pytest.raises(DataError) as exc:
+        adjust(state, PidGains(), pos, 1.0)
+    assert str(exc.value) == f"training-entry position {pos} out of range [0, 3)"
+    assert (state.sum_error, state.prev_error) == before
+
+
 def test_negative_gains_rejected():
     with pytest.raises(ConfigError):
         PidGains(-0.1, 0.0, 0.0)
