@@ -35,9 +35,11 @@ headers into a per-user cache directory ($XDG_CACHE_HOME/pidtucker, else
 ABI tag and a CRC-32 of the source, the compiler command, the machine and
 that tag, so a new source version builds once per interpreter and later
 processes only load it.  A fresh build deletes the other builds with the same
-ABI tag that are more than a day old; builds for other ABI tags are never
-touched.  A younger build is kept, so two checkouts with different sources
-used alternately do not delete and rebuild each other's kernel every time.
+ABI tag, and the untagged kernel-<crc>.so builds named before file names
+carried a tag, that are more than a day old; builds for other ABI tags are
+never touched.  A younger build is kept, so two checkouts with different
+sources used alternately do not delete and rebuild each other's kernel every
+time.
 Any failure (no gcc or no Python headers, an unwritable or foreign cache
 directory, a file that will not load) makes `library()` return None.
 
@@ -45,23 +47,16 @@ directory, a file that will not load) makes `library()` return None.
 struct of pointers to its arrays, a scratch buffer sized from its ranks, the
 ranks and dims (which the kernel checks every index against), or None when
 an array is not C-contiguous, aligned, writeable float64 of the shape dims
-and the ranks give, or two arrays share memory.
-
-How the handle is cached: in f._kernel_handle, which is None until handle(f)
-stores the handle there (or False when the reference must run).  The cache
-is never checked against f's arrays; it is dropped instead, by
-TuckerFactors.__setattr__, whenever dims, core, factors or biases is bound
-to a different object.  Binding the same object again keeps it, so an
-in-place update such as `f.core -= step` costs no rebuild.  The per-entry
-callers (model.predict, solver.sgd_step) read f._kernel_handle themselves
-and call handle(f) only when it holds no handle.  TuckerFactors drops the
-handle when copied or pickled, and dataclasses.replace builds a new object,
-so a copy never writes through the original's pointers.
+and the ranks give, or two arrays share memory.  A TuckerFactors builds its
+handle once, when it is constructed, and keeps it in f._kernel_handle, which
+every caller reads.  The handle stays valid because the fields of a
+TuckerFactors are bound once and its arrays are updated only in place.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import struct
 import threading
 import time
@@ -106,15 +101,17 @@ def _file_name(source: bytes, abi: str) -> str:
 
 
 def _prune(built: Path) -> None:
-    """Delete the other builds with built's ABI tag that are more than a day old.
+    """Delete the other builds with built's ABI tag, and the untagged builds
+    named before file names carried one, that are more than a day old.
 
-    Only names kernel-<that tag>-<8 hex digits>.so qualify.  A deletion that
-    fails is left for a later build.
+    Only names kernel-<that tag>-<8 hex digits>.so and kernel-<8 hex
+    digits>.so qualify.  A deletion that fails is left for a later build.
     """
-    prefix, stale = built.name[: -len("00000000.so")], time.time() - _STALE_S
+    tag = built.name[len("kernel-"): -len("-00000000.so")]
+    pattern = re.compile(rf"kernel-(?:{re.escape(tag)}-)?[0-9a-f]{{8}}\.so")
+    stale = time.time() - _STALE_S
     for path in built.parent.iterdir():
-        name = path.name
-        if name != built.name and name.startswith(prefix) and len(name) == len(built.name):
+        if path.name != built.name and pattern.fullmatch(path.name):
             try:
                 if path.stat().st_mtime < stale:
                     path.unlink()
@@ -224,13 +221,6 @@ class _Handle:
 
 
 def handle(f):
-    """The kernel handle for f, or None when the numpy reference must run.
-
-    On a hit this is one attribute read; hot callers read f._kernel_handle
-    themselves and call handle only when that is not a handle.
-    """
-    h = f._kernel_handle
-    if h is None:
-        lib = library()
-        h = f._kernel_handle = _Handle(lib, f) if lib is not None and _consistent(f) else False
-    return h or None
+    """The kernel handle for f, or None when the numpy reference must run."""
+    lib = library()
+    return _Handle(lib, f) if lib is not None and _consistent(f) else None

@@ -269,6 +269,8 @@ class SyntheticSpec:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ConfigError(f"dims must be three positive integers, got {tuple(self.dims)}")
         cells = self.dims[0] * self.dims[1] * self.dims[2]
         if self.observed_fraction * cells < 10:
             raise ConfigError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,9 +36,6 @@ CHECKPOINT_FORMAT = "pidtucker-checkpoint-v1"
 # Rows per predict_batch block.  It bounds the (rows, r2 * r3) temporary:
 # blocks of 65,536 rows raised a training run's peak memory by ~6%.
 _PREDICT_BLOCK_ROWS = 4096
-
-# The TuckerFactors attributes a kernel handle points into.
-_HANDLE_INPUTS = frozenset(("dims", "core", "factors", "biases"))
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,12 @@ class RegWeights:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TuckerFactors:
-    """Model parameters; mutable because the trainer updates them in place.
+    """Model parameters.  The fields are bound once; the trainer updates the
+    arrays in place, through an index (f.core[...] -= step).  Augmented
+    assignment to a field (f.core -= step) raises FrozenInstanceError, after
+    numpy has already updated the array.
 
     Attributes:
         dims: (|I|, |J|, |K|) mode sizes.
@@ -92,23 +92,20 @@ class TuckerFactors:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     biases: tuple[np.ndarray, np.ndarray, np.ndarray]
     mean: float
+    # The kernel's view of these arrays (_kernel.handle), or None when the
+    # numpy reference must run.
+    _kernel_handle: _kernel._Handle | None = field(init=False, repr=False, compare=False)
 
-    # The kernel handle for these arrays (_kernel.handle): None until one is
-    # built, and dropped whenever a parameter is bound to another object.
-    _kernel_handle = None
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "biases", tuple(self.biases))
+        object.__setattr__(self, "_kernel_handle", _kernel.handle(self))
 
-    def __setattr__(self, name, value):
-        if (name in _HANDLE_INPUTS and self._kernel_handle is not None
-                and getattr(self, name) is not value):
-            object.__setattr__(self, "_kernel_handle", None)
-        object.__setattr__(self, name, value)
-
-    def __getstate__(self):
-        # The kernel handle points into these arrays; a copy or an unpickled
-        # object builds its own.
-        state = self.__dict__.copy()
-        state.pop("_kernel_handle", None)
-        return state
+    def __reduce__(self):
+        # Through the constructor, so a copy or an unpickled object gets a
+        # handle over its own arrays.
+        return TuckerFactors, (self.dims, self.ranks, self.core, self.factors, self.biases,
+                               self.mean)
 
 
 @dataclass
@@ -163,7 +160,7 @@ def predict(f: TuckerFactors, idx) -> float:
     Runs the compiled kernel when it is available (see the module docstring),
     else the numpy reference below; the two agree within 1e-12.
     """
-    h = f._kernel_handle or _kernel.handle(f)
+    h = f._kernel_handle
     if h is not None:
         try:
             return h.value(h.model, idx, f.mean)
@@ -223,7 +220,7 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
     """
     idx = _cells(indices)
     out = np.empty(len(idx))
-    h = _kernel.handle(f)
+    h = f._kernel_handle
     if h is not None:
         _on_kernel(f, idx, h.values, h.model, idx, f.mean, out)
         return out
@@ -244,7 +241,7 @@ def _sums(f: TuckerFactors, idx: np.ndarray, vals: np.ndarray) -> tuple[float, .
     """Over the entries (idx, vals) as _entries gives them: the sums of squared
     residuals, of the core's squares, of the touched factor rows' squares and
     of the touched biases' squares."""
-    h = _kernel.handle(f)
+    h = f._kernel_handle
     if h is not None:
         return _on_kernel(f, idx, h.sums, h.model, idx, vals, f.mean)
     resid = vals - predict_batch(f, idx)
@@ -386,8 +383,9 @@ def load_checkpoint(path) -> TuckerFactors:
             mean = float(header["mean"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed checkpoint header ({exc!r})") from None
-        if len(dims) != 3:
-            raise DataError(f"{path}: checkpoint dims must have 3 entries, got {dims}")
+        if len(dims) != 3 or min(dims) < 1:
+            raise DataError(f"{path}: checkpoint dims must be three positive integers, "
+                            f"got {dims}")
         payload = fh.read()
 
     # Payload order: the three factor matrices, the core, the three bias vectors.

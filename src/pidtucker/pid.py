@@ -7,6 +7,12 @@ adjusted residual fed to the SGD update is
 
 with a zero previous error on the first call.  Gains (1, 0, 0) make the
 adjustment the identity, recovering plain SGD exactly.
+
+This formula is this package's reading of the paper's "adjusted instance
+error".  The abstract (PAPER.md), the only part of the paper at hand, names
+that error but does not define it.  So the choices above are ours: the
+integral runs over every past epoch of the entry and includes the current
+error, and the derivative is the change from that entry's previous error.
 """
 
 from __future__ import annotations

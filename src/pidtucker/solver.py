@@ -104,7 +104,7 @@ def sgd_step(f: TuckerFactors, idx, y: float, adjusted_err: float,
     of size eta against it.  Runs the compiled kernel when it is available,
     else the numpy reference below; the two agree within 1e-12.
     """
-    h = f._kernel_handle or _kernel.handle(f)
+    h = f._kernel_handle
     if h is None:
         if not math.isfinite(adjusted_err):
             raise _divergence(idx, y)
@@ -113,7 +113,7 @@ def sgd_step(f: TuckerFactors, idx, y: float, adjusted_err: float,
         for m, (i, row, b) in enumerate(zip(idx, grad.rows, grad.biases)):
             f.factors[m][i] -= eta * row
             f.biases[m][i] -= eta * b
-        f.core -= eta * grad.core
+        f.core[...] -= eta * grad.core
         return
     reg = hyper.reg
     try:
@@ -131,7 +131,7 @@ def _divergence(idx, y: float) -> DivergenceError:
 
 def _all_finite(f: TuckerFactors) -> bool:
     """Whether every parameter is finite; the kernel's all_finite when it is available."""
-    h = _kernel.handle(f)
+    h = f._kernel_handle
     if h is not None:
         return h.all_finite(h.model)
     return (
@@ -174,7 +174,6 @@ def train(tensor: SparseTensor, data_split: DataSplit,
     records: list[EpochRecord] = []
     val_history: list[float] = []
     converged = False
-    _kernel.handle(f)  # builds the kernel on first use, before the clock starts
     start = time.perf_counter()
 
     for epoch in range(1, hyper.max_epochs + 1):

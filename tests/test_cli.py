@@ -353,9 +353,19 @@ def _mapping_with_a_repeated_day(rundir):
     return f"day id {payload['days'][0]!r} is not a distinct non-empty string", model_args(rundir)
 
 
+def _checkpoint_with_a_negative_dim(rundir):
+    ckpt = rundir / "model.ckpt"
+    header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["dims"][0] = -1
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return "checkpoint dims must be three positive integers, got (-1, ", model_args(rundir)
+
+
 @pytest.mark.parametrize("breaks", [_missing_checkpoint, _missing_mapping,
                                     _mapping_without_segments, _mapping_not_json,
-                                    _checkpoint_with_nan, _mapping_with_a_repeated_day])
+                                    _checkpoint_with_nan, _mapping_with_a_repeated_day,
+                                    _checkpoint_with_a_negative_dim])
 def test_unusable_model_files_exit_3(tmp_path, capsys, breaks):
     data, trained = synth_and_train(tmp_path)
     message, args = breaks(trained)
@@ -385,12 +395,16 @@ def test_negative_seed_exit_2(tmp_path, capsys, command, flag, value):
     ("synth", "--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
     ("benchmark", "--jobs", "0", "jobs must be >= 1, got 0"),
     ("benchmark", "--jobs", "-3", "jobs must be >= 1, got -3"),
+    ("synth", "--dims", "-2,-5,10", "dims must be three positive integers, got (-2, -5, 10)"),
+    ("synth", "--dims", "6,0,8", "dims must be three positive integers, got (6, 0, 8)"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, flag, value, message):
     assert run_cli(*synth_args(tmp_path, "s")) == 0
     inputs = (["--dims", "6,5,8"] if command == "synth"
               else ["--data", tmp_path / "s" / "data.csv", "--slots-per-day", "8"])
-    code = run_cli(command, "--outdir", tmp_path, "--run-name", "r", *inputs, flag, value)
+    # flag=value: a value such as -2,-5,10 would otherwise read as an option.
+    code = run_cli(command, "--outdir", tmp_path, "--run-name", "r", *inputs,
+                   f"{flag}={value}")
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()

@@ -279,6 +279,9 @@ def test_synthetic_validation():
                           noise_sigma=sigma)
     with pytest.raises(ConfigError, match="seed"):
         SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=0.5, seed=-1)
+    for dims in ((-2, -5, 10), (10, 0, 10), (10, 10, -1), (10, 10)):
+        with pytest.raises(ConfigError, match=r"dims must be three positive integers, got \("):
+            SyntheticSpec(dims=dims, ranks=Ranks(1, 1, 1), observed_fraction=0.5)
     with pytest.raises(DataError, match="non-finite"):
         generate_synthetic(SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1),
                                          observed_fraction=0.5, value_offset=float("inf")))

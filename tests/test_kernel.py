@@ -30,6 +30,7 @@ from pidtucker import (
     Ranks,
     RegWeights,
     SyntheticSpec,
+    TuckerFactors,
     generate_synthetic,
     identity_mapping,
     init_factors,
@@ -109,8 +110,8 @@ def test_kernel_matches_numpy_reference(shape, seed, err, eta, lambdas):
         g = copy.deepcopy(f)
         want = predict(g, idx)
         sgd_step(g, idx, 0.0, err, hyper)
-        assert _kernel.handle(g) is None
-    assert _kernel.handle(f) is not None
+        assert g._kernel_handle is None
+    assert f._kernel_handle is not None
     assert abs(predict(f, idx) - want) <= TOL
     sgd_step(f, idx, 0.0, err, hyper)
     assert_close(f, g)
@@ -130,8 +131,8 @@ def test_batch_evaluation_matches_numpy_reference(shape, seed, n, lambdas):
     with reference_backend():
         g = copy.deepcopy(f)
         want = predict_batch(g, idx), rmse(g, idx, y), regularized_loss(g, idx, y, reg)
-        assert _kernel.handle(g) is None
-    assert _kernel.handle(f) is not None
+        assert g._kernel_handle is None
+    assert f._kernel_handle is not None
     values = predict_batch(f, idx)
     assert np.max(np.abs(values - want[0])) <= TOL
     assert abs(rmse(f, idx, y) - want[1]) <= TOL * want[1]
@@ -217,7 +218,7 @@ def test_the_kernel_is_a_bitwise_replay_of_its_documented_order(ranks, seed, ste
     f = random_factors((3, 4, 2), ranks, seed)
     g = copy.deepcopy(f)
     rng = np.random.default_rng(seed + 1)
-    assert _kernel.handle(f) is not None
+    assert f._kernel_handle is not None
     for err, eta in steps:
         cell = tuple(int(rng.integers(n)) for n in f.dims)
         assert predict(f, cell).hex() == replay_value(g, cell).hex()
@@ -229,7 +230,7 @@ def test_the_kernel_is_a_bitwise_replay_of_its_documented_order(ranks, seed, ste
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_all_finite_finds_a_non_finite_entry_in_every_array(each_backend, bad):
     f = random_factors((4, 3, 5), (2, 3, 2), seed=7)
-    assert (_kernel.handle(f) is None) == (each_backend == "numpy")
+    assert (f._kernel_handle is None) == (each_backend == "numpy")
     assert _all_finite(f)
     for a in arrays(f):
         flat = a.reshape(-1)
@@ -337,8 +338,8 @@ def test_both_backends_take_and_reject_the_same_indices(seed, form, entries):
         g = copy.deepcopy(f)
         want = outcome(predict, g, idx)
         want_step = outcome(sgd_step, g, idx, 1.5, 0.25, hyper)
-        assert _kernel.handle(g) is None
-    assert _kernel.handle(f) is not None
+        assert g._kernel_handle is None
+    assert f._kernel_handle is not None
     got = outcome(predict, f, idx)
     got_step = outcome(sgd_step, f, idx, 1.5, 0.25, hyper)
     if all(0 <= v < n for v, n in zip(entries, f.dims)):
@@ -359,10 +360,10 @@ def test_a_non_finite_update_raises_before_the_index_is_checked(backend, err, en
     if backend == "kernel" and _kernel.library() is None:
         pytest.skip("no kernel can be built here (gcc or cache dir)")
     ctx = reference_backend() if backend == "numpy" else contextlib.nullcontext()
-    f = random_factors((4, 3, 5), (2, 2, 3), seed=6)
-    before = [a.tobytes() for a in arrays(f)]
     with ctx:
-        assert (_kernel.handle(f) is None) == (backend == "numpy")
+        f = random_factors((4, 3, 5), (2, 2, 3), seed=6)
+        before = [a.tobytes() for a in arrays(f)]
+        assert (f._kernel_handle is None) == (backend == "numpy")
         got = outcome(sgd_step, f, entries, 2.5, err, Hyperparams(eta=0.1))
     assert got == f"DivergenceError: non-finite update at entry {entries} (y=2.5)"
     assert [a.tobytes() for a in arrays(f)] == before
@@ -403,7 +404,6 @@ def test_each_backend_is_bitwise_deterministic(backend):
 
 def test_step_on_a_deep_copy_leaves_the_original_unchanged():
     f = random_factors((4, 3, 5), (2, 3, 2), seed=1)
-    predict(f, (0, 0, 0))  # builds f's handle
     before = [a.copy() for a in arrays(f)]
     g = copy.deepcopy(f)
     sgd_step(g, (1, 2, 3), 0.0, 0.5, Hyperparams(eta=0.1))
@@ -414,65 +414,110 @@ def test_step_on_a_deep_copy_leaves_the_original_unchanged():
 def test_a_replaced_array_is_read_by_the_next_predict():
     f = random_factors((4, 3, 5), (2, 2, 2), seed=2)
     predict(f, (1, 1, 1))
-    f.core = np.zeros_like(f.core)
-    f.biases = tuple(np.zeros_like(b) for b in f.biases)
-    assert predict(f, (1, 1, 1)) == f.mean
-    f.factors = (f.factors[0], f.factors[1], np.asfortranarray(f.factors[2]))
-    f.core = np.ones_like(f.core)
+    g = dataclasses.replace(f, core=np.zeros_like(f.core),
+                            biases=tuple(np.zeros_like(b) for b in f.biases))
+    assert predict(g, (1, 1, 1)) == f.mean
+    g = dataclasses.replace(g, factors=(f.factors[0], f.factors[1],
+                                        np.asfortranarray(f.factors[2])),
+                            core=np.ones_like(f.core))
+    assert g._kernel_handle is None  # a Fortran-ordered array: the reference runs
     with reference_backend():
-        want = predict(copy.deepcopy(f), (1, 1, 1))
-    assert abs(predict(f, (1, 1, 1)) - want) <= TOL
+        want = predict(copy.deepcopy(g), (1, 1, 1))
+    assert abs(predict(g, (1, 1, 1)) - want) <= TOL
+
+
+def _handle_reads(f):
+    """Whether f's handle, when it has one, points at f's own arrays."""
+    h = f._kernel_handle
+    return h is None or all(a is b for a, b in zip(h.arrays, (*f.factors, *f.biases, f.core)))
 
 
 def test_factors_pickle_without_their_handle():
+    """The pickle holds the parameters alone; loading it builds a new handle."""
     f = random_factors((4, 3, 5), (2, 2, 2), seed=3)
     value = predict(f, (3, 2, 4))
     g = pickle.loads(pickle.dumps(f))
-    assert "_kernel_handle" not in g.__dict__ and g._kernel_handle is None
+    assert (g._kernel_handle is None) == (f._kernel_handle is None)
+    assert g._kernel_handle is None or g._kernel_handle is not f._kernel_handle
     assert predict(g, (3, 2, 4)) == value
-    assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
+    assert all(np.array_equal(a, b) and a is not b for a, b in zip(arrays(f), arrays(g)))
+    assert _handle_reads(g)
 
 
 @needs_kernel
 @pytest.mark.parametrize("name", ["core", "factors", "biases", "dims"])
 def test_binding_another_object_to_a_parameter_drops_the_handle(name):
+    """Binding a parameter in place raises and keeps the handle; another object
+    is bound by dataclasses.replace, whose new object has a handle of its own."""
     f = random_factors((4, 3, 5), (2, 3, 2), seed=9)
-    h = _kernel.handle(f)
+    h = f._kernel_handle
     value = getattr(f, name)
-    setattr(f, name, value)  # the same object again
-    assert f._kernel_handle is h
-    setattr(f, name, value.copy() if name == "core" else tuple(list(value)))
-    assert f._kernel_handle is None
-    assert _kernel.handle(f) not in (None, h)
+    other = value.copy() if name == "core" else tuple(list(value))
+    for bound in (value, other):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, bound)
+        assert f._kernel_handle is h
+    g = dataclasses.replace(f, **{name: other})
+    assert g._kernel_handle not in (None, h)
+    assert predict(g, (1, 2, 3)) == predict(f, (1, 2, 3))
 
 
 @needs_kernel
 def test_an_in_place_update_keeps_the_handle():
     f = random_factors((4, 3, 5), (2, 3, 2), seed=10)
-    h = _kernel.handle(f)
-    f.core *= 1.0
-    f.mean = 2.5
-    f.ranks = Ranks(2, 3, 2)
-    assert _kernel.handle(f) is h
-    assert predict(f, (1, 2, 3)) == replay_value(f, (1, 2, 3))
+    h = f._kernel_handle
+    f.core[...] *= 2.0
+    f.factors[1][2] = 0.5
+    f.biases[0][3] += 1.0
+    for name in ("mean", "ranks"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, getattr(f, name))
+    assert f._kernel_handle is h
+    assert predict(f, (3, 2, 3)) == replay_value(f, (3, 2, 3))
 
 
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "replace"])  # pickle: the test above
 def test_a_copy_carries_no_handle(each_backend, how):
+    """A copy carries none of the original's handle: it builds its own, over its
+    own arrays (the same arrays for a shallow copy)."""
     f = random_factors((4, 3, 5), (2, 3, 2), seed=11)
     value = predict(f, (3, 2, 4))
     make = {"copy": copy.copy, "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
     g = make[how](f)
-    assert "_kernel_handle" not in g.__dict__ and g._kernel_handle is None
     assert predict(g, (3, 2, 4)) == value
+    assert _handle_reads(g)
     if each_backend == "kernel":
-        assert _kernel.handle(g) is not _kernel.handle(f)
+        assert g._kernel_handle not in (None, f._kernel_handle)
+    else:
+        assert g._kernel_handle is None
+    if how == "deepcopy":
+        sgd_step(g, (3, 2, 4), 0.0, 0.5, Hyperparams(eta=0.1))
+        assert predict(f, (3, 2, 4)) == value != predict(g, (3, 2, 4))
 
 
 def test_overlapping_arrays_use_the_reference():
     f = random_factors((4, 3, 4), (2, 2, 2), seed=12)
-    f.factors = (f.factors[0], f.factors[1], f.factors[0])
-    assert _kernel.handle(f) is None
+    g = dataclasses.replace(f, factors=(f.factors[0], f.factors[1], f.factors[0]))
+    assert g._kernel_handle is None
+    inside = f.factors[0].reshape(-1)[:4]  # a usable mode-1 bias vector, in a factor's memory
+    g = dataclasses.replace(f, biases=(inside, *f.biases[1:]))
+    assert g._kernel_handle is None
+
+
+def test_factors_given_as_lists_are_stored_as_tuples():
+    f = random_factors((4, 3, 5), (2, 2, 2), seed=13)
+    factors, biases = list(f.factors), list(f.biases)
+    g = TuckerFactors(f.dims, f.ranks, f.core, factors, biases, f.mean)
+    assert type(g.factors) is type(g.biases) is tuple
+    assert all(a is b for a, b in zip((*g.factors, *g.biases), (*factors, *biases)))
+    biases[0] = np.full(4, 100.0)  # the caller's list, not g's parameters
+    factors[2] = np.zeros((5, 2))
+    with pytest.raises(TypeError):
+        g.biases[0] = np.full(4, 100.0)
+    with reference_backend():
+        want = predict(copy.deepcopy(g), (1, 1, 1))
+    assert abs(predict(g, (1, 1, 1)) - want) <= TOL
+    assert predict(g, (1, 1, 1)) == predict(f, (1, 1, 1))
 
 
 def test_the_kernel_build_is_not_counted_as_training_time(tmp_path):
@@ -503,7 +548,7 @@ def test_the_kernel_build_is_not_counted_as_training_time(tmp_path):
 @needs_kernel
 def test_the_module_rejects_bad_arguments_without_touching_memory():
     f = random_factors((4, 3, 5), (2, 2, 2), seed=5)
-    h = _kernel.handle(f)
+    h = f._kernel_handle
     before = [a.copy() for a in arrays(f)]
     lib = _kernel.library()
     bad = [
@@ -599,11 +644,13 @@ def test_the_module_rejects_bad_arguments_without_touching_memory():
 
 def test_arrays_the_kernel_cannot_take_use_the_reference():
     f = random_factors((4, 3, 5), (2, 2, 2), seed=4)
-    f.factors[0].flags.writeable = False
-    assert _kernel.handle(f) is None
-    g = random_factors((4, 3, 5), (2, 2, 2), seed=4)
-    g.dims = (5, 3, 5)  # disagrees with the mode-1 arrays
-    assert _kernel.handle(g) is None
+    frozen = f.factors[0].copy()
+    frozen.flags.writeable = False
+    g = dataclasses.replace(f, factors=(frozen, *f.factors[1:]))
+    assert g._kernel_handle is None
+    assert predict(g, (1, 1, 1)) == pytest.approx(predict(f, (1, 1, 1)), abs=TOL)
+    g = dataclasses.replace(f, dims=(5, 3, 5))  # disagrees with the mode-1 arrays
+    assert g._kernel_handle is None
 
 
 # ---------------------------------------------------------------- build and fallback
@@ -657,16 +704,22 @@ def test_a_fresh_build_prunes_old_builds_of_its_own_abi_tag_only(tmp_path, monke
     v1 = build(1)
     foreign = _kernel._file_name(b"another source", ".cpython-312-x86_64-linux-gnu.so")
     untagged = "kernel-0123abcd.so"  # the name builds had before they carried a tag
-    for name in (foreign, untagged):
+    young_untagged = "kernel-89abcdef.so"
+    # Not a kernel build's name, old or new: kept whatever its age.
+    lookalikes = ["kernel-0123abcg.so", "kernel-0123ABCD.so", "kernel-0123abc.so",
+                  "kernel-0123abcd.so.bak", "xkernel-0123abcd.so", v1[:-len("0.so")] + "x.so",
+                  v1.replace("-", "_", 1)]
+    for name in (foreign, untagged, young_untagged, *lookalikes):
         (cache / name).write_bytes(b"")
-    age(v1, foreign, untagged)
+    age(v1, foreign, untagged, *lookalikes)
+    kept = [foreign, young_untagged, *lookalikes]
     v2 = build(2)
-    assert cached() == sorted([v2, foreign, untagged])  # two versions leave one file
+    assert cached() == sorted([v2, *kept])  # two versions and the old untagged build leave
     v3 = build(3)
-    assert cached() == sorted([v2, v3, foreign, untagged])  # v2 is less than a day old
-    age(v2)
+    assert cached() == sorted([v2, v3, *kept])  # v2 is less than a day old
+    age(v2, young_untagged)
     v4 = build(4)
-    assert cached() == sorted([v3, v4, foreign, untagged])
+    assert cached() == sorted([v3, v4, foreign, *lookalikes])
 
 
 def test_a_cache_dir_others_can_write_is_not_used(tmp_path):
