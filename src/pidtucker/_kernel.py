@@ -192,15 +192,11 @@ def _usable(a) -> bool:
 
 
 def _consistent(f) -> bool:
-    """Every array usable from C, with shapes that match dims and the core's ranks,
-    and no two arrays sharing memory (the kernels' pointers are restrict)."""
-    core, factors, biases, dims = f.core, f.factors, f.biases, f.dims
-    if not (_usable(core) and core.ndim == 3
-            and len(factors) == len(biases) == len(dims) == 3
-            and all(_usable(a) and _usable(b) and a.shape == (n, r) and b.shape == (n,)
-                    for a, b, n, r in zip(factors, biases, dims, core.shape))):
+    """Every array usable from C, with the shapes of f.layout, and no two
+    arrays sharing memory (the kernels' pointers are restrict)."""
+    arrays = f.arrays
+    if not (all(map(_usable, arrays)) and [a.shape for a in arrays] == f.layout):
         return False
-    arrays = (core, *factors, *biases)
     return not any(np.may_share_memory(a, b)
                    for x, a in enumerate(arrays) for b in arrays[x + 1:])
 

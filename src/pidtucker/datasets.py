@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, DataError
-from .model import Ranks, TuckerFactors, _entries, predict_batch
+from .model import Ranks, TuckerFactors, _entries, _from_arrays, _shapes, predict_batch
 from .sparse import SparseTensor, _first_duplicate, _first_out_of_bounds, _freeze
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
@@ -290,17 +290,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SparseTensor, TuckerFactors
     """
     rng = np.random.default_rng(spec.seed)
     dims = tuple(int(x) for x in spec.dims)
-    r1, r2, r3 = spec.ranks.as_tuple()
-
-    factors = tuple(1.0 - rng.random((d, r)) for d, r in zip(dims, (r1, r2, r3)))
-    core = 1.0 - rng.random((r1, r2, r3))
-    biases = tuple(0.5 - rng.random(d) for d in dims)
-    truth = TuckerFactors(dims, spec.ranks, core, factors, biases,
-                          float(spec.value_offset))
+    shapes = _shapes(dims, spec.ranks.as_tuple())
+    arrays = [1.0 - rng.random(s) for s in shapes[:4]] + [0.5 - rng.random(s) for s in shapes[4:]]
+    truth = _from_arrays(dims, spec.ranks, arrays, spec.value_offset)
 
     n_cells = dims[0] * dims[1] * dims[2]
     n_obs = int(round(spec.observed_fraction * n_cells))
-    flat = np.sort(rng.choice(n_cells, size=n_obs, replace=False))
+    try:  # rng.choice lists every cell of the grid
+        flat = np.sort(rng.choice(n_cells, size=n_obs, replace=False))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot draw {n_obs} of {n_cells} cells: {exc}") from None
     ii, jj, kk = np.unravel_index(flat, dims)
     indices = np.column_stack((ii, jj, kk)).astype(np.int64)
 

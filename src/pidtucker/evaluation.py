@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import _kernel
 from .datasets import _write_json
 from .errors import ConfigError, DataError, DivergenceError
 from .model import rmse
@@ -66,10 +64,10 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
     """Run `repeats` independent split/train/test rounds and aggregate test RMSE.
 
     Repeat r uses seed base_seed + r for both the split and the model
-    initialization.  Wall time covers training only.  A failing repeat is
-    recorded with its error message and does not abort the others.  Results
-    are deterministic for a fixed (tensor, cfg) regardless of `jobs`, which
-    must be >= 1.
+    initialization.  A repeat's seconds are its TrainReport.seconds, which
+    count training only.  A failing repeat is recorded with its error message
+    and does not abort the others.  Results are deterministic for a fixed
+    (tensor, cfg) regardless of `jobs`, which must be >= 1.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -79,16 +77,13 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
         try:
             parts = split(tensor, cfg.ratios, seed)
             hyper = replace(cfg.hyper, seed=seed)
-            t0 = time.perf_counter()
             f, report = train(tensor, parts, hyper)
-            seconds = time.perf_counter() - t0
             test_rmse = rmse(f, tensor.indices[parts.test], tensor.values[parts.test])
-            return RepeatResult(r, seed, test_rmse, report.epochs_run, seconds)
+            return RepeatResult(r, seed, test_rmse, report.epochs_run, report.seconds)
         except (DataError, DivergenceError) as exc:
             return RepeatResult(r, seed, None, None, None,
                                 error=f"{type(exc).__name__}: {exc}")
 
-    _kernel.library()  # builds the kernel on first use, before any repeat's clock starts
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(one, range(cfg.repeats)))

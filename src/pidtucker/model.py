@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +48,9 @@ class Ranks:
     r3: int = 5
 
     def __post_init__(self):
-        for name in ("r1", "r2", "r3"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"rank {name} must be >= 1, got {getattr(self, name)}")
+        for name, r in zip(("r1", "r2", "r3"), self.as_tuple()):
+            if type(r) is bool or not isinstance(r, (int, np.integer)) or r < 1:
+                raise ConfigError(f"rank {name} must be an integer >= 1, got {r}")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)
@@ -68,6 +69,12 @@ class RegWeights:
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+
+
+def _shapes(dims, ranks) -> list[tuple[int, ...]]:
+    """The seven parameter shapes in checkpoint order: the factor matrices
+    (|I|, r1), (|J|, r2), (|K|, r3), the core (r1, r2, r3), the bias vectors."""
+    return [*zip(dims, ranks), tuple(ranks), *((n,) for n in dims)]
 
 
 @dataclass(frozen=True)
@@ -101,11 +108,26 @@ class TuckerFactors:
         object.__setattr__(self, "biases", tuple(self.biases))
         object.__setattr__(self, "_kernel_handle", _kernel.handle(self))
 
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The seven parameter arrays in the order of _shapes."""
+        return (*self.factors, self.core, *self.biases)
+
+    @property
+    def layout(self) -> list[tuple[int, ...]]:
+        """The shapes that dims and the core's ranks imply for arrays."""
+        return _shapes(self.dims, self.core.shape)
+
     def __reduce__(self):
         # Through the constructor, so a copy or an unpickled object gets a
         # handle over its own arrays.
         return TuckerFactors, (self.dims, self.ranks, self.core, self.factors, self.biases,
                                self.mean)
+
+
+def _from_arrays(dims, ranks: Ranks, arrays, mean: float) -> TuckerFactors:
+    """TuckerFactors over seven arrays given in the order of _shapes."""
+    return TuckerFactors(dims, ranks, arrays[3], arrays[:3], arrays[4:], float(mean))
 
 
 @dataclass
@@ -130,25 +152,20 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
         raise ConfigError(f"init_scale must be > 0, got {init_scale}")
     dims = tuple(int(x) for x in dims)
     rng = np.random.default_rng(seed)
-
-    def draw(shape):
-        # 1 - random() maps [0, 1) onto (0, 1].
-        return init_scale * (1.0 - rng.random(shape))
-
-    r1, r2, r3 = ranks.as_tuple()
+    shapes = _shapes(dims, ranks.as_tuple())
     try:
-        factors = tuple(draw((d, r)) for d, r in zip(dims, (r1, r2, r3)))
-        core = draw((r1, r2, r3))
-        biases = tuple(np.zeros(d) for d in dims)
+        # 1 - random() maps [0, 1) onto (0, 1].
+        arrays = ([init_scale * (1.0 - rng.random(s)) for s in shapes[:4]]
+                  + [np.zeros(s) for s in shapes[4:]])
     except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
-        raise ConfigError(f"cannot allocate factors of ranks {(r1, r2, r3)} for dims {dims}: "
+        raise ConfigError(f"cannot allocate factors of ranks {ranks.as_tuple()} for dims {dims}: "
                           f"{exc}") from None
-    return TuckerFactors(dims, ranks, core, factors, biases, float(mean))
+    return _from_arrays(dims, ranks, arrays, mean)
 
 
 def check_index(f: TuckerFactors, idx) -> tuple[int, int, int]:
-    """Unpack one (i, j, k) index; DataError if it lies outside f.dims."""
-    i, j, k = idx
+    """One (i, j, k) index as plain ints, by operator.index; DataError outside f.dims."""
+    i, j, k = map(operator.index, idx)
     if not (0 <= i < f.dims[0] and 0 <= j < f.dims[1] and 0 <= k < f.dims[2]):
         raise DataError(f"index {(i, j, k)} out of bounds for dims {f.dims}") from None
     return i, j, k
@@ -353,15 +370,15 @@ def save_checkpoint(f: TuckerFactors, path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for arr in (*f.factors, f.core, *f.biases):
+        for arr in f.arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> TuckerFactors:
     """Read a checkpoint written by save_checkpoint.
 
-    Raises DataError for an unreadable file, a malformed header, a payload of
-    the wrong size, or any non-finite parameter.
+    Raises DataError for an unreadable file, a malformed header (dims and ranks
+    must be JSON integers), a payload of the wrong size, or any non-finite parameter.
     """
     try:
         fh = open(path, "rb")
@@ -378,33 +395,24 @@ def load_checkpoint(path) -> TuckerFactors:
         if header.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
         try:
-            dims = tuple(int(x) for x in header["dims"])
-            ranks = Ranks(*(int(x) for x in header["ranks"]))
+            dims, ranks = (tuple(header[key]) for key in ("dims", "ranks"))
             mean = float(header["mean"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed checkpoint header ({exc!r})") from None
-        if len(dims) != 3 or min(dims) < 1:
-            raise DataError(f"{path}: checkpoint dims must be three positive integers, "
-                            f"got {dims}")
+        for key, values in (("dims", dims), ("ranks", ranks)):
+            if len(values) != 3 or not all(type(x) is int and x >= 1 for x in values):
+                raise DataError(f"{path}: checkpoint {key} must be three positive integers, "
+                                f"got {values}")
         payload = fh.read()
 
-    # Payload order: the three factor matrices, the core, the three bias vectors.
-    shapes = [*zip(dims, ranks.as_tuple()), ranks.as_tuple(), *((n,) for n in dims)]
-    ends = np.cumsum([int(np.prod(s)) for s in shapes])
-    expected = int(ends[-1]) * 8
-    if len(payload) != expected:
+    shapes = _shapes(dims, ranks)
+    sizes = [math.prod(s) for s in shapes]  # Python ints: no size can wrap
+    if len(payload) != 8 * sum(sizes):
         raise DataError(
-            f"{path}: checkpoint payload is {len(payload)} bytes, expected {expected}"
+            f"{path}: checkpoint payload is {len(payload)} bytes, expected {8 * sum(sizes)}"
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    arrays = [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)]
+    arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
     if not (math.isfinite(mean) and all(np.isfinite(a).all() for a in arrays)):
         raise DataError(f"{path}: checkpoint holds non-finite parameters")
-    return TuckerFactors(
-        dims=dims,
-        ranks=ranks,
-        core=arrays[3],
-        factors=(arrays[0], arrays[1], arrays[2]),
-        biases=(arrays[4], arrays[5], arrays[6]),
-        mean=mean,
-    )
+    return _from_arrays(dims, Ranks(*ranks), arrays, mean)

@@ -128,7 +128,7 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DataSplit:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(0 < r < math.inf for r in ratios):
         raise DataError(f"ratios must be three positive reals, got {ratios}")
     if abs(sum(ratios) - 1.0) > RATIO_SUM_TOL:
         raise DataError(f"ratios must sum to 1, got sum {sum(ratios)!r}")

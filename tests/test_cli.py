@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -362,10 +363,42 @@ def _checkpoint_with_a_negative_dim(rundir):
     return "checkpoint dims must be three positive integers, got (-1, ", model_args(rundir)
 
 
+def _checkpoint_with_header(key, values):
+    """The trained checkpoint with header[key] set to values, which are not
+    three positive JSON integers."""
+
+    def breaks(rundir):
+        ckpt = rundir / "model.ckpt"
+        header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+        header = {**json.loads(header_line), key: values}
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        return (f"checkpoint {key} must be three positive integers, got {tuple(values)}",
+                model_args(rundir))
+
+    breaks.__name__ = f"_checkpoint_with_{key}_" + "_".join(map(str, values))
+    return breaks
+
+
+def _checkpoint_with_a_huge_dim(rundir):
+    ckpt = rundir / "model.ckpt"
+    header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["dims"][0] = 2**62
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    (r1, r2, r3), (_, d2, d3) = header["ranks"], header["dims"]
+    expected = 8 * (2**62 * r1 + d2 * r2 + d3 * r3 + r1 * r2 * r3 + 2**62 + d2 + d3)
+    return f"payload is {len(payload)} bytes, expected {expected}", model_args(rundir)
+
+
 @pytest.mark.parametrize("breaks", [_missing_checkpoint, _missing_mapping,
                                     _mapping_without_segments, _mapping_not_json,
                                     _checkpoint_with_nan, _mapping_with_a_repeated_day,
-                                    _checkpoint_with_a_negative_dim])
+                                    _checkpoint_with_a_negative_dim,
+                                    _checkpoint_with_header("dims", [3.5, 3, 4]),
+                                    _checkpoint_with_header("dims", [3, True, 4]),
+                                    _checkpoint_with_header("ranks", [2.7, 2, 2]),
+                                    _checkpoint_with_header("ranks", [2, 2, True]),
+                                    _checkpoint_with_a_huge_dim])
 def test_unusable_model_files_exit_3(tmp_path, capsys, breaks):
     data, trained = synth_and_train(tmp_path)
     message, args = breaks(trained)
@@ -629,6 +662,12 @@ def _checkpoint_header_not_an_object(tmp_path):
                                                 "--mapping", "m.json", "--targets", "t.csv"]
 
 
+def _nan_ratios(tmp_path):
+    (tmp_path / "d.csv").write_text("segment,day,slot,speed\ns,d,0,1.0\n")
+    return 3, "ratios must be three positive reals, got (nan, 0.5, 0.5)", [
+        "train", "--data", "d.csv", "--ratios", "nan,0.5,0.5"]
+
+
 def _oversized_ranks(command):
     """Ranks whose core the allocator refuses outright (8e15 bytes, beyond any
     address space), so nothing is allocated and then filled."""
@@ -645,15 +684,29 @@ def _oversized_ranks(command):
     return case
 
 
+def _unlistable_grid(tmp_path):
+    """A grid of 8e9 cells: listing them to draw the observed ones takes 64 GB."""
+    return 2, "config error: cannot draw 4000000000 of 8000000000 cells", [
+        "synth", "--dims", "2000,2000,2000", "--ranks", "2,2,2", "--observed-fraction", "0.5"]
+
+
+def _limit_address_space():
+    # Set in the child alone, so a case that asks for more memory than the
+    # host can give fails at once.
+    resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+
+
 @pytest.mark.parametrize("case", [_non_utf8_data, _oversize_field, _non_utf8_config,
                                   _outdir_under_a_file, _run_name_with_a_slash,
-                                  _checkpoint_header_not_an_object, _oversized_ranks("train"),
-                                  _oversized_ranks("benchmark")])
+                                  _checkpoint_header_not_an_object, _nan_ratios,
+                                  _oversized_ranks("train"), _oversized_ranks("benchmark"),
+                                  _unlistable_grid])
 def test_unusable_input_exits_cleanly(tmp_path, case):
     code, message, argv = case(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "pidtucker.cli", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr

@@ -310,14 +310,19 @@ INDEX_FORMS = {
                                       else object)[0],
     "numpy ints": lambda v: tuple(np.int64(x) if _fits_int64(x)
                                   else np.uint64(x) if 0 <= x < 2**64 else x for x in v),
+    # Not indices: every backend raises operator.index's TypeError.
+    "floats": lambda v: tuple(x + 0.5 for x in v),
+    "float first": lambda v: (float(v[0]), *v[1:]),
+    # Indices: a bool is the int 0 or 1.
+    "bools": lambda v: [x == 1 if x in (0, 1) else x for x in v],
 }
 
 
 def outcome(fn, *args):
-    """fn's result, or its DataError or DivergenceError as a string."""
+    """fn's result, or its DataError, DivergenceError or TypeError as a string."""
     try:
         return fn(*args)
-    except (DataError, DivergenceError) as exc:
+    except (DataError, DivergenceError, TypeError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -330,6 +335,10 @@ def outcome(fn, *args):
 @example(seed=1, form="numpy ints", entries=(3, 2, -1))
 @example(seed=1, form="numpy ints", entries=(0, 2**63, 0))
 @example(seed=1, form="ndarray row", entries=(0, 0, -2**70))
+@example(seed=1, form="floats", entries=(1, 0, 0))
+@example(seed=1, form="float first", entries=(4, 0, 0))
+@example(seed=1, form="bools", entries=(1, 0, 0))
+@example(seed=1, form="bools", entries=(1, 0, 5))
 def test_both_backends_take_and_reject_the_same_indices(seed, form, entries):
     f = random_factors((4, 3, 5), (2, 2, 3), seed)
     idx = INDEX_FORMS[form](entries)
@@ -342,12 +351,16 @@ def test_both_backends_take_and_reject_the_same_indices(seed, form, entries):
     assert f._kernel_handle is not None
     got = outcome(predict, f, idx)
     got_step = outcome(sgd_step, f, idx, 1.5, 0.25, hyper)
-    if all(0 <= v < n for v, n in zip(entries, f.dims)):
+    if "float" in form:
+        message = "TypeError: 'float' object cannot be interpreted as an integer"
+        assert got == want == got_step == want_step == message
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
+    elif all(0 <= v < n for v, n in zip(entries, f.dims)):
         assert abs(got - want) <= TOL
         assert got_step is want_step is None
         assert_close(f, g)
     else:
-        message = f"DataError: index {tuple(idx)} out of bounds for dims {f.dims}"
+        message = f"DataError: index {entries} out of bounds for dims {f.dims}"
         assert got == want == got_step == want_step == message
         assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
 

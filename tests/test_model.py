@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pidtucker import (
+    ConfigError,
     DataError,
     Ranks,
     RegWeights,
@@ -22,7 +23,7 @@ from pidtucker import (
     rmse,
     save_checkpoint,
 )
-from pidtucker.model import _PREDICT_BLOCK_ROWS
+from pidtucker.model import _PREDICT_BLOCK_ROWS, _shapes
 
 
 def random_factors(dims=(4, 3, 5), ranks=Ranks(2, 2, 2), seed=0, bias_scale=1.0):
@@ -87,6 +88,21 @@ def test_init_shapes():
     assert f.factors[1].shape == (3, 2)
     assert f.factors[2].shape == (5, 2)
     assert f.core.shape == (2, 2, 2)
+
+
+def test_the_layout_lists_the_arrays_in_checkpoint_order():
+    f = init_factors((4, 3, 5), Ranks(2, 1, 3), seed=0)
+    shapes = [(4, 2), (3, 1), (5, 3), (2, 1, 3), (4,), (3,), (5,)]
+    assert _shapes(f.dims, f.ranks.as_tuple()) == f.layout == shapes
+    assert [a.shape for a in f.arrays] == shapes
+    assert f.arrays[3] is f.core
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, "2", None])
+def test_ranks_must_be_positive_integers(bad):
+    with pytest.raises(ConfigError, match=f"rank r2 must be an integer >= 1, got {bad}"):
+        Ranks(2, bad, 2)
+    assert Ranks(np.int64(3), 1, 2).as_tuple() == (3, 1, 2)
 
 
 # ---------------------------------------------------------------- predict

@@ -1,3 +1,4 @@
+import ast
 import shutil
 import subprocess
 import sysconfig
@@ -15,6 +16,28 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 def test_every_public_name_resolves():
     missing = [name for name in pidtucker.__all__ if not hasattr(pidtucker, name)]
     assert missing == []
+
+
+def unused_imports(source: str, exported=()) -> list[str]:
+    """Names a module imports (at any depth) and never reads; exported names count as read."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exported)
+    return [name for name in imported if name not in used]
+
+
+def test_every_module_uses_what_it_imports():
+    package = Path(pidtucker.__file__).parent
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8"),
+                                        pidtucker.__all__ if path.name == "__init__.py" else ())
+              for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+    assert unused_imports("import os\nimport time\nfrom . import x as y\nos.sep") == ["time", "y"]
 
 
 def test_kernel_source_ships_with_the_package():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,12 @@ def test_split_ratio_validation():
         split(t, (0.5, 0.5, 0.5), seed=0)
     with pytest.raises(DataError):
         split(t, (0.5, -0.1, 0.6), seed=0)
+    for bad in (math.nan, math.inf):
+        for pos in range(3):
+            ratios = [0.5, 0.25, 0.25]
+            ratios[pos] = bad
+            with pytest.raises(DataError, match="ratios must be three positive reals"):
+                split(t, ratios, seed=0)
 
 
 def test_split_rejects_negative_seed():
