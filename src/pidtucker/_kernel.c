@@ -3,35 +3,57 @@
  * function calls each module function, the reference it matches and how its
  * errors reach the user is stated once, in _kernel.py's docstring.
  *
- * pt_value is the model value at one cell and pt_step applies one entry's
- * SGD update in place.  `value` and `step` call them for one cell, `values`
- * for each row of an (n, 3) cell array, and `sums` returns in one pass the
- * sums of squared residuals, of the core's squares, of the touched factor
- * rows' squares and of the touched biases' squares; `all_finite` scans every
+ * A model value is formed in two parts: pt_form_g contracts the core with
+ * the mode-1 row, g[n,l] = sum over m of u[m] core[m,n,l], which depends on
+ * the cell's i alone, and pt_finish completes the value at (i, j, k) from
+ * g.  pt_step applies one entry's SGD update in place.  `value` and `step`
+ * call them for one cell (`value` always forms g), `values` for each row of
+ * an (n, 3) cell array, and `sums` returns in one pass the sums of squared
+ * residuals, of the core's squares, of the touched factor rows' squares and
+ * of the touched biases' squares; `values` and `sums` form g again only
+ * when a row's i differs from the previous row's, so cells sorted by i (as
+ * missing cells are) form it once per segment.  `all_finite` scans every
  * parameter array.  Everything is compiled without floating-point
  * contraction, so results do not depend on whether the CPU has fused
  * multiply-add.
  *
- * The contraction-order contract: every sum in pt_value and pt_step starts
- * from 0.0 and adds its terms in increasing index order, as the comments at
- * each sum state, and tests replay that order in Python floats bit for bit.
- * Only the scheduling is free: the kernels form four independent sums at
- * once (dot4), with one at a time (dot1) for the remainder, and never split
- * or reorder one sum.  pt_step's row, core and scratch pointers are
- * restrict, which _kernel.py makes true by packing no two arrays that share
- * memory.
+ * The contraction-order contract: every sum in pt_form_g, pt_finish and
+ * pt_step starts from 0.0 and adds its terms in increasing index order, as
+ * the comments at each sum state, and tests replay that order in Python
+ * floats bit for bit.  Only the scheduling is free: the kernels form four
+ * independent sums at once (dot4), with one at a time (dot1) for the
+ * remainder, and never split or reorder one sum.  So a g kept from an
+ * earlier row holds the bits a fresh one would.  pt_step's row, core and
+ * scratch pointers are restrict, which _kernel.py makes true by packing no
+ * two arrays that share memory.
  *
  * `records` formats one block of CSV rows "<segment><day><slot>,<value>\n"
- * from prefix tuples the caller has already quoted.  Each value goes through
- * PyOS_double_to_string(v, 'f', 6, 0, NULL), the routine Python's
- * format(v, ".6f") calls, so the bytes equal the Python reference's for
- * every double, nan, infinities and -0.0 included.
+ * from prefix tuples the caller has already quoted.  Each value is written
+ * as Python's format(v, ".6f") writes it, in one of two ways:
+ *  - fixed6, for a finite |v| < 1e12 when the compiler has 128-bit
+ *    integers.  The double is |v| = m / 2^s exactly, with the integer
+ *    m < 2^53 and, as |v| < 2^40, s >= 13.  So |v| * 10^6 = N / 2^s with
+ *    N = m * 10^6 < 2^73, which unsigned __int128 holds exactly.
+ *    q = N >> s and the remainder r = N - q * 2^s are exact, and q is rounded
+ *    up when r > 2^(s-1), or when r == 2^(s-1) and q is odd.  That is the
+ *    correctly rounded, half-to-even count of millionths, which format
+ *    prints: its rounding is correct, and a tie is exact, so it goes to
+ *    even.  The ties are the odd multiples of 1/128.  When s >= 74,
+ *    N < 2^73 <= 2^(s-1) and q is 0.  q <= 10^18 < 2^64, and it is printed
+ *    as q / 10^6, a point and six digits of q % 10^6, after a '-' whenever
+ *    signbit(v) is set (format writes -0.0 and -1e-9 as -0.000000).
+ *  - PyOS_double_to_string(v, 'f', 6, 0, NULL), the routine format calls,
+ *    for nan, the infinities, |v| >= 1e12 and compilers without 128-bit
+ *    integers.
+ * So the bytes equal the Python reference's for every double.
  *
  * Where each check lives:
  *  - _kernel.py (_consistent, _Handle) packs a pt_model only for
  *    C-contiguous, aligned, writeable float64 arrays whose shapes match dims
  *    and the ranks and of which no two share memory, and sizes the scratch
- *    buffer from the ranks (r1*r2 + r1 + r2 + r3 doubles).  There are no
+ *    buffer from the ranks: r1*r2 + r1 + r2 + r3 doubles for pt_step, then
+ *    r2*r3 for g.  Every call writes the scratch, and holds the GIL
+ *    throughout, so no two calls on one handle overlap.  There are no
  *    fixed-size buffers here.
  *  - The bindings below check the argument count and the handle, and
  *    convert every argument (TypeError, ValueError, OverflowError); `step`
@@ -57,7 +79,7 @@ typedef struct {
     double *factor[3];  /* (dims[m], rank[m]), row-major */
     double *bias[3];    /* (dims[m],) */
     double *core;       /* (rank[0], rank[1], rank[2]), row-major */
-    double *scratch;    /* written by pt_step */
+    double *scratch;    /* pt_step's (r1*r2 + r1 + r2 + r3), then g (r2*r3) */
     long rank[3];
     int64_t dims[3];
 } pt_model;
@@ -104,30 +126,39 @@ static inline long dot_next(const double *x, const double *c, long n, long sm, l
     return 1;
 }
 
-/* mean + multilinear term + the three biases.  The term is contracted in
- * predict_batch's order: g[n,l] = sum over m of u[m] core[m,n,l], then
- * dn = sum over l of g[n,l] t[l], then the sum over n of dn d[n]. */
-static double pt_value(const pt_model *h, long i, long j, long k, double mean)
+/* g[n,l] = sum over m of u[m] core[m,n,l], for u the mode-1 row i, over
+ * the (n, l) pairs in blocks.  g is the handle's scratch (g_scratch). */
+static void pt_form_g(const pt_model *h, long i, double *g)
 {
-    const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2], s = r2 * r3;
+    const long r1 = h->rank[0], s = h->rank[1] * h->rank[2];
     const double *u = h->factor[0] + i * r1;
+    for (long q = 0; q < s;)
+        q += dot_next(u, h->core + q, r1, s, s - q, g + q);
+}
+
+static double *g_scratch(const pt_model *h)
+{
+    return h->scratch + h->rank[0] * h->rank[1] + h->rank[0] + h->rank[1] + h->rank[2];
+}
+
+/* mean + multilinear term + the three biases at (i, j, k), from the g of
+ * row i.  The term is contracted in predict_batch's order: dn = sum over l
+ * of g[n,l] t[l], four n at a time, then the sum over n of dn d[n]. */
+static double pt_finish(const pt_model *h, const double *g, long i, long j, long k,
+                        double mean)
+{
+    const long r2 = h->rank[1], r3 = h->rank[2];
     const double *d = h->factor[1] + j * r2;
     const double *t = h->factor[2] + k * r3;
-    double multi = 0.0, dn = 0.0, g[4];
-    long n = 0, l = 0;
-
-    /* g over the (n, l) pairs in blocks, each block consumed in (n, l) order. */
-    for (long q = 0, b; q < s; q += b) {
-        b = dot_next(u, h->core + q, r1, s, s - q, g);
-        for (long a = 0; a < b; a++) {
-            dn += g[a] * t[l];
-            if (++l == r3) {
-                multi += dn * d[n++];
-                dn = 0.0;
-                l = 0;
-            }
-        }
+    double multi = 0.0, dn[4];
+    long n;
+    for (n = 0; n + 4 <= r2; n += 4) {
+        dot4(t, g + n * r3, r3, 1, r3, dn);
+        for (long a = 0; a < 4; a++)
+            multi += dn[a] * d[n + a];
     }
+    for (; n < r2; n++)
+        multi += dot1(t, g + n * r3, r3, 1) * d[n];
     return mean + multi + h->bias[0][i] + h->bias[1][j] + h->bias[2][k];
 }
 
@@ -271,7 +302,9 @@ static PyObject *value(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssiz
     if (unpack_model(args, nargs, 3, &h) < 0 || unpack_index(&h, args[1], idx) < 0
         || unpack_doubles(args + 2, 1, &mean) < 0)
         return NULL;
-    return PyFloat_FromDouble(pt_value(&h, idx[0], idx[1], idx[2], mean));
+    double *g = g_scratch(&h);
+    pt_form_g(&h, idx[0], g);
+    return PyFloat_FromDouble(pt_finish(&h, g, idx[0], idx[1], idx[2], mean));
 }
 
 static PyObject *step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
@@ -313,6 +346,50 @@ static Py_ssize_t prefix_count(PyObject *arg, const char *what)
     return -1;
 }
 
+/* format(v, ".6f") into out (at least 24 bytes) for a finite |v| < 1e12,
+ * by the exact integer rounding the header proves; returns the length, or 0
+ * when v must go through PyOS_double_to_string. */
+static size_t fixed6(double v, char *out)
+{
+#ifdef __SIZEOF_INT128__
+    if (!(fabs(v) < 1e12))  /* also nan */
+        return 0;
+    uint64_t bits, m, q = 0;
+    memcpy(&bits, &v, sizeof bits);
+    const int e = (int)(bits >> 52 & 0x7ff);
+    const int s = e ? 1075 - e : 1074;  /* |v| = m / 2^s */
+    m = bits & ((UINT64_C(1) << 52) - 1);
+    if (e)
+        m |= UINT64_C(1) << 52;
+    if (s < 74) {
+        const unsigned __int128 n = (unsigned __int128)m * 1000000u;
+        const unsigned __int128 half = (unsigned __int128)1 << (s - 1);
+        const unsigned __int128 r = n & (2 * half - 1);
+        q = (uint64_t)(n >> s);
+        q += r > half || (r == half && (q & 1));
+    }
+    char digits[20], *p = out, *k = digits + sizeof digits;
+    uint64_t whole = q / 1000000;
+    unsigned frac = (unsigned)(q % 1000000);
+    if (signbit(v))
+        *p++ = '-';
+    do
+        *--k = (char)('0' + whole % 10);
+    while ((whole /= 10) > 0);
+    const size_t lw = (size_t)(digits + sizeof digits - k);
+    memcpy(p, k, lw);
+    p += lw;
+    *p++ = '.';
+    for (int a = 5; a >= 0; a--, frac /= 10)
+        p[a] = (char)('0' + frac % 10);
+    return (size_t)(p + 6 - out);
+#else
+    (void)v;
+    (void)out;
+    return 0;
+#endif
+}
+
 /* The rows of n checked cells, as bytes. */
 static PyObject *format_rows(PyObject *segments, PyObject *days, const int64_t *idx,
                              const double *values, Py_ssize_t n)
@@ -332,14 +409,19 @@ static PyObject *format_rows(PyObject *segments, PyObject *days, const int64_t *
             *--k = (char)('0' + rest % 10);
         while ((rest /= 10) > 0);
         size_t lk = (size_t)(slot + sizeof slot - k);
-        char *v = PyOS_double_to_string(values[r], 'f', 6, 0, NULL);
-        if (v == NULL)
-            goto fail;
-        size_t lv = strlen(v), need = len + ls + ld + lk + lv + 1;
+        char fixed[24], *v = fixed;
+        size_t lv = fixed6(values[r], fixed);
+        if (lv == 0) {
+            if ((v = PyOS_double_to_string(values[r], 'f', 6, 0, NULL)) == NULL)
+                goto fail;
+            lv = strlen(v);
+        }
+        size_t need = len + ls + ld + lk + lv + 1;
         if (need > cap) {
             char *grown = PyMem_Realloc(buf, cap = 2 * need);
             if (grown == NULL) {
-                PyMem_Free(v);
+                if (v != fixed)
+                    PyMem_Free(v);
                 PyErr_NoMemory();
                 goto fail;
             }
@@ -352,7 +434,8 @@ static PyObject *format_rows(PyObject *segments, PyObject *days, const int64_t *
         memcpy(out += lk, v, lv);
         out[lv] = '\n';
         len = need;
-        PyMem_Free(v);
+        if (v != fixed)
+            PyMem_Free(v);
     }
     PyObject *rows = PyBytes_FromStringAndSize(buf, (Py_ssize_t)len);
     PyMem_Free(buf);
@@ -412,9 +495,13 @@ static PyObject *values(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssi
         || (n = get_cells(h.dims, args[1], &ib, args[3], &ob, PyBUF_WRITABLE, "out")) < 0)
         return NULL;
     const int64_t *idx = ib.buf;
-    double *out = ob.buf;
-    for (Py_ssize_t r = 0; r < n; r++)
-        out[r] = pt_value(&h, idx[3 * r], idx[3 * r + 1], idx[3 * r + 2], mean);
+    double *out = ob.buf, *g = g_scratch(&h);
+    for (Py_ssize_t r = 0; r < n; r++) {
+        const int64_t *c = idx + 3 * r;
+        if (r == 0 || c[0] != c[-3])
+            pt_form_g(&h, c[0], g);
+        out[r] = pt_finish(&h, g, c[0], c[1], c[2], mean);
+    }
     PyBuffer_Release(&ob);
     PyBuffer_Release(&ib);
     Py_RETURN_NONE;
@@ -436,10 +523,12 @@ static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
         return NULL;
     const int64_t *idx = ib.buf;
     const double *y = yb.buf;
-    double resid = 0.0, rows = 0.0, biases = 0.0;
+    double resid = 0.0, rows = 0.0, biases = 0.0, *g = g_scratch(&h);
     for (Py_ssize_t r = 0; r < n; r++) {
         const int64_t *c = idx + 3 * r;
-        double e = y[r] - pt_value(&h, c[0], c[1], c[2], mean);
+        if (r == 0 || c[0] != c[-3])
+            pt_form_g(&h, c[0], g);
+        double e = y[r] - pt_finish(&h, g, c[0], c[1], c[2], mean);
         resid += e * e;
         for (int m = 0; m < 3; m++) {
             rows += sum_squares(h.factor[m] + c[m] * h.rank[m], h.rank[m]);

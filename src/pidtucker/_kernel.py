@@ -15,11 +15,14 @@ match (numpy or plain Python):
   functions, when `handle(f)` can take f's arrays; else it runs the
   reference.  There is no switch for the backend.
 - The backends agree within 1e-12, and each is bitwise deterministic.  On
-  the kernel every model value comes from one C routine, so predict,
-  predict_batch, rmse and regularized_loss agree bit for bit (rmse is 0.0 on
-  values predict_batch gave).  records writes the reference's bytes.  A value
-  within ~1e-12 of a 6th-decimal rounding boundary can still be written
-  differently by the two backends, so imputed.csv may differ there alone.
+  the kernel every model value comes from one contraction (pt_form_g, then
+  pt_finish), and values and sums reuse a row's g for the next row with the
+  same i, which holds the bits a fresh g would; so predict, predict_batch,
+  rmse and regularized_loss agree bit for bit in any row order (rmse is 0.0
+  on values predict_batch gave).  records writes the reference's bytes.  A
+  value within ~1e-12 of a 6th-decimal rounding boundary can still be
+  written differently by the two backends, so imputed.csv may differ there
+  alone.
 - Errors: a kernel raises IndexError (or TypeError, ValueError,
   OverflowError for an index that is not three integers) before touching
   any memory, and step raises FloatingPointError for a non-finite err,
@@ -44,7 +47,8 @@ Any failure (no gcc or no Python headers, an unwritable or foreign cache
 directory, a file that will not load) makes `library()` return None.
 
 `handle(f)` gives the kernel's view of one TuckerFactors: a packed pt_model
-struct of pointers to its arrays, a scratch buffer sized from its ranks, the
+struct of pointers to its arrays, a scratch buffer sized from its ranks
+(pt_step's r1*r2 + r1 + r2 + r3 doubles, then r2*r3 for g), the
 ranks and dims (which the kernel checks every index against), or None when
 an array is not C-contiguous, aligned, writeable float64 of the shape dims
 and the ranks give, or two arrays share memory.  A TuckerFactors builds its
@@ -208,7 +212,8 @@ class _Handle:
 
     def __init__(self, lib, f):
         ranks = f.core.shape
-        scratch = np.empty(ranks[0] * ranks[1] + ranks[0] + ranks[1] + ranks[2])
+        # pt_step's gt and row gradients, then pt_form_g's g (_kernel.c).
+        scratch = np.empty(ranks[0] * ranks[1] + sum(ranks) + ranks[1] * ranks[2])
         self.arrays = (*f.factors, *f.biases, f.core, scratch)
         self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in self.arrays), *ranks,
                                  *f.dims)

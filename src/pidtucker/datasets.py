@@ -325,14 +325,15 @@ def missing_indices(tensor: SparseTensor) -> np.ndarray:
     """All cells of the tensor grid that carry no observation, row-major order.
 
     Works on a one-byte-per-cell mask of the grid with the observed cells
-    cleared; the result is an (n, 3) int64 array holding every missing cell.
+    cleared, and lists the cells it still holds in one pass (np.nonzero on
+    the grid-shaped mask).  The result is a C-contiguous (n, 3) int64 array
+    of every missing cell, sorted by segment, then day, then slot, which is
+    the order in which predict_batch's kernel reuses a segment's work.
     """
     missing = np.ones(tensor.n_cells, dtype=bool)
-    missing[np.ravel_multi_index(
-        (tensor.indices[:, 0], tensor.indices[:, 1], tensor.indices[:, 2]), tensor.dims
-    )] = False
-    ii, jj, kk = np.unravel_index(np.flatnonzero(missing), tensor.dims)
-    return np.column_stack((ii, jj, kk)).astype(np.int64)
+    missing[np.ravel_multi_index(tensor.indices.T, tensor.dims)] = False
+    cells = np.stack(np.nonzero(missing.reshape(tensor.dims)), axis=1)
+    return cells.astype(np.int64, copy=False)  # a copy only where intp is not int64
 
 
 def _csv_line(fields) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -85,6 +84,8 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
                                 error=f"{type(exc).__name__}: {exc}")
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by jobs=1 runs
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(one, range(cfg.repeats)))
     else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,11 +230,14 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
     """Vectorized predict over an (n, 3) index array.
 
     Runs the compiled kernel when it is available (see the module
-    docstring); its values are predict's, bit for bit.  The numpy reference
-    forms the multilinear term by mode products (factor rows of mode 1 times
-    the unfolded core, then contracted with the mode-3 and mode-2 rows) in
-    blocks of _PREDICT_BLOCK_ROWS rows written into one preallocated output,
-    so temporaries stay bounded however many cells are asked for.
+    docstring); its values are predict's, bit for bit.  The kernel contracts
+    the core with a segment's factor row once for each run of rows with that
+    segment, so rows sorted by segment (as missing_indices gives them) cost
+    least.  The numpy reference forms the multilinear term by mode products
+    (factor rows of mode 1 times the unfolded core, then contracted with the
+    mode-3 and mode-2 rows) in blocks of _PREDICT_BLOCK_ROWS rows written
+    into one preallocated output, so temporaries stay bounded however many
+    cells are asked for.
     """
     idx = _cells(indices)
     out = np.empty(len(idx))
@@ -378,7 +382,8 @@ def load_checkpoint(path) -> TuckerFactors:
     """Read a checkpoint written by save_checkpoint.
 
     Raises DataError for an unreadable file, a malformed header (dims and ranks
-    must be JSON integers), a payload of the wrong size, or any non-finite parameter.
+    must be JSON integers, mean a finite JSON number), a payload of the wrong
+    size, or any non-finite parameter.
     """
     try:
         fh = open(path, "rb")
@@ -395,14 +400,19 @@ def load_checkpoint(path) -> TuckerFactors:
         if header.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
         try:
-            dims, ranks = (tuple(header[key]) for key in ("dims", "ranks"))
-            mean = float(header["mean"])
-        except (KeyError, TypeError, ValueError) as exc:
+            dims, ranks, mean = (header[key] for key in ("dims", "ranks", "mean"))
+            dims, ranks = tuple(dims), tuple(ranks)
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: malformed checkpoint header ({exc!r})") from None
         for key, values in (("dims", dims), ("ranks", ranks)):
             if len(values) != 3 or not all(type(x) is int and x >= 1 for x in values):
                 raise DataError(f"{path}: checkpoint {key} must be three positive integers, "
                                 f"got {values}")
+        # A JSON number is an int or a float (a bool is neither); nan, the
+        # infinities and ints beyond every float are not finite doubles.
+        if type(mean) not in (int, float) or not abs(mean) <= sys.float_info.max:
+            raise DataError(f"{path}: checkpoint mean must be a finite JSON number, "
+                            f"got {mean!r}")
         payload = fh.read()
 
     shapes = _shapes(dims, ranks)
@@ -413,6 +423,6 @@ def load_checkpoint(path) -> TuckerFactors:
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    if not (math.isfinite(mean) and all(np.isfinite(a).all() for a in arrays)):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise DataError(f"{path}: checkpoint holds non-finite parameters")
     return _from_arrays(dims, Ranks(*ranks), arrays, mean)

@@ -111,7 +111,7 @@ def sgd_step(f: TuckerFactors, idx, y: float, adjusted_err: float,
     h = f._kernel_handle
     if h is None:
         if not math.isfinite(adjusted_err):
-            raise _divergence(idx, y)
+            raise _divergence(f, idx, y)
         grad = instance_gradient(f, idx, adjusted_err, hyper.reg)
         eta = hyper.eta
         for m, (i, row, b) in enumerate(zip(check_index(f, idx), grad.rows, grad.biases)):
@@ -123,14 +123,20 @@ def sgd_step(f: TuckerFactors, idx, y: float, adjusted_err: float,
     try:
         h.step(h.model, idx, adjusted_err, hyper.eta, reg.lambda1, reg.lambda2, reg.lambda3)
     except FloatingPointError:
-        raise _divergence(idx, y) from None
+        raise _divergence(f, idx, y) from None
     except _kernel.INDEX_ERRORS:
         check_index(f, idx)
         raise
 
 
-def _divergence(idx, y: float) -> DivergenceError:
-    return DivergenceError(f"non-finite update at entry {tuple(int(x) for x in idx)} (y={y!r})")
+def _divergence(f: TuckerFactors, idx, y: float) -> DivergenceError:
+    """The error for a non-finite update at idx, named as check_index returns
+    it, or as given when check_index rejects it."""
+    try:
+        idx = check_index(f, idx)
+    except (DataError, TypeError, ValueError):
+        pass
+    return DivergenceError(f"non-finite update at entry {idx!r} (y={y!r})")
 
 
 def _all_finite(f: TuckerFactors) -> bool:

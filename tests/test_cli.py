@@ -379,6 +379,21 @@ def _checkpoint_with_header(key, values):
     return breaks
 
 
+def _checkpoint_with_mean(value):
+    """The trained checkpoint with a header mean that is not a finite JSON number."""
+
+    def breaks(rundir):
+        ckpt = rundir / "model.ckpt"
+        header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+        header = {**json.loads(header_line), "mean": value}
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        return (f"checkpoint mean must be a finite JSON number, got {value!r}",
+                model_args(rundir))
+
+    breaks.__name__ = f"_checkpoint_with_mean_{type(value).__name__}"
+    return breaks
+
+
 def _checkpoint_with_a_huge_dim(rundir):
     ckpt = rundir / "model.ckpt"
     header_line, _, payload = ckpt.read_bytes().partition(b"\n")
@@ -398,6 +413,8 @@ def _checkpoint_with_a_huge_dim(rundir):
                                     _checkpoint_with_header("dims", [3, True, 4]),
                                     _checkpoint_with_header("ranks", [2.7, 2, 2]),
                                     _checkpoint_with_header("ranks", [2, 2, True]),
+                                    _checkpoint_with_mean(True), _checkpoint_with_mean("3.5"),
+                                    _checkpoint_with_mean(None), _checkpoint_with_mean(10**400),
                                     _checkpoint_with_a_huge_dim])
 def test_unusable_model_files_exit_3(tmp_path, capsys, breaks):
     data, trained = synth_and_train(tmp_path)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -358,6 +359,18 @@ def test_missing_indices_complement():
     assert len(missing) + len(tensor) == 60
     obs = {tuple(r) for r in tensor.indices.tolist()}
     assert all(tuple(r) not in obs for r in missing.tolist())
+
+
+def test_missing_indices_are_contiguous_int64_rows_in_row_major_order():
+    dims = (3, 4, 5)
+    full = [(0, j, k) for j in range(4) for k in range(5)]  # segment 0 fully observed
+    observed = [(2, 3, 0), *full, (2, 1, 3)]                 # segment 1 fully missing
+    tensor = from_records(dims, [(*c, 1.0) for c in observed])
+    got = missing_indices(tensor)
+    assert got.dtype == np.int64 and got.shape == (60 - 22, 3)
+    assert got.flags.c_contiguous
+    assert [tuple(r) for r in got.tolist()] == [
+        c for c in itertools.product(*map(range, dims)) if c not in set(observed)]
 
 
 @st.composite

@@ -290,6 +290,95 @@ def test_the_compiled_writer_gives_the_reference_bytes(tmp_path_factory, drawn):
     assert got.count(b"\n") >= len(rows) + 1
 
 
+def _bits(sign, exponent, mantissa):
+    """Doubles from their sign bit, biased exponent field and mantissa field."""
+    sign, exponent, mantissa = (np.asarray(x, dtype=np.uint64) for x in (sign, exponent, mantissa))
+    return ((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa).view(np.float64)
+
+
+def _value_class(kind, rng, n):
+    """n doubles of one class the records writer must format as format(v, ".6f") does."""
+    sign, mantissa = rng.integers(0, 2, n), rng.integers(0, 2**52, n, dtype=np.uint64)
+    if kind == "bit patterns":
+        return rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    if kind == "bit patterns, 2**-21 <= |v| < 2**40":
+        return _bits(sign, rng.integers(1023 - 21, 1023 + 40, n), mantissa)
+    if kind == "odd multiples of 1/128":  # the exact ties at the 6th decimal
+        return np.concatenate([2 * rng.integers(-2**45, 2**45, n // 2) + 1,
+                               2 * rng.integers(-10**4, 10**4, n - n // 2) + 1]) / 128.0
+    if kind == "around 1e12":  # both sides, within 50,000 ulps
+        steps = rng.integers(-50_000, 50_000, n)
+        near = (np.float64(1e12).view(np.int64) + steps).view(np.float64)
+        return np.where(sign == 1, -near, near)
+    if kind == "subnormals":
+        return _bits(sign, np.zeros(n, dtype=np.int64), mantissa)
+    if kind == "signed zeros":
+        return np.where(sign == 1, -0.0, 0.0)
+    if kind == "negatives that round to -0.000000":
+        return -rng.uniform(0.0, 5e-7, n)
+    if kind == "halves of a millionth":  # near ties that are not exact
+        return (rng.integers(-10**12, 10**12, n) + 0.5) / 1e6
+    assert kind == "nan and infinities"
+    return rng.choice([math.nan, -math.nan, math.inf, -math.inf], n)
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind", [
+    "bit patterns", "bit patterns, 2**-21 <= |v| < 2**40", "odd multiples of 1/128",
+    "around 1e12", "subnormals", "signed zeros", "negatives that round to -0.000000",
+    "halves of a millionth", "nan and infinities"])
+def test_records_writes_every_class_of_double_as_format_does(kind):
+    values = _value_class(kind, np.random.default_rng(2304), 100_000)
+    got = _kernel.library().records((b"",), (b"",), 1, np.zeros((len(values), 3), np.int64),
+                                    values).split(b"\n")
+    want = [f"0,{v:.6f}".encode() for v in values.tolist()] + [b""]
+    bad = next((r for r, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, (values[bad].hex(), got[bad], want[bad])
+    assert len(got) == len(want)
+
+
+def replay_sums(f, idx, y):
+    """The four sums of _kernel.c's `sums`, in its row order and in Python
+    floats, with each model value from predict on that cell alone."""
+    resid = rows = biases = 0.0
+    for cell, target in zip(idx.tolist(), y.tolist()):
+        e = target - predict(f, cell)
+        resid += e * e
+        for a, b, c in zip(f.factors, f.biases, cell):
+            row = 0.0
+            for x in a[c].tolist():
+                row += x * x
+            rows += row
+            biases += float(b[c]) * float(b[c])
+    core = 0.0
+    for x in f.core.ravel().tolist():
+        core += x * x
+    return resid, core, rows, biases
+
+
+@needs_kernel
+@pytest.mark.parametrize("order", ["sorted by segment", "a segment recurs"])
+@pytest.mark.parametrize("ranks", [(5, 5, 5), (3, 6, 2), (1, 9, 7)])
+def test_batch_values_and_sums_equal_per_cell_predict_bit_for_bit(order, ranks):
+    f = random_factors((3, 4, 6), ranks, seed=sum(ranks))
+    rng = np.random.default_rng(5)
+    grid = np.indices(f.dims).reshape(3, -1).T  # row-major: runs of one segment
+    if order == "sorted by segment":
+        idx = grid
+    else:  # segments 1, 2, 1, then runs and single rows mixed
+        idx = grid[np.concatenate([[30, 50, 31], rng.integers(0, len(grid), 200)])]
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    y = f.mean + rng.normal(scale=5.0, size=len(idx))
+    reg = RegWeights(0.3, 0.02, 0.7)
+    values = predict_batch(f, idx)
+    assert [v.hex() for v in values.tolist()] == [predict(f, c).hex() for c in idx.tolist()]
+    resid, core, rows, biases = replay_sums(f, idx, y)
+    assert rmse(f, idx, y).hex() == math.sqrt(resid / len(idx)).hex()
+    loss = 0.5 * (resid + reg.lambda1 * core * len(idx) + reg.lambda2 * rows
+                  + reg.lambda3 * biases)
+    assert regularized_loss(f, idx, y, reg).hex() == loss.hex()
+
+
 # ---------------------------------------------------------------- checks
 
 # Indices for dims (4, 3, 5): half of them in range, the rest with entries

@@ -109,6 +109,20 @@ def test_step_non_finite_err_raises():
     assert "(1, 0, 1)" in str(exc.value)
 
 
+@pytest.mark.parametrize("idx, named", [
+    ((1.5, 0, 0), "(1.5, 0, 0)"),             # not truncated to the valid cell (1, 0, 0)
+    (("a", 0, 0), "('a', 0, 0)"),             # no bare ValueError from int("a")
+    ((np.int64(1), 0, 1), "(1, 0, 1)"),       # check_index's plain ints
+    ((5, 0, 0), "(5, 0, 0)"),                 # outside dims: as given
+])
+def test_a_divergence_names_the_entry_it_was_given(each_backend, idx, named):
+    f = init_factors((2, 2, 2), Ranks(1, 1, 1), seed=0)
+    with pytest.raises(DivergenceError) as exc:
+        sgd_step(f, idx, 2.0, float("nan"), Hyperparams())
+    assert str(exc.value) == f"non-finite update at entry {named} (y=2.0)"
+    assert factors_equal(f, init_factors((2, 2, 2), Ranks(1, 1, 1), seed=0))
+
+
 # ---------------------------------------------------------------- train
 
 

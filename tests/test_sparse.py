@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pidtucker import ConfigError, DataError, from_records, split
+from pidtucker.sparse import _first_out_of_bounds
 
 
 def test_single_record_density():
@@ -43,6 +46,19 @@ def test_index_errors_show_the_cell_as_plain_ints():
         with pytest.raises(DataError) as exc:
             from_records((2, 2, 2), records)
         assert str(exc.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3),
+       rows=st.lists(st.tuples(*[st.integers(-2, 5)] * 3), max_size=12))
+@example(dims=(2, 2, 2), rows=[])
+@example(dims=(2, 3, 4), rows=[(1, 2, 3), (0, 0, 4)])   # only a column maximum is out
+@example(dims=(2, 3, 4), rows=[(1, 2, 3), (-1, 0, 0)])  # only the least entry is out
+def test_first_out_of_bounds_finds_the_first_row_outside(dims, rows):
+    idx = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    want = next((r for r, row in enumerate(rows)
+                 if not all(0 <= x < d for x, d in zip(row, dims))), None)
+    assert _first_out_of_bounds(idx, dims) == want
 
 
 def test_non_finite_value_rejected():
