@@ -6,16 +6,15 @@
  * A model value is formed in two parts: pt_form_g contracts the core with
  * the mode-1 row, g[n,l] = sum over m of u[m] core[m,n,l], which depends on
  * the cell's i alone, and pt_finish completes the value at (i, j, k) from
- * g.  pt_step applies one entry's SGD update in place.  `value` and `step`
- * call them for one cell (`value` always forms g), `values` for each row of
- * an (n, 3) cell array, and `sums` returns in one pass the sums of squared
- * residuals, of the core's squares, of the touched factor rows' squares and
- * of the touched biases' squares; `values` and `sums` form g again only
- * when a row's i differs from the previous row's, so cells sorted by i (as
- * missing cells are) form it once per segment.  `all_finite` scans every
- * parameter array.  Everything is compiled without floating-point
- * contraction, so results do not depend on whether the CPU has fused
- * multiply-add.
+ * g.  pt_step applies one entry's SGD update in place, reading g for the
+ * mode-3 row's gradient.  `value` and `step` form g and call them for one
+ * cell, `values` for each row of an (n, 3) cell array, and `sums` returns
+ * in one pass the sums of squared residuals, of the core's squares, of the
+ * touched factor rows' squares and of the touched biases' squares; `values`
+ * and `sums` form g again only when a row's i differs from the previous
+ * row's, so cells sorted by i (as missing cells are) form it once per
+ * segment.  Everything is compiled without floating-point contraction, so
+ * results do not depend on whether the CPU has fused multiply-add.
  *
  * The contraction-order contract: every sum in pt_form_g, pt_finish and
  * pt_step starts from 0.0 and adds its terms in increasing index order, as
@@ -24,8 +23,9 @@
  * independent sums at once (dot4), with one at a time (dot1) for the
  * remainder, and never split or reorder one sum.  So a g kept from an
  * earlier row holds the bits a fresh one would.  pt_step's row, core and
- * scratch pointers are restrict, which _kernel.py makes true by packing no
- * two arrays that share memory.
+ * scratch pointers are restrict, which holds because the arrays are
+ * disjoint views of one parameter block and the scratch is a buffer of its
+ * own.
  *
  * `records` formats one block of CSV rows "<segment><day><slot>,<value>\n"
  * from prefix tuples the caller has already quoted.  Each value is written
@@ -48,13 +48,13 @@
  * So the bytes equal the Python reference's for every double.
  *
  * Where each check lives:
- *  - _kernel.py (_consistent, _Handle) packs a pt_model only for
- *    C-contiguous, aligned, writeable float64 arrays whose shapes match dims
- *    and the ranks and of which no two share memory, and sizes the scratch
- *    buffer from the ranks: r1*r2 + r1 + r2 + r3 doubles for pt_step, then
- *    r2*r3 for g.  Every call writes the scratch, and holds the GIL
- *    throughout, so no two calls on one handle overlap.  There are no
- *    fixed-size buffers here.
+ *  - model.TuckerFactors checks every parameter array's shape against dims
+ *    and the ranks and copies them into one C-contiguous, writeable float64
+ *    block, so the seven arrays _kernel.py (_Handle) packs into a pt_model
+ *    are disjoint views of it.  _Handle sizes the scratch buffer from the
+ *    ranks: r1*r2 + r1 + r2 + r3 doubles for pt_step, then r2*r3 for g.
+ *    Every call writes the scratch, and holds the GIL throughout, so no two
+ *    calls on one handle overlap.  There are no fixed-size buffers here.
  *  - The bindings below check the argument count and the handle, and
  *    convert every argument (TypeError, ValueError, OverflowError); `step`
  *    rejects a non-finite err (FloatingPointError) before it reads the index.
@@ -127,7 +127,7 @@ static inline long dot_next(const double *x, const double *c, long n, long sm, l
 }
 
 /* g[n,l] = sum over m of u[m] core[m,n,l], for u the mode-1 row i, over
- * the (n, l) pairs in blocks.  g is the handle's scratch (g_scratch). */
+ * the (n, l) pairs in blocks, into g (the handle's g_scratch). */
 static void pt_form_g(const pt_model *h, long i, double *g)
 {
     const long r1 = h->rank[0], s = h->rank[1] * h->rank[2];
@@ -164,11 +164,12 @@ static double pt_finish(const pt_model *h, const double *g, long i, long j, long
 
 /* One entry's update, as model.instance_gradient followed by a step of size
  * eta: every gradient is formed from pre-update values, then the three
- * factor rows, the core and the three biases move against it. */
-static void pt_step(const pt_model *h, long i, long j, long k, double err, double eta,
-                    double lambda1, double lambda2, double lambda3)
+ * factor rows, the core and the three biases move against it.  g is
+ * pt_form_g's for row i, formed before the call. */
+static void pt_step(const pt_model *h, const double *g, long i, long j, long k, double err,
+                    double eta, double lambda1, double lambda2, double lambda3)
 {
-    const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2], s = r2 * r3;
+    const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2];
     double *restrict u = h->factor[0] + i * r1;
     double *restrict d = h->factor[1] + j * r2;
     double *restrict t = h->factor[2] + k * r3;
@@ -201,23 +202,13 @@ static void pt_step(const pt_model *h, long i, long j, long k, double err, doubl
     }
     for (; n < r2; n++)
         g2[n] = lambda2 * d[n] - err * dot1(u, gt + n, r1, r2);
-    /* chi[l] = sum over n of d[n] w[n, l], w[n, l] = sum over m of
-     * u[m] core[m, n, l]: w over the (n, l) pairs in blocks, added in n order. */
-    for (l = 0; l < r3; l++)
-        g3[l] = 0.0;
-    n = l = 0;
-    for (long q = 0, b; q < s; q += b) {
-        b = dot_next(u, core + q, r1, s, s - q, w);
-        for (long a = 0; a < b; a++) {
-            g3[l] += d[n] * w[a];
-            if (++l == r3) {
-                n++;
-                l = 0;
-            }
-        }
+    /* chi[l] = sum over n of d[n] g[n, l], added in n order. */
+    for (l = 0; l < r3; l++) {
+        double chi = 0.0;
+        for (n = 0; n < r2; n++)
+            chi += d[n] * g[n * r3 + l];
+        g3[l] = lambda2 * t[l] - err * chi;
     }
-    for (l = 0; l < r3; l++)
-        g3[l] = lambda2 * t[l] - err * g3[l];
 
     /* The core step reads the rows, so it goes before they move. */
     for (m = 0; m < r1; m++)
@@ -318,7 +309,9 @@ static PyObject *step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
     }
     if (unpack_index(&h, args[1], idx) < 0 || unpack_doubles(args + 3, 4, x + 1) < 0)
         return NULL;
-    pt_step(&h, idx[0], idx[1], idx[2], x[0], x[1], x[2], x[3], x[4]);
+    double *g = g_scratch(&h);
+    pt_form_g(&h, idx[0], g);
+    pt_step(&h, g, idx[0], idx[1], idx[2], x[0], x[1], x[2], x[3], x[4]);
     Py_RETURN_NONE;
 }
 
@@ -541,26 +534,6 @@ static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
     return Py_BuildValue("(dddd)", resid, core, rows, biases);
 }
 
-static int all_finite_doubles(const double *x, long n)
-{
-    for (long a = 0; a < n; a++)
-        if (!isfinite(x[a]))
-            return 0;
-    return 1;
-}
-
-static PyObject *all_finite(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    pt_model h;
-    if (unpack_model(args, nargs, 1, &h) < 0)
-        return NULL;
-    int ok = all_finite_doubles(h.core, h.rank[0] * h.rank[1] * h.rank[2]);
-    for (int m = 0; m < 3 && ok; m++)
-        ok = all_finite_doubles(h.factor[m], h.dims[m] * h.rank[m])
-             && all_finite_doubles(h.bias[m], h.dims[m]);
-    return PyBool_FromLong(ok);
-}
-
 static PyObject *records(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 5) {
@@ -590,8 +563,6 @@ static PyMethodDef methods[] = {
     {"sums", (PyCFunction)(void (*)(void))sums, METH_FASTCALL,
      "sums(handle, idx, y, mean): the sums of squared residuals, core, touched factor rows "
      "and touched biases."},
-    {"all_finite", (PyCFunction)(void (*)(void))all_finite, METH_FASTCALL,
-     "all_finite(handle): whether every factor, core and bias entry is finite."},
     {"records", (PyCFunction)(void (*)(void))records, METH_FASTCALL,
      "records(segments, days, slots_per_day, idx, values): one block of CSV rows as bytes."},
     {NULL, NULL, 0, NULL},

@@ -8,11 +8,9 @@ match (numpy or plain Python):
     step        solver.sgd_step (reference: model.instance_gradient, applied)
     values      model.predict_batch
     sums        model._sums, behind model.rmse and model.regularized_loss
-    all_finite  solver._all_finite, the divergence check
     records     datasets.write_records_csv
 
-- A caller runs the kernel when `library()` has loaded it and, for the model
-  functions, when `handle(f)` can take f's arrays; else it runs the
+- A caller runs the kernel when `library()` has loaded it, else the
   reference.  There is no switch for the backend.
 - The backends agree within 1e-12, and each is bitwise deterministic.  On
   the kernel every model value comes from one contraction (pt_form_g, then
@@ -46,15 +44,17 @@ time.
 Any failure (no gcc or no Python headers, an unwritable or foreign cache
 directory, a file that will not load) makes `library()` return None.
 
-`handle(f)` gives the kernel's view of one TuckerFactors: a packed pt_model
-struct of pointers to its arrays, a scratch buffer sized from its ranks
-(pt_step's r1*r2 + r1 + r2 + r3 doubles, then r2*r3 for g), the
-ranks and dims (which the kernel checks every index against), or None when
-an array is not C-contiguous, aligned, writeable float64 of the shape dims
-and the ranks give, or two arrays share memory.  A TuckerFactors builds its
-handle once, when it is constructed, and keeps it in f._kernel_handle, which
-every caller reads.  The handle stays valid because the fields of a
-TuckerFactors are bound once and its arrays are updated only in place.
+`handle(f)` gives the kernel's view of one TuckerFactors, or None when the
+library did not load: a packed pt_model struct of pointers to its arrays, a
+scratch buffer sized from its ranks (pt_step's r1*r2 + r1 + r2 + r3 doubles,
+then r2*r3 for g), the ranks and dims (which the kernel checks every index
+against).  The arrays are disjoint views of f.params, one C-contiguous,
+writeable float64 block that TuckerFactors owns and has checked against
+dims and ranks, so the kernel can take every TuckerFactors.  A TuckerFactors
+builds its handle once, when it is constructed, and keeps it in
+f._kernel_handle, which every caller reads.  The handle stays valid because
+the fields of a TuckerFactors are bound once and its arrays are updated only
+in place.
 """
 
 from __future__ import annotations
@@ -190,25 +190,10 @@ def library():
     return _lib
 
 
-def _usable(a) -> bool:
-    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
-            and a.flags.aligned and a.flags.writeable)
-
-
-def _consistent(f) -> bool:
-    """Every array usable from C, with the shapes of f.layout, and no two
-    arrays sharing memory (the kernels' pointers are restrict)."""
-    arrays = f.arrays
-    if not (all(map(_usable, arrays)) and [a.shape for a in arrays] == f.layout):
-        return False
-    return not any(np.may_share_memory(a, b)
-                   for x, a in enumerate(arrays) for b in arrays[x + 1:])
-
-
 class _Handle:
     """Pointers to one TuckerFactors' arrays, with the arrays kept alive beside them."""
 
-    __slots__ = ("arrays", "model", "value", "step", "values", "sums", "all_finite")
+    __slots__ = ("arrays", "model", "value", "step", "values", "sums")
 
     def __init__(self, lib, f):
         ranks = f.core.shape
@@ -217,11 +202,10 @@ class _Handle:
         self.arrays = (*f.factors, *f.biases, f.core, scratch)
         self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in self.arrays), *ranks,
                                  *f.dims)
-        self.value, self.step, self.values = lib.value, lib.step, lib.values
-        self.sums, self.all_finite = lib.sums, lib.all_finite
+        self.value, self.step, self.values, self.sums = lib.value, lib.step, lib.values, lib.sums
 
 
 def handle(f):
-    """The kernel handle for f, or None when the numpy reference must run."""
+    """The kernel handle for f, or None when the library did not load."""
     lib = library()
-    return _Handle(lib, f) if lib is not None and _consistent(f) else None
+    return None if lib is None else _Handle(lib, f)

@@ -250,7 +250,10 @@ def cmd_synth(cfg: dict, rundir: Path) -> None:
         value_offset=cfg["value-offset"],
         seed=cfg["seed"],
     )
-    tensor, truth = generate_synthetic(spec)
+    try:
+        tensor, truth = generate_synthetic(spec)
+    except DataError as exc:  # non-finite values, and every input here is an option
+        raise ConfigError(f"{exc}; lower --noise-sigma or --value-offset") from None
     if tensor.values.min() < 0:
         raise ConfigError(
             f"generated values reach {tensor.values.min():.4f}; raise "

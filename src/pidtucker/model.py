@@ -12,8 +12,8 @@ squared residual plus Tikhonov penalties on every parameter the entry touches
 are penalized more).
 
 predict, predict_batch, rmse and regularized_loss run the compiled kernels
-of _kernel.c when they can, else the numpy code here, which is the
-reference; _kernel.py states how the two backends agree and fail alike.
+of _kernel.c when the kernel has loaded, else the numpy code here, which is
+the reference; _kernel.py states how the two backends agree and fail alike.
 rmse and regularized_loss are arithmetic on the four sums _sums returns.
 The reference checks each index with check_index or _check_cells, which
 also turn an index the kernel rejects into the same DataError.
@@ -78,10 +78,22 @@ def _shapes(dims, ranks) -> list[tuple[int, ...]]:
     return [*zip(dims, ranks), tuple(ranks), *((n,) for n in dims)]
 
 
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """The 1-D array flat cut, in order, into views of the given shapes."""
+    ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [a.reshape(s) for a, s in zip(np.split(flat, ends), shapes)]
+
+
 @dataclass(frozen=True)
 class TuckerFactors:
-    """Model parameters.  The fields are bound once; the trainer updates the
-    arrays in place, through an index (f.core[...] -= step).  Augmented
+    """Model parameters, held in one block.
+
+    Construction checks the seven given arrays against the shapes dims and
+    ranks imply (DataError naming both otherwise) and copies them, as
+    float64, into params, one C-contiguous array in checkpoint order;
+    factors, core and biases are then views of params, and the caller's
+    arrays are never written.  The fields are bound once; the trainer updates
+    the arrays in place, through an index (f.core[...] -= step).  Augmented
     assignment to a field (f.core -= step) raises FrozenInstanceError, after
     numpy has already updated the array.
 
@@ -92,6 +104,7 @@ class TuckerFactors:
         factors: per-mode matrices of shapes (|I|, r1), (|J|, r2), (|K|, r3).
         biases: per-mode bias vectors of lengths |I|, |J|, |K|.
         mean: global additive offset (held fixed during training).
+        params: every parameter but mean, flat, in the order of _shapes.
     """
 
     dims: tuple[int, int, int]
@@ -100,28 +113,33 @@ class TuckerFactors:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     biases: tuple[np.ndarray, np.ndarray, np.ndarray]
     mean: float
-    # The kernel's view of these arrays (_kernel.handle), or None when the
-    # numpy reference must run.
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    # The kernel's view of params (_kernel.handle), or None when the kernel
+    # did not load and the numpy reference runs.
     _kernel_handle: _kernel._Handle | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "biases", tuple(self.biases))
+        given = (*self.factors, self.core, *self.biases)
+        got, shapes = [np.shape(a) for a in given], _shapes(self.dims, self.ranks.as_tuple())
+        if got != shapes:
+            raise DataError(f"parameter shapes {got} do not match {shapes}, the shapes dims "
+                            f"{tuple(self.dims)} and ranks {self.ranks.as_tuple()} give")
+        params = np.concatenate([np.ravel(a) for a in given], dtype=np.float64)
+        views = _views(params, shapes)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "factors", tuple(views[:3]))
+        object.__setattr__(self, "core", views[3])
+        object.__setattr__(self, "biases", tuple(views[4:]))
         object.__setattr__(self, "_kernel_handle", _kernel.handle(self))
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """The seven parameter arrays in the order of _shapes."""
+        """The seven parameter arrays in the order of _shapes, as views of params."""
         return (*self.factors, self.core, *self.biases)
-
-    @property
-    def layout(self) -> list[tuple[int, ...]]:
-        """The shapes that dims and the core's ranks imply for arrays."""
-        return _shapes(self.dims, self.core.shape)
 
     def __reduce__(self):
         # Through the constructor, so a copy or an unpickled object gets a
-        # handle over its own arrays.
+        # block and a handle of its own.
         return TuckerFactors, (self.dims, self.ranks, self.core, self.factors, self.biases,
                                self.mean)
 
@@ -146,11 +164,11 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
 
     Core and factor entries are i.i.d. uniform on (0, init_scale]; biases start
     at zero.  Draw order is factors (mode 1, 2, 3) then core, so results are
-    reproducible for a fixed seed.  ConfigError when the arrays cannot be
-    allocated.
+    reproducible for a fixed seed.  ConfigError unless init_scale is finite
+    and > 0, and when the arrays cannot be allocated.
     """
-    if not init_scale > 0:
-        raise ConfigError(f"init_scale must be > 0, got {init_scale}")
+    if not (math.isfinite(init_scale) and init_scale > 0):
+        raise ConfigError(f"init_scale must be finite and > 0, got {init_scale}")
     dims = tuple(int(x) for x in dims)
     rng = np.random.default_rng(seed)
     shapes = _shapes(dims, ranks.as_tuple())
@@ -158,10 +176,10 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
         # 1 - random() maps [0, 1) onto (0, 1].
         arrays = ([init_scale * (1.0 - rng.random(s)) for s in shapes[:4]]
                   + [np.zeros(s) for s in shapes[4:]])
+        return _from_arrays(dims, ranks, arrays, mean)
     except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
         raise ConfigError(f"cannot allocate factors of ranks {ranks.as_tuple()} for dims {dims}: "
                           f"{exc}") from None
-    return _from_arrays(dims, ranks, arrays, mean)
 
 
 def check_index(f: TuckerFactors, idx) -> tuple[int, int, int]:
@@ -361,9 +379,9 @@ def save_checkpoint(f: TuckerFactors, path) -> None:
     """Write factors to a flat binary checkpoint.
 
     Layout: one JSON header line (format tag, dims, ranks, mean) followed by
-    the raw little-endian float64 bytes of the three factor matrices, the
-    core, and the three bias vectors, each in row-major order.  Output is
-    byte-deterministic for identical factors.
+    the raw little-endian float64 bytes of f.params: the three factor
+    matrices, the core, and the three bias vectors, each in row-major order.
+    Output is byte-deterministic for identical factors.
     """
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -374,8 +392,7 @@ def save_checkpoint(f: TuckerFactors, path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for arr in f.arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(f.params.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> TuckerFactors:
@@ -416,13 +433,10 @@ def load_checkpoint(path) -> TuckerFactors:
         payload = fh.read()
 
     shapes = _shapes(dims, ranks)
-    sizes = [math.prod(s) for s in shapes]  # Python ints: no size can wrap
-    if len(payload) != 8 * sum(sizes):
-        raise DataError(
-            f"{path}: checkpoint payload is {len(payload)} bytes, expected {8 * sum(sizes)}"
-        )
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    if not all(np.isfinite(a).all() for a in arrays):
+    size = 8 * sum(math.prod(s) for s in shapes)  # Python ints: no size can wrap
+    if len(payload) != size:
+        raise DataError(f"{path}: checkpoint payload is {len(payload)} bytes, expected {size}")
+    flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
         raise DataError(f"{path}: checkpoint holds non-finite parameters")
-    return _from_arrays(dims, Ranks(*ranks), arrays, mean)
+    return _from_arrays(dims, Ranks(*ranks), _views(flat, shapes), mean)

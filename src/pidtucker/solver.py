@@ -7,12 +7,12 @@ their pre-update values.  Training stops when the validation RMSE changes by
 less than `tol` between consecutive epochs, or at the epoch cap.
 
 Of the three per-entry calls, model.predict and sgd_step run the compiled
-kernels of _kernel.c when they can, else the numpy reference; pid.adjust is
-plain Python.  So do the epoch-end steps: the divergence check _all_finite,
-model.regularized_loss and the validation model.rmse.  _kernel.py states
-how the backends agree and fail alike.  On either backend sgd_step rejects
-a non-finite update before the index, and an index outside dims before
-touching a parameter.
+kernels of _kernel.c when the kernel has loaded, else the numpy reference;
+pid.adjust is plain Python.  So do the epoch-end model.regularized_loss and
+validation model.rmse; the divergence check _all_finite is one numpy pass
+over f.params on both backends.  _kernel.py states how the backends agree
+and fail alike.  On either backend sgd_step rejects a non-finite update
+before the index, and an index outside dims before touching a parameter.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Hyperparams:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ConfigError(f"init_scale must be > 0, got {self.init_scale}")
+            raise ConfigError(f"init_scale must be finite and > 0, got {self.init_scale}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.error_clamp is not None and not self.error_clamp > 0:
@@ -140,11 +140,8 @@ def _divergence(f: TuckerFactors, idx, y: float) -> DivergenceError:
 
 
 def _all_finite(f: TuckerFactors) -> bool:
-    """Whether every parameter is finite; the kernel's all_finite when it is available."""
-    h = f._kernel_handle
-    if h is not None:
-        return h.all_finite(h.model)
-    return all(np.isfinite(a).all() for a in f.arrays)
+    """Whether every parameter is finite."""
+    return bool(np.isfinite(f.params).all())
 
 
 def train(tensor: SparseTensor, data_split: DataSplit,

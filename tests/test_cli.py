@@ -447,6 +447,8 @@ def test_negative_seed_exit_2(tmp_path, capsys, command, flag, value):
     ("benchmark", "--jobs", "-3", "jobs must be >= 1, got -3"),
     ("synth", "--dims", "-2,-5,10", "dims must be three positive integers, got (-2, -5, 10)"),
     ("synth", "--dims", "6,0,8", "dims must be three positive integers, got (6, 0, 8)"),
+    ("synth", "--noise-sigma", "1e308", "lower --noise-sigma or --value-offset"),
+    ("synth", "--value-offset", "inf", "lower --noise-sigma or --value-offset"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, flag, value, message):
     assert run_cli(*synth_args(tmp_path, "s")) == 0

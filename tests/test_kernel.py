@@ -522,7 +522,7 @@ def test_a_replaced_array_is_read_by_the_next_predict():
     g = dataclasses.replace(g, factors=(f.factors[0], f.factors[1],
                                         np.asfortranarray(f.factors[2])),
                             core=np.ones_like(f.core))
-    assert g._kernel_handle is None  # a Fortran-ordered array: the reference runs
+    assert (g._kernel_handle is None) == (_kernel.library() is None)  # copied into params
     with reference_backend():
         want = predict(copy.deepcopy(g), (1, 1, 1))
     assert abs(predict(g, (1, 1, 1)) - want) <= TOL
@@ -580,8 +580,8 @@ def test_an_in_place_update_keeps_the_handle():
 
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "replace"])  # pickle: the test above
 def test_a_copy_carries_no_handle(each_backend, how):
-    """A copy carries none of the original's handle: it builds its own, over its
-    own arrays (the same arrays for a shallow copy)."""
+    """A copy carries none of the original's handle: it builds its own, over a
+    parameter block of its own (a shallow copy too: construction copies)."""
     f = random_factors((4, 3, 5), (2, 3, 2), seed=11)
     value = predict(f, (3, 2, 4))
     make = {"copy": copy.copy, "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
@@ -592,18 +592,8 @@ def test_a_copy_carries_no_handle(each_backend, how):
         assert g._kernel_handle not in (None, f._kernel_handle)
     else:
         assert g._kernel_handle is None
-    if how == "deepcopy":
-        sgd_step(g, (3, 2, 4), 0.0, 0.5, Hyperparams(eta=0.1))
-        assert predict(f, (3, 2, 4)) == value != predict(g, (3, 2, 4))
-
-
-def test_overlapping_arrays_use_the_reference():
-    f = random_factors((4, 3, 4), (2, 2, 2), seed=12)
-    g = dataclasses.replace(f, factors=(f.factors[0], f.factors[1], f.factors[0]))
-    assert g._kernel_handle is None
-    inside = f.factors[0].reshape(-1)[:4]  # a usable mode-1 bias vector, in a factor's memory
-    g = dataclasses.replace(f, biases=(inside, *f.biases[1:]))
-    assert g._kernel_handle is None
+    sgd_step(g, (3, 2, 4), 0.0, 0.5, Hyperparams(eta=0.1))
+    assert predict(f, (3, 2, 4)) == value != predict(g, (3, 2, 4))
 
 
 def test_factors_given_as_lists_are_stored_as_tuples():
@@ -611,7 +601,8 @@ def test_factors_given_as_lists_are_stored_as_tuples():
     factors, biases = list(f.factors), list(f.biases)
     g = TuckerFactors(f.dims, f.ranks, f.core, factors, biases, f.mean)
     assert type(g.factors) is type(g.biases) is tuple
-    assert all(a is b for a, b in zip((*g.factors, *g.biases), (*factors, *biases)))
+    assert all(np.array_equal(a, b) and not np.shares_memory(a, b)
+               for a, b in zip((*g.factors, *g.biases), (*factors, *biases)))
     biases[0] = np.full(4, 100.0)  # the caller's list, not g's parameters
     factors[2] = np.zeros((5, 2))
     with pytest.raises(TypeError):
@@ -697,15 +688,12 @@ def test_the_module_rejects_bad_arguments_without_touching_memory():
     cells, y, out = np.array([[1, 2, 3], [0, 0, 0]]), np.ones(2), np.full(2, 7.0)
     frozen = np.full(2, 7.0)
     frozen.flags.writeable = False
-    mean, values, sums, finite = f.mean, lib.values, lib.sums, lib.all_finite
+    mean, values, sums = f.mean, lib.values, lib.sums
     bad += [
         (TypeError, values, (h.model, cells, mean)),                        # too few
         (TypeError, values, (h.model, cells, mean, out, out)),              # too many
         (TypeError, sums, (h.model, cells, y)),
         (TypeError, sums, (h.model, cells, y, mean, 0)),
-        (TypeError, finite, ()),
-        (TypeError, finite, (h.model, h.model)),
-        (TypeError, finite, (h.model[:-1],)),                               # not a whole pt_model
         (TypeError, sums, (bytearray(h.model), cells, y, mean)),
         (TypeError, values, (h.model, cells, "0", out)),
         (ValueError, values, (h.model, cells.astype(np.int32), mean, out)),  # wrong dtype
@@ -738,21 +726,63 @@ def test_the_module_rejects_bad_arguments_without_touching_memory():
     none = np.zeros((0, 3), np.int64)
     core = sum(x * x for x in f.core.ravel().tolist())  # summed in C's order
     assert sums(h.model, none, np.zeros(0), mean) == (0.0, core, 0.0, 0.0)
-    assert finite(h.model) is True
     assert lib.value(h.model, (1, 2, 3), f.mean) == predict(f, (1, 2, 3))
     assert rec(seg, day, 3, cell, val) == b"b,x,2,1.500000\n"
     assert rec(seg, day, 3, np.zeros((0, 3), np.int64), np.zeros(0)) == b""
 
 
-def test_arrays_the_kernel_cannot_take_use_the_reference():
-    f = random_factors((4, 3, 5), (2, 2, 2), seed=4)
-    frozen = f.factors[0].copy()
-    frozen.flags.writeable = False
-    g = dataclasses.replace(f, factors=(frozen, *f.factors[1:]))
-    assert g._kernel_handle is None
-    assert predict(g, (1, 1, 1)) == pytest.approx(predict(f, (1, 1, 1)), abs=TOL)
-    g = dataclasses.replace(f, dims=(5, 3, 5))  # disagrees with the mode-1 arrays
-    assert g._kernel_handle is None
+def test_parameters_that_disagree_with_dims_or_ranks_are_rejected():
+    f = random_factors((4, 3, 5), (2, 1, 3), seed=4)
+    given = "[(4, 2), (3, 1), (5, 3), (2, 1, 3), (4,), (3,), (5,)]"
+    for changes, implied in [
+            ({"ranks": Ranks(2, 2, 3)}, "[(4, 2), (3, 2), (5, 3), (2, 2, 3), (4,), (3,), (5,)]"),
+            ({"dims": (5, 3, 5)}, "[(5, 2), (3, 1), (5, 3), (2, 1, 3), (5,), (3,), (5,)]")]:
+        with pytest.raises(DataError) as exc:
+            dataclasses.replace(f, **changes)
+        assert str(exc.value).startswith(f"parameter shapes {given} do not match {implied}")
+
+
+def _uncommon_arrays(f, kind):
+    """f's core, factors and biases, with one array of a kind the kernel
+    could not read in place."""
+    core, factors, biases = f.core, list(f.factors), list(f.biases)
+    if kind == "read-only":
+        factors[0] = f.factors[0].copy()
+        factors[0].flags.writeable = False
+    elif kind == "float32":
+        core = f.core.astype(np.float32)
+    elif kind == "Fortran-ordered":
+        factors[2] = np.asfortranarray(f.factors[2])
+    else:  # overlapping: modes 1 and 3 share a factor, and a bias vector lies in it
+        factors[2] = f.factors[0]
+        biases[0] = f.factors[0].reshape(-1)[:4]
+    return core, factors, biases
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind", ["read-only", "float32", "Fortran-ordered", "overlapping"])
+def test_arrays_the_kernel_cannot_take_are_copied_into_the_block(kind):
+    f = random_factors((4, 3, 4), (2, 3, 2), seed=4)
+    core, factors, biases = _uncommon_arrays(f, kind)
+    given = [core, *factors, *biases]
+    before = [a.tobytes() for a in given]
+    g = TuckerFactors(f.dims, f.ranks, core, factors, biases, f.mean)
+    assert g._kernel_handle is not None
+    p = g.params
+    assert p.dtype == np.float64 and p.flags.c_contiguous and p.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(g), given))
+    assert all(a.base is p and not any(np.shares_memory(a, b) for b in given)
+               for a in arrays(g))
+    cells, hyper = [(1, 2, 3), (3, 0, 1)], Hyperparams(eta=0.1)
+    with reference_backend():
+        ref = copy.deepcopy(g)
+        want = [predict(ref, c) for c in cells]
+        sgd_step(ref, cells[0], 0.0, 0.5, hyper)
+        assert ref._kernel_handle is None
+    assert all(abs(predict(g, c) - w) <= TOL for c, w in zip(cells, want))
+    sgd_step(g, cells[0], 0.0, 0.5, hyper)
+    assert_close(g, ref)
+    assert [a.tobytes() for a in given] == before  # the caller's arrays are not written
 
 
 # ---------------------------------------------------------------- build and fallback

@@ -1,4 +1,7 @@
 import copy
+import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from pidtucker import (
     ConfigError,
     DataError,
+    Hyperparams,
     Ranks,
     RegWeights,
     init_factors,
@@ -93,9 +97,19 @@ def test_init_shapes():
 def test_the_layout_lists_the_arrays_in_checkpoint_order():
     f = init_factors((4, 3, 5), Ranks(2, 1, 3), seed=0)
     shapes = [(4, 2), (3, 1), (5, 3), (2, 1, 3), (4,), (3,), (5,)]
-    assert _shapes(f.dims, f.ranks.as_tuple()) == f.layout == shapes
+    assert _shapes(f.dims, f.ranks.as_tuple()) == shapes
     assert [a.shape for a in f.arrays] == shapes
     assert f.arrays[3] is f.core
+    assert f.params.tobytes() == b"".join(a.tobytes() for a in f.arrays)
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0])
+def test_init_scale_must_be_finite_and_positive(scale):
+    message = re.escape(f"init_scale must be finite and > 0, got {scale}")
+    with pytest.raises(ConfigError, match=message):
+        init_factors((4, 3, 5), Ranks(2, 2, 2), init_scale=scale)
+    with pytest.raises(ConfigError, match=message):
+        Hyperparams(init_scale=scale)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, "2", None])
@@ -362,6 +376,26 @@ def test_checkpoint_round_trip_is_bit_exact(shape, mean, data, tmp_path_factory)
     for got, want in zip((g.core, *g.factors, *g.biases), (f.core, *f.factors, *f.biases)):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_the_checkpoint_is_a_header_line_then_the_arrays_in_order(tmp_path):
+    f = random_factors(ranks=Ranks(2, 1, 3), seed=6)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(f, path)
+    header = {"dims": [4, 3, 5], "format": "pidtucker-checkpoint-v1", "mean": f.mean,
+              "ranks": [2, 1, 3]}
+    want = (json.dumps(header).encode() + b"\n"
+            + b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in f.arrays))
+    assert path.read_bytes() == want
+    g = load_checkpoint(path)
+    p = g.params
+    assert p.flags.writeable and p.flags.owndata and p.flags.c_contiguous
+    start = 0
+    for a, shape in zip(g.arrays, _shapes(g.dims, g.ranks.as_tuple())):
+        assert a.shape == shape and a.base is p
+        assert a.ctypes.data == p.ctypes.data + 8 * start
+        start += a.size
+    assert start == p.size and p.tobytes() == f.params.tobytes()
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
