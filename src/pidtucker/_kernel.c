@@ -49,10 +49,10 @@
  *
  * Where each check lives:
  *  - model.TuckerFactors checks every parameter array's shape against dims
- *    and the ranks and copies them into one C-contiguous, writeable float64
- *    block, so the seven arrays _kernel.py (_Handle) packs into a pt_model
- *    are disjoint views of it.  _Handle sizes the scratch buffer from the
- *    ranks: r1*r2 + r1 + r2 + r3 doubles for pt_step, then r2*r3 for g.
+ *    and the ranks, copies them into one C-contiguous, writeable float64
+ *    block and keeps mean as a float; pt_model's seven arrays (_Handle in
+ *    _kernel.py) are disjoint views of that block in checkpoint order, and
+ *    _Handle sizes the scratch buffer from the ranks as pt_model states.
  *    Every call writes the scratch, and holds the GIL throughout, so no two
  *    calls on one handle overlap.  There are no fixed-size buffers here.
  *  - The bindings below check the argument count and the handle, and
@@ -77,11 +77,12 @@
 
 typedef struct {
     double *factor[3];  /* (dims[m], rank[m]), row-major */
-    double *bias[3];    /* (dims[m],) */
     double *core;       /* (rank[0], rank[1], rank[2]), row-major */
+    double *bias[3];    /* (dims[m],) */
     double *scratch;    /* pt_step's (r1*r2 + r1 + r2 + r3), then g (r2*r3) */
     long rank[3];
     int64_t dims[3];
+    double mean;        /* fixed in training */
 } pt_model;
 
 /* w[a] = sum over m < n of x[m] * c[m * sm + a * sa], for a = 0..3: four
@@ -144,8 +145,7 @@ static double *g_scratch(const pt_model *h)
 /* mean + multilinear term + the three biases at (i, j, k), from the g of
  * row i.  The term is contracted in predict_batch's order: dn = sum over l
  * of g[n,l] t[l], four n at a time, then the sum over n of dn d[n]. */
-static double pt_finish(const pt_model *h, const double *g, long i, long j, long k,
-                        double mean)
+static double pt_finish(const pt_model *h, const double *g, long i, long j, long k)
 {
     const long r2 = h->rank[1], r3 = h->rank[2];
     const double *d = h->factor[1] + j * r2;
@@ -159,7 +159,7 @@ static double pt_finish(const pt_model *h, const double *g, long i, long j, long
     }
     for (; n < r2; n++)
         multi += dot1(t, g + n * r3, r3, 1) * d[n];
-    return mean + multi + h->bias[0][i] + h->bias[1][j] + h->bias[2][k];
+    return h->mean + multi + h->bias[0][i] + h->bias[1][j] + h->bias[2][k];
 }
 
 /* One entry's update, as model.instance_gradient followed by a step of size
@@ -289,13 +289,12 @@ static int unpack_doubles(PyObject *const *args, Py_ssize_t n, double *x)
 
 static PyObject *value(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    pt_model h; int64_t idx[3]; double mean;
-    if (unpack_model(args, nargs, 3, &h) < 0 || unpack_index(&h, args[1], idx) < 0
-        || unpack_doubles(args + 2, 1, &mean) < 0)
+    pt_model h; int64_t idx[3];
+    if (unpack_model(args, nargs, 2, &h) < 0 || unpack_index(&h, args[1], idx) < 0)
         return NULL;
     double *g = g_scratch(&h);
     pt_form_g(&h, idx[0], g);
-    return PyFloat_FromDouble(pt_finish(&h, g, idx[0], idx[1], idx[2], mean));
+    return PyFloat_FromDouble(pt_finish(&h, g, idx[0], idx[1], idx[2]));
 }
 
 static PyObject *step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
@@ -483,9 +482,9 @@ static Py_ssize_t get_cells(const int64_t *dims, PyObject *arg, Py_buffer *ib, P
 
 static PyObject *values(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    pt_model h; double mean; Py_buffer ib, ob; Py_ssize_t n;
-    if (unpack_model(args, nargs, 4, &h) < 0 || unpack_doubles(args + 2, 1, &mean) < 0
-        || (n = get_cells(h.dims, args[1], &ib, args[3], &ob, PyBUF_WRITABLE, "out")) < 0)
+    pt_model h; Py_buffer ib, ob; Py_ssize_t n;
+    if (unpack_model(args, nargs, 3, &h) < 0
+        || (n = get_cells(h.dims, args[1], &ib, args[2], &ob, PyBUF_WRITABLE, "out")) < 0)
         return NULL;
     const int64_t *idx = ib.buf;
     double *out = ob.buf, *g = g_scratch(&h);
@@ -493,7 +492,7 @@ static PyObject *values(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssi
         const int64_t *c = idx + 3 * r;
         if (r == 0 || c[0] != c[-3])
             pt_form_g(&h, c[0], g);
-        out[r] = pt_finish(&h, g, c[0], c[1], c[2], mean);
+        out[r] = pt_finish(&h, g, c[0], c[1], c[2]);
     }
     PyBuffer_Release(&ob);
     PyBuffer_Release(&ib);
@@ -510,8 +509,8 @@ static double sum_squares(const double *x, long n)
 
 static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    pt_model h; double mean; Py_buffer ib, yb; Py_ssize_t n;
-    if (unpack_model(args, nargs, 4, &h) < 0 || unpack_doubles(args + 3, 1, &mean) < 0
+    pt_model h; Py_buffer ib, yb; Py_ssize_t n;
+    if (unpack_model(args, nargs, 3, &h) < 0
         || (n = get_cells(h.dims, args[1], &ib, args[2], &yb, 0, "y")) < 0)
         return NULL;
     const int64_t *idx = ib.buf;
@@ -521,7 +520,7 @@ static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
         const int64_t *c = idx + 3 * r;
         if (r == 0 || c[0] != c[-3])
             pt_form_g(&h, c[0], g);
-        double e = y[r] - pt_finish(&h, g, c[0], c[1], c[2], mean);
+        double e = y[r] - pt_finish(&h, g, c[0], c[1], c[2]);
         resid += e * e;
         for (int m = 0; m < 3; m++) {
             rows += sum_squares(h.factor[m] + c[m] * h.rank[m], h.rank[m]);
@@ -555,13 +554,13 @@ static PyObject *records(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ss
 
 static PyMethodDef methods[] = {
     {"value", (PyCFunction)(void (*)(void))value, METH_FASTCALL,
-     "value(handle, (i, j, k), mean): the model value at cell (i, j, k)."},
+     "value(handle, (i, j, k)): the model value at cell (i, j, k)."},
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
      "step(handle, (i, j, k), err, eta, lambda1, lambda2, lambda3): one entry's update."},
     {"values", (PyCFunction)(void (*)(void))values, METH_FASTCALL,
-     "values(handle, idx, mean, out): the model value at each (n, 3) int64 cell, into out."},
+     "values(handle, idx, out): the model value at each (n, 3) int64 cell, into out."},
     {"sums", (PyCFunction)(void (*)(void))sums, METH_FASTCALL,
-     "sums(handle, idx, y, mean): the sums of squared residuals, core, touched factor rows "
+     "sums(handle, idx, y): the sums of squared residuals, core, touched factor rows "
      "and touched biases."},
     {"records", (PyCFunction)(void (*)(void))records, METH_FASTCALL,
      "records(segments, days, slots_per_day, idx, values): one block of CSV rows as bytes."},

@@ -11,7 +11,8 @@ match (numpy or plain Python):
     records     datasets.write_records_csv
 
 - A caller runs the kernel when `library()` has loaded it, else the
-  reference.  There is no switch for the backend.
+  reference.  There is no switch for the backend.  All but records take
+  f's handle (below) first and read the model, mean included, from it alone.
 - The backends agree within 1e-12, and each is bitwise deterministic.  On
   the kernel every model value comes from one contraction (pt_form_g, then
   pt_finish), and values and sums reuse a row's g for the next row with the
@@ -45,16 +46,16 @@ Any failure (no gcc or no Python headers, an unwritable or foreign cache
 directory, a file that will not load) makes `library()` return None.
 
 `handle(f)` gives the kernel's view of one TuckerFactors, or None when the
-library did not load: a packed pt_model struct of pointers to its arrays, a
-scratch buffer sized from its ranks (pt_step's r1*r2 + r1 + r2 + r3 doubles,
-then r2*r3 for g), the ranks and dims (which the kernel checks every index
-against).  The arrays are disjoint views of f.params, one C-contiguous,
-writeable float64 block that TuckerFactors owns and has checked against
-dims and ranks, so the kernel can take every TuckerFactors.  A TuckerFactors
-builds its handle once, when it is constructed, and keeps it in
-f._kernel_handle, which every caller reads.  The handle stays valid because
-the fields of a TuckerFactors are bound once and its arrays are updated only
-in place.
+library did not load: a packed pt_model struct, the whole model, of pointers
+to the seven arrays in checkpoint order (f.arrays) and to a scratch buffer
+(pt_step's r1*r2 + r1 + r2 + r3 doubles, then r2*r3 for g), the ranks, the
+dims (which the kernel checks every index against) and f.mean.  The arrays
+are disjoint views of f.params, one C-contiguous, writeable float64 block
+that TuckerFactors owns and has checked against dims and ranks, so the
+kernel can take every TuckerFactors.  A TuckerFactors builds its handle
+once, when it is constructed, and keeps it in f._kernel_handle, which every
+caller reads.  The handle stays valid because the fields of a TuckerFactors,
+mean among them, are bound once and its arrays are updated only in place.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _MODULE = "pidtucker._pt_kernel"  # _kernel.c defines PyInit__pt_kernel
-_PT_MODEL = "8P3l3q"  # pt_model: factor[3], bias[3], core, scratch, rank[3], dims[3]
+_PT_MODEL = "8P3l3qd"  # pt_model: factor[3], core, bias[3], scratch, rank[3], dims[3], mean
 
 # A fresh build deletes other builds with its ABI tag older than this.
 _STALE_S = 24 * 3600
@@ -191,7 +192,7 @@ def library():
 
 
 class _Handle:
-    """Pointers to one TuckerFactors' arrays, with the arrays kept alive beside them."""
+    """One TuckerFactors packed as a pt_model, with its arrays kept alive beside it."""
 
     __slots__ = ("arrays", "model", "value", "step", "values", "sums")
 
@@ -199,9 +200,9 @@ class _Handle:
         ranks = f.core.shape
         # pt_step's gt and row gradients, then pt_form_g's g (_kernel.c).
         scratch = np.empty(ranks[0] * ranks[1] + sum(ranks) + ranks[1] * ranks[2])
-        self.arrays = (*f.factors, *f.biases, f.core, scratch)
+        self.arrays = (*f.arrays, scratch)
         self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in self.arrays), *ranks,
-                                 *f.dims)
+                                 *f.dims, f.mean)
         self.value, self.step, self.values, self.sums = lib.value, lib.step, lib.values, lib.sums
 
 

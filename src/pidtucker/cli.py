@@ -22,6 +22,7 @@ from pathlib import Path
 from .datasets import (
     CsvSchema,
     SyntheticSpec,
+    _check_mapping,
     _write_json,
     export_imputed,
     generate_synthetic,
@@ -265,11 +266,18 @@ def cmd_synth(cfg: dict, rundir: Path) -> None:
     save_mapping(mapping, rundir / "mapping.json")
 
 
+def _load_model(cfg: dict):
+    """The checkpoint and its mapping, checked against each other before any data is read."""
+    factors = load_checkpoint(cfg["checkpoint"])
+    mapping = load_mapping(cfg["mapping"])
+    _check_mapping(mapping, factors)
+    return factors, mapping
+
+
 def cmd_impute(cfg: dict, rundir: Path) -> None:
     if (cfg["targets"] is None) == (not cfg["all-missing"]):
         raise ConfigError("impute needs exactly one of --targets FILE or --all-missing true")
-    factors = load_checkpoint(cfg["checkpoint"])
-    mapping = load_mapping(cfg["mapping"])
+    factors, mapping = _load_model(cfg)
     if cfg["all-missing"]:
         if cfg["data"] is None:
             raise ConfigError("--all-missing requires --data to locate observed cells")
@@ -281,8 +289,7 @@ def cmd_impute(cfg: dict, rundir: Path) -> None:
 
 
 def cmd_evaluate(cfg: dict, rundir: Path) -> None:
-    factors = load_checkpoint(cfg["checkpoint"])
-    mapping = load_mapping(cfg["mapping"])
+    factors, mapping = _load_model(cfg)
     tensor, _ = load_csv(cfg["data"], _schema_from(cfg), mapping)
     score = rmse(factors, tensor.indices, tensor.values)
     _write_json({"rmse": score, "entries": len(tensor)}, rundir / "evaluation.json")

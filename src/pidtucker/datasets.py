@@ -30,8 +30,8 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, DataError
-from .model import Ranks, TuckerFactors, _entries, _from_arrays, _shapes, predict_batch
-from .sparse import SparseTensor, _first_duplicate, _first_out_of_bounds, _freeze
+from .model import Ranks, TuckerFactors, _drawn, _entries, predict_batch
+from .sparse import SparseTensor, _first_duplicate, _first_out_of_bounds, _freeze, _grid_error
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
 
@@ -88,7 +88,8 @@ def load_mapping(path) -> IndexMapping:
     Segment ids and days must be lists of distinct, non-empty strings that
     UTF-8 can encode (JSON's \\u escapes can spell a lone surrogate), since
     imputations are written back under them, and slots_per_day an integer of
-    at least 1.  DataError names the first value that is not.
+    at least 1.  DataError names the first value that is not, or the grid
+    when its cell count is beyond _grid_error's bound.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,7 +120,19 @@ def load_mapping(path) -> IndexMapping:
             seen.add(s)
     if type(slots) is not int or slots < 1:
         raise DataError(f"{path}: slots_per_day must be an integer >= 1, got {slots!r}")
-    return IndexMapping(tuple(segments), tuple(days), slots)
+    mapping = IndexMapping(tuple(segments), tuple(days), slots)
+    error = _grid_error(mapping.dims)
+    if error is not None:
+        raise DataError(f"{path}: {error}")
+    return mapping
+
+
+def _check_mapping(mapping: IndexMapping, f: TuckerFactors) -> None:
+    """DataError unless mapping has f's dims, as the mapping f was trained with has."""
+    if mapping.dims != tuple(f.dims):
+        raise DataError(
+            f"mapping dims {mapping.dims} do not match checkpoint dims {tuple(f.dims)}"
+        )
 
 
 def _numeric_key(s: str):
@@ -229,11 +242,15 @@ def load_csv(path, schema: CsvSchema,
     one (the mapping a checkpoint was trained with), ids map through it,
     unknown ids are an error, and the slot count is mapping.slots_per_day.
     Raises DataError naming the line for malformed rows, out-of-range slots,
-    negative or non-finite speeds, and duplicated (segment, day, slot) cells.
+    negative or non-finite speeds, and duplicated (segment, day, slot) cells,
+    and ConfigError for a grid _grid_error rejects (a slot count too large).
     """
     lines, cells, speeds, mapping = _read_rows(path, schema, mapping)
     if not lines:
         raise DataError(f"{path}: no data rows")
+    error = _grid_error(mapping.dims)
+    if error is not None:
+        raise ConfigError(f"{path}: {error}")
     dup = _first_duplicate(cells, mapping.dims)
     if dup is not None:
         i, j, k = cells[dup[1]].tolist()
@@ -269,8 +286,9 @@ class SyntheticSpec:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if len(self.dims) != 3 or min(self.dims) < 1:
-            raise ConfigError(f"dims must be three positive integers, got {tuple(self.dims)}")
+        error = _grid_error(self.dims)
+        if error is not None:
+            raise ConfigError(error)
         cells = self.dims[0] * self.dims[1] * self.dims[2]
         if self.observed_fraction * cells < 10:
             raise ConfigError(
@@ -287,20 +305,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SparseTensor, TuckerFactors
     uniformly without replacement at observed_fraction; observed values are
     the model value plus Gaussian noise of the given sigma.  Fully
     deterministic per seed (draw order: factors, core, biases, cells, noise).
+    ConfigError, from model._drawn, when the model cannot be allocated.
     """
     rng = np.random.default_rng(spec.seed)
-    dims = tuple(int(x) for x in spec.dims)
-    shapes = _shapes(dims, spec.ranks.as_tuple())
-    arrays = [1.0 - rng.random(s) for s in shapes[:4]] + [0.5 - rng.random(s) for s in shapes[4:]]
-    truth = _from_arrays(dims, spec.ranks, arrays, spec.value_offset)
-
-    n_cells = dims[0] * dims[1] * dims[2]
+    truth = _drawn(spec.dims, spec.ranks, spec.value_offset, lambda s: 1.0 - rng.random(s),
+                   lambda s: 0.5 - rng.random(s))
+    n_cells = math.prod(truth.dims)
     n_obs = int(round(spec.observed_fraction * n_cells))
     try:  # rng.choice lists every cell of the grid
         flat = np.sort(rng.choice(n_cells, size=n_obs, replace=False))
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"cannot draw {n_obs} of {n_cells} cells: {exc}") from None
-    ii, jj, kk = np.unravel_index(flat, dims)
+    ii, jj, kk = np.unravel_index(flat, truth.dims)
     indices = np.column_stack((ii, jj, kk)).astype(np.int64)
 
     values = predict_batch(truth, indices)
@@ -309,7 +325,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SparseTensor, TuckerFactors
 
     if not np.isfinite(values).all():
         raise DataError(f"{spec} gives non-finite values")
-    return SparseTensor(dims, _freeze(indices), _freeze(values)), truth
+    return SparseTensor(truth.dims, _freeze(indices), _freeze(values)), truth
 
 
 def identity_mapping(dims) -> IndexMapping:
@@ -388,10 +404,8 @@ def export_imputed(f: TuckerFactors, targets, mapping: IndexMapping, path) -> No
     """Write model values for the target cells under original identifiers.
 
     Output CSV: segment_id,day,slot,predicted_speed with 6 decimal places.
+    DataError from _check_mapping unless mapping has f's dims.
     """
-    if mapping.dims != tuple(f.dims):
-        raise DataError(
-            f"mapping dims {mapping.dims} do not match checkpoint dims {tuple(f.dims)}"
-        )
+    _check_mapping(mapping, f)
     idx = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
     write_records_csv(idx, predict_batch(f, idx), mapping, path, _IMPUTED_SCHEMA)

@@ -41,18 +41,19 @@ class RepeatResult:
 
 @dataclass
 class ExperimentSummary:
-    """Per-repeat outcomes plus mean/std aggregates over the successful ones."""
+    """Per-repeat outcomes plus mean/std aggregates over the successful ones,
+    None (null in summary.json) when no repeat succeeded."""
 
     results: list[RepeatResult]
-    rmse_mean: float
-    rmse_std: float
-    seconds_mean: float
-    seconds_std: float
+    rmse_mean: float | None
+    rmse_std: float | None
+    seconds_mean: float | None
+    seconds_std: float | None
 
 
-def _aggregate(xs: list[float]) -> tuple[float, float]:
+def _aggregate(xs: list[float]) -> tuple[float | None, float | None]:
     if not xs:
-        return float("nan"), float("nan")
+        return None, None
     mean = float(np.mean(xs))
     std = float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
     return mean, std

@@ -103,7 +103,7 @@ class TuckerFactors:
         core: (r1, r2, r3) mixing tensor.
         factors: per-mode matrices of shapes (|I|, r1), (|J|, r2), (|K|, r3).
         biases: per-mode bias vectors of lengths |I|, |J|, |K|.
-        mean: global additive offset (held fixed during training).
+        mean: global additive offset, float(mean) (held fixed during training).
         params: every parameter but mean, flat, in the order of _shapes.
     """
 
@@ -126,6 +126,7 @@ class TuckerFactors:
                             f"{tuple(self.dims)} and ranks {self.ranks.as_tuple()} give")
         params = np.concatenate([np.ravel(a) for a in given], dtype=np.float64)
         views = _views(params, shapes)
+        object.__setattr__(self, "mean", float(self.mean))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "factors", tuple(views[:3]))
         object.__setattr__(self, "core", views[3])
@@ -144,9 +145,17 @@ class TuckerFactors:
                                self.mean)
 
 
-def _from_arrays(dims, ranks: Ranks, arrays, mean: float) -> TuckerFactors:
-    """TuckerFactors over seven arrays given in the order of _shapes."""
-    return TuckerFactors(dims, ranks, arrays[3], arrays[:3], arrays[4:], float(mean))
+def _drawn(dims, ranks: Ranks, mean: float, weights, biases) -> TuckerFactors:
+    """A new model: factors and core from weights(shape), biases from biases(shape),
+    called in the order of _shapes.  ConfigError when they cannot be allocated."""
+    dims = tuple(int(x) for x in dims)
+    shapes = _shapes(dims, ranks.as_tuple())
+    try:
+        arrays = [weights(s) for s in shapes[:4]] + [biases(s) for s in shapes[4:]]
+        return TuckerFactors(dims, ranks, arrays[3], arrays[:3], arrays[4:], mean)
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+        raise ConfigError(f"cannot allocate factors of ranks {ranks.as_tuple()} for dims {dims}: "
+                          f"{exc}") from None
 
 
 @dataclass
@@ -165,21 +174,13 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
     Core and factor entries are i.i.d. uniform on (0, init_scale]; biases start
     at zero.  Draw order is factors (mode 1, 2, 3) then core, so results are
     reproducible for a fixed seed.  ConfigError unless init_scale is finite
-    and > 0, and when the arrays cannot be allocated.
+    and > 0, and, from _drawn, when the arrays cannot be allocated.
     """
     if not (math.isfinite(init_scale) and init_scale > 0):
         raise ConfigError(f"init_scale must be finite and > 0, got {init_scale}")
-    dims = tuple(int(x) for x in dims)
     rng = np.random.default_rng(seed)
-    shapes = _shapes(dims, ranks.as_tuple())
-    try:
-        # 1 - random() maps [0, 1) onto (0, 1].
-        arrays = ([init_scale * (1.0 - rng.random(s)) for s in shapes[:4]]
-                  + [np.zeros(s) for s in shapes[4:]])
-        return _from_arrays(dims, ranks, arrays, mean)
-    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
-        raise ConfigError(f"cannot allocate factors of ranks {ranks.as_tuple()} for dims {dims}: "
-                          f"{exc}") from None
+    # 1 - random() maps [0, 1) onto (0, 1].
+    return _drawn(dims, ranks, mean, lambda s: init_scale * (1.0 - rng.random(s)), np.zeros)
 
 
 def check_index(f: TuckerFactors, idx) -> tuple[int, int, int]:
@@ -199,7 +200,7 @@ def predict(f: TuckerFactors, idx) -> float:
     h = f._kernel_handle
     if h is not None:
         try:
-            return h.value(h.model, idx, f.mean)
+            return h.value(h.model, idx)
         except _kernel.INDEX_ERRORS:
             check_index(f, idx)
             raise
@@ -261,7 +262,7 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
     out = np.empty(len(idx))
     h = f._kernel_handle
     if h is not None:
-        _on_kernel(f, idx, h.values, h.model, idx, f.mean, out)
+        _on_kernel(f, idx, h.values, h.model, idx, out)
         return out
     _check_cells(f, idx)
     r1, r2, r3 = f.core.shape
@@ -282,7 +283,7 @@ def _sums(f: TuckerFactors, idx: np.ndarray, vals: np.ndarray) -> tuple[float, .
     of the touched biases' squares."""
     h = f._kernel_handle
     if h is not None:
-        return _on_kernel(f, idx, h.sums, h.model, idx, vals, f.mean)
+        return _on_kernel(f, idx, h.sums, h.model, idx, vals)
     resid = vals - predict_batch(f, idx)
     rows = sum(float(np.sum(a[c] ** 2)) for a, c in zip(f.factors, idx.T))
     biases = sum(float(np.sum(b[c] ** 2)) for b, c in zip(f.biases, idx.T))
@@ -439,4 +440,5 @@ def load_checkpoint(path) -> TuckerFactors:
     flat = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(flat).all():
         raise DataError(f"{path}: checkpoint holds non-finite parameters")
-    return _from_arrays(dims, Ranks(*ranks), _views(flat, shapes), mean)
+    arrays = _views(flat, shapes)
+    return TuckerFactors(dims, Ranks(*ranks), arrays[3], arrays[:3], arrays[4:], mean)

@@ -61,6 +61,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _grid_error(dims) -> str | None:
+    """Why dims cannot shape a grid, or None: they must be three ints >= 1
+    whose product, the cell count, fits np.intp, in which np.ravel_multi_index
+    and Generator.choice number the cells."""
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                                 and d >= 1 for d in dims):
+        return f"dims must be three positive integers, got {dims}"
+    cells, most = math.prod(map(int, dims)), np.iinfo(np.intp).max
+    if cells > most:
+        return f"dims {dims} give {cells} cells, more than the {most} a grid can number"
+    return None
+
+
 def _first_duplicate(indices: np.ndarray, dims) -> tuple[int, int] | None:
     """(first, repeat): the lowest position whose cell occurs earlier, and
     where that cell first occurs; None without repeats.  Indices lie in dims."""
@@ -86,13 +100,14 @@ def _first_out_of_bounds(indices: np.ndarray, dims) -> int | None:
 def from_records(dims, records) -> SparseTensor:
     """Build a SparseTensor from (i, j, k, value) records.
 
-    Raises DataError for non-positive dims, out-of-bounds indices (naming the
+    Raises DataError for dims _grid_error rejects, out-of-bounds indices (naming the
     offending record), duplicate coordinates (naming both positions), or
     non-finite values.
     """
     dims = tuple(int(x) for x in dims)
-    if len(dims) != 3 or any(d <= 0 for d in dims):
-        raise DataError(f"dims must be three positive integers, got {dims}")
+    error = _grid_error(dims)
+    if error is not None:
+        raise DataError(error)
 
     records = list(records)
     n = len(records)

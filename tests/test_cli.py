@@ -15,6 +15,7 @@ from pidtucker import (
     PidGains,
     Ranks,
     RegWeights,
+    init_factors,
     load_checkpoint,
     load_csv,
     rmse,
@@ -405,6 +406,16 @@ def _checkpoint_with_a_huge_dim(rundir):
     return f"payload is {len(payload)} bytes, expected {expected}", model_args(rundir)
 
 
+def _mapping_of_another_grid(rundir):
+    """The trained mapping with a slot count the checkpoint was not trained with."""
+    path = rundir / "mapping.json"
+    payload = json.loads(path.read_text())
+    payload["slots_per_day"] = 10**12
+    path.write_text(json.dumps(payload))
+    dims = (len(payload["segments"]), len(payload["days"]), 10**12)
+    return f"mapping dims {dims} do not match checkpoint dims", model_args(rundir)
+
+
 @pytest.mark.parametrize("breaks", [_missing_checkpoint, _missing_mapping,
                                     _mapping_without_segments, _mapping_not_json,
                                     _checkpoint_with_nan, _mapping_with_a_repeated_day,
@@ -415,7 +426,7 @@ def _checkpoint_with_a_huge_dim(rundir):
                                     _checkpoint_with_header("ranks", [2, 2, True]),
                                     _checkpoint_with_mean(True), _checkpoint_with_mean("3.5"),
                                     _checkpoint_with_mean(None), _checkpoint_with_mean(10**400),
-                                    _checkpoint_with_a_huge_dim])
+                                    _checkpoint_with_a_huge_dim, _mapping_of_another_grid])
 def test_unusable_model_files_exit_3(tmp_path, capsys, breaks):
     data, trained = synth_and_train(tmp_path)
     message, args = breaks(trained)
@@ -687,20 +698,69 @@ def _nan_ratios(tmp_path):
         "train", "--data", "d.csv", "--ratios", "nan,0.5,0.5"]
 
 
+def _small_csv(tmp_path):
+    """d.csv holding every cell of segments s0-s3, days d0-d2 and slots 0-4."""
+    rows = [f"s{i},d{j},{k},{1.0 + i + j + k}" for i in range(4) for j in range(3)
+            for k in range(5)]
+    (tmp_path / "d.csv").write_text("segment,day,slot,speed\n" + "\n".join(rows) + "\n")
+
+
 def _oversized_ranks(command):
     """Ranks whose core the allocator refuses outright (8e15 bytes, beyond any
     address space), so nothing is allocated and then filled."""
 
     def case(tmp_path):
-        rows = [f"s{i},d{j},{k},{1.0 + i + j + k}" for i in range(4) for j in range(3)
-                for k in range(5)]
-        (tmp_path / "d.csv").write_text("segment,day,slot,speed\n" + "\n".join(rows) + "\n")
-        return 2, "cannot allocate factors of ranks (100000, 100000, 100000) for dims (4, 3, 288)", [
-            command, "--data", "d.csv", "--ratios", "0.5,0.2,0.3", "--ranks",
-            "100000,100000,100000"]
+        _small_csv(tmp_path)
+        ranks = ["--ranks", "100000,100000,100000"]
+        message = "cannot allocate factors of ranks (100000, 100000, 100000) for dims (4, 3, "
+        if command == "synth":
+            return 2, message + "5)", ["synth", "--dims", "4,3,5", *ranks,
+                                       "--observed-fraction", "0.5"]
+        return 2, message + "288)", [command, "--data", "d.csv", "--ratios", "0.5,0.2,0.3",
+                                     *ranks]
 
     case.__name__ = f"_oversized_ranks_{command}"
     return case
+
+
+def _slots_beyond_a_grid(command, slots):
+    """A slot count whose grid over d.csv's 4 segments and 3 days has more
+    cells than an int64 can number."""
+
+    def case(tmp_path):
+        _small_csv(tmp_path)
+        return 2, f"d.csv: dims (4, 3, {slots}) give {12 * slots} cells, more than", [
+            command, "--data", "d.csv", "--ratios", "0.5,0.2,0.3", "--slots-per-day", str(slots)]
+
+    case.__name__ = f"_slots_beyond_a_grid_{command}_{slots}"
+    return case
+
+
+def _synth_beyond_a_grid(tmp_path):
+    return 2, "dims (3000000, 3000000, 3000000) give 27000000000000000000 cells, more than", [
+        "synth", "--dims", "3000000,3000000,3000000", "--ranks", "2,2,2",
+        "--observed-fraction", "1e-18"]
+
+
+def _model_files(tmp_path, slots):
+    """d.csv, a (4, 3, 5) checkpoint m.ckpt and its mapping m.json with the
+    slot count slots; the arguments that name them."""
+    _small_csv(tmp_path)
+    save_checkpoint(init_factors((4, 3, 5), Ranks(2, 2, 2)), tmp_path / "m.ckpt")
+    (tmp_path / "m.json").write_text(json.dumps({
+        "format": "pidtucker-mapping-v1", "segments": [f"s{i}" for i in range(4)],
+        "days": [f"d{j}" for j in range(3)], "slots_per_day": slots}))
+    return ["--checkpoint", "m.ckpt", "--mapping", "m.json", "--data", "d.csv"]
+
+
+def _evaluate_with_a_mapping_beyond_a_grid(tmp_path):
+    return 3, "m.json: dims (4, 3, 10000000000000000000) give", [
+        "evaluate", *_model_files(tmp_path, 10**19)]
+
+
+def _impute_with_a_mapping_of_another_grid(tmp_path):
+    return 3, "mapping dims (4, 3, 1000000000000) do not match checkpoint dims (4, 3, 5)", [
+        "impute", *_model_files(tmp_path, 10**12), "--all-missing", "true"]
 
 
 def _unlistable_grid(tmp_path):
@@ -719,7 +779,14 @@ def _limit_address_space():
                                   _outdir_under_a_file, _run_name_with_a_slash,
                                   _checkpoint_header_not_an_object, _nan_ratios,
                                   _oversized_ranks("train"), _oversized_ranks("benchmark"),
-                                  _unlistable_grid])
+                                  _oversized_ranks("synth"), _unlistable_grid,
+                                  _synth_beyond_a_grid,
+                                  _slots_beyond_a_grid("train", 10**19),
+                                  _slots_beyond_a_grid("benchmark", 10**19),
+                                  _slots_beyond_a_grid("train", 10**18),
+                                  _slots_beyond_a_grid("benchmark", 10**18),
+                                  _evaluate_with_a_mapping_beyond_a_grid,
+                                  _impute_with_a_mapping_of_another_grid])
 def test_unusable_input_exits_cleanly(tmp_path, case):
     code, message, argv = case(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from pidtucker import (
     ConfigError,
     DataError,
+    DivergenceError,
     ExperimentConfig,
     Hyperparams,
     Ranks,
@@ -134,6 +136,27 @@ def test_experiment_isolates_failed_repeats(synthetic_fixture, monkeypatch):
     assert "injected failure" in summary.results[1].error
     ok = [r.rmse for r in summary.results if r.error is None]
     assert summary.rmse_mean == pytest.approx(float(np.mean(ok)))
+
+
+def test_a_summary_with_no_successful_repeat_is_strict_json(synthetic_fixture, monkeypatch,
+                                                            tmp_path):
+    tensor, _ = synthetic_fixture
+
+    def failing_train(*args, **kwargs):
+        raise DivergenceError("injected failure")
+
+    monkeypatch.setattr(evaluation_mod, "train", failing_train)
+    summary = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=2, base_seed=0))
+    assert all(r.error is not None for r in summary.results)
+    evaluation_mod.write_summary_json(summary, tmp_path / "summary.json")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    aggregates = ("rmse_mean", "rmse_std", "seconds_mean", "seconds_std")
+    assert [payload[key] for key in aggregates] == [None] * 4
+    assert [summary.rmse_mean, summary.rmse_std] == [None, None]
 
 
 def test_experiment_aggregates_sample_std(synthetic_fixture):

@@ -12,6 +12,7 @@ import math
 import os
 import pickle
 import stat
+import struct
 import time
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -519,6 +520,16 @@ def test_a_replaced_array_is_read_by_the_next_predict():
     g = dataclasses.replace(f, core=np.zeros_like(f.core),
                             biases=tuple(np.zeros_like(b) for b in f.biases))
     assert predict(g, (1, 1, 1)) == f.mean
+    cells = np.array([[1, 1, 1], [3, 2, 4]])
+    for backend in (contextlib.nullcontext, reference_backend):
+        with backend():  # a new mean, read through the new object's handle or the reference
+            m = dataclasses.replace(g, mean=f.mean + 7.0)
+            assert (m._kernel_handle is None) == (_kernel.library() is None)
+            assert predict(m, (3, 2, 4)) == m.mean != g.mean
+            assert predict_batch(m, cells).tolist() == [m.mean, m.mean]
+            assert rmse(m, cells, [m.mean, m.mean]) == 0.0
+            assert rmse(m, cells, [g.mean, g.mean]) == abs(g.mean - m.mean)
+    assert predict(g, (3, 2, 4)) == g.mean == f.mean
     g = dataclasses.replace(g, factors=(f.factors[0], f.factors[1],
                                         np.asfortranarray(f.factors[2])),
                             core=np.ones_like(f.core))
@@ -529,9 +540,14 @@ def test_a_replaced_array_is_read_by_the_next_predict():
 
 
 def _handle_reads(f):
-    """Whether f's handle, when it has one, points at f's own arrays."""
+    """Whether f's handle, when it has one, packs f's own arrays, in f.arrays'
+    order, and f's mean."""
     h = f._kernel_handle
-    return h is None or all(a is b for a, b in zip(h.arrays, (*f.factors, *f.biases, f.core)))
+    if h is None:
+        return True
+    *pointers, r1, r2, r3, d1, d2, d3, mean = struct.unpack(_kernel._PT_MODEL, h.model)
+    return (pointers == [a.ctypes.data for a in (*f.arrays, h.arrays[-1])]
+            and (r1, r2, r3) == f.core.shape and (d1, d2, d3) == f.dims and mean == f.mean)
 
 
 def test_factors_pickle_without_their_handle():
@@ -645,19 +661,19 @@ def test_the_module_rejects_bad_arguments_without_touching_memory():
     before = [a.copy() for a in arrays(f)]
     lib = _kernel.library()
     bad = [
-        (TypeError, lib.value, (h.model, (1, 1, 1))),                  # too few
-        (TypeError, lib.value, (h.model, (1, 1, 1), 0.0, 0)),          # too many
+        (TypeError, lib.value, (h.model,)),                            # too few
+        (TypeError, lib.value, (h.model, (1, 1, 1), 0.0)),             # too many
         (TypeError, lib.step, (h.model, (1, 1, 1), 0.5, 0.1, 0.0, 0.0)),
-        (TypeError, lib.value, (h.model[:-1], (1, 1, 1), 0.0)),        # not a whole pt_model
-        (TypeError, lib.value, (bytearray(h.model), (1, 1, 1), 0.0)),  # not bytes
-        (TypeError, lib.value, (h.model, ("1", 1, 1), 0.0)),
-        (TypeError, lib.value, (h.model, (1.0, 1, 1), 0.0)),
+        (TypeError, lib.value, (h.model[:-1], (1, 1, 1))),             # not a whole pt_model
+        (TypeError, lib.value, (bytearray(h.model), (1, 1, 1))),       # not bytes
+        (TypeError, lib.value, (h.model, ("1", 1, 1))),
+        (TypeError, lib.value, (h.model, (1.0, 1, 1))),
         (TypeError, lib.step, (h.model, (1, 1, 1), 0.5, 0.1, 0.0, 0.0, None)),
-        (TypeError, lib.value, (h.model, 1, 0.0)),                     # not a sequence
-        (ValueError, lib.value, (h.model, (1, 1), 0.0)),
+        (TypeError, lib.value, (h.model, 1)),                          # not a sequence
+        (ValueError, lib.value, (h.model, (1, 1))),
         (OverflowError, lib.step, (h.model, (2**64, 1, 1), 0.5, 0.1, 0.0, 0.0, 0.0)),
-        (IndexError, lib.value, (h.model, (4, 1, 1), 0.0)),            # == dim
-        (IndexError, lib.value, (h.model, [1, -1, 1], 0.0)),
+        (IndexError, lib.value, (h.model, (4, 1, 1))),                 # == dim
+        (IndexError, lib.value, (h.model, [1, -1, 1])),
         (IndexError, lib.step, (h.model, (1, 1, 5), 0.5, 0.1, 0.0, 0.0, 0.0)),
         (FloatingPointError, lib.step, (h.model, (1, 1, 1), math.nan, 0.1, 0.0, 0.0, 0.0)),
         (FloatingPointError, lib.step, (h.model, (1, 1, 1), -math.inf, 0.1, 0.0, 0.0, 0.0)),
@@ -688,45 +704,44 @@ def test_the_module_rejects_bad_arguments_without_touching_memory():
     cells, y, out = np.array([[1, 2, 3], [0, 0, 0]]), np.ones(2), np.full(2, 7.0)
     frozen = np.full(2, 7.0)
     frozen.flags.writeable = False
-    mean, values, sums = f.mean, lib.values, lib.sums
+    values, sums = lib.values, lib.sums
     bad += [
-        (TypeError, values, (h.model, cells, mean)),                        # too few
-        (TypeError, values, (h.model, cells, mean, out, out)),              # too many
-        (TypeError, sums, (h.model, cells, y)),
-        (TypeError, sums, (h.model, cells, y, mean, 0)),
-        (TypeError, sums, (bytearray(h.model), cells, y, mean)),
-        (TypeError, values, (h.model, cells, "0", out)),
-        (ValueError, values, (h.model, cells.astype(np.int32), mean, out)),  # wrong dtype
-        (ValueError, sums, (h.model, cells.astype(np.float64), y, mean)),
-        (ValueError, values, (h.model, cells, mean, out.astype(np.float32))),
-        (ValueError, sums, (h.model, cells, y.astype(np.int64), mean)),
-        (ValueError, sums, (h.model, cells.astype(">i8"), y, mean)),         # not native order
-        (ValueError, values, (h.model, cells, mean, out.astype(">f8"))),
-        (ValueError, values, (h.model, cells[:, :2].copy(), mean, out)),    # shape (n, 2)
-        (ValueError, sums, (h.model, cells.ravel(), y, mean)),
-        (ValueError, sums, (h.model, np.zeros((2, 6), np.int64)[:, ::2], y, mean)),  # strided
-        (ValueError, values, (h.model, cells, mean, np.full(4, 7.0)[::2])),
-        (ValueError, values, (h.model, cells, mean, out[:1])),              # short out
-        (ValueError, values, (h.model, cells, mean, frozen)),               # read-only out
-        (ValueError, sums, (h.model, cells, y[:1], mean)),                  # y length mismatch
-        (ValueError, sums, (h.model, cells, np.ones(3), mean)),
-        (IndexError, values, (h.model, np.array([[1, -1, 1]]), mean, out[:1])),
-        (IndexError, values, (h.model, np.array([[0, 0, 0], [4, 0, 0]]), mean, out)),  # == dim
-        (IndexError, sums, (h.model, np.array([[0, 0, 5], [0, 0, 0]]), y, mean)),
-        (IndexError, sums, (h.model, np.array([[0, 0, 0], [0, -1, 0]]), y, mean)),
+        (TypeError, values, (h.model, cells)),                        # too few
+        (TypeError, values, (h.model, cells, out, out)),              # too many
+        (TypeError, sums, (h.model, cells)),
+        (TypeError, sums, (h.model, cells, y, f.mean)),
+        (TypeError, sums, (bytearray(h.model), cells, y)),
+        (ValueError, values, (h.model, cells.astype(np.int32), out)),  # wrong dtype
+        (ValueError, sums, (h.model, cells.astype(np.float64), y)),
+        (ValueError, values, (h.model, cells, out.astype(np.float32))),
+        (ValueError, sums, (h.model, cells, y.astype(np.int64))),
+        (ValueError, sums, (h.model, cells.astype(">i8"), y)),         # not native order
+        (ValueError, values, (h.model, cells, out.astype(">f8"))),
+        (ValueError, values, (h.model, cells[:, :2].copy(), out)),    # shape (n, 2)
+        (ValueError, sums, (h.model, cells.ravel(), y)),
+        (ValueError, sums, (h.model, np.zeros((2, 6), np.int64)[:, ::2], y)),  # strided
+        (ValueError, values, (h.model, cells, np.full(4, 7.0)[::2])),
+        (ValueError, values, (h.model, cells, out[:1])),              # short out
+        (ValueError, values, (h.model, cells, frozen)),               # read-only out
+        (ValueError, sums, (h.model, cells, y[:1])),                  # y length mismatch
+        (ValueError, sums, (h.model, cells, np.ones(3))),
+        (IndexError, values, (h.model, np.array([[1, -1, 1]]), out[:1])),
+        (IndexError, values, (h.model, np.array([[0, 0, 0], [4, 0, 0]]), out)),  # == dim
+        (IndexError, sums, (h.model, np.array([[0, 0, 5], [0, 0, 0]]), y)),
+        (IndexError, sums, (h.model, np.array([[0, 0, 0], [0, -1, 0]]), y)),
     ]
     for exc, fn, args in bad:
         with pytest.raises(exc):
             fn(*args)
     assert all(np.array_equal(a, b) for a, b in zip(arrays(f), before))
     assert out.tolist() == [7.0, 7.0]
-    assert values(h.model, cells, mean, out) is None
+    assert values(h.model, cells, out) is None
     assert out.tolist() == [predict(f, (1, 2, 3)), predict(f, (0, 0, 0))]
-    assert sums(h.model, cells, out, mean)[0] == 0.0
+    assert sums(h.model, cells, out)[0] == 0.0
     none = np.zeros((0, 3), np.int64)
     core = sum(x * x for x in f.core.ravel().tolist())  # summed in C's order
-    assert sums(h.model, none, np.zeros(0), mean) == (0.0, core, 0.0, 0.0)
-    assert lib.value(h.model, (1, 2, 3), f.mean) == predict(f, (1, 2, 3))
+    assert sums(h.model, none, np.zeros(0)) == (0.0, core, 0.0, 0.0)
+    assert lib.value(h.model, (1, 2, 3)) == predict(f, (1, 2, 3))
     assert rec(seg, day, 3, cell, val) == b"b,x,2,1.500000\n"
     assert rec(seg, day, 3, np.zeros((0, 3), np.int64), np.zeros(0)) == b""
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -110,6 +111,17 @@ def test_init_scale_must_be_finite_and_positive(scale):
         init_factors((4, 3, 5), Ranks(2, 2, 2), init_scale=scale)
     with pytest.raises(ConfigError, match=message):
         Hyperparams(init_scale=scale)
+
+
+@pytest.mark.parametrize("mean, error", [(None, TypeError), ("ten", ValueError),
+                                         ([1.0], TypeError)])
+def test_a_mean_float_rejects_fails_at_construction(mean, error):
+    f = init_factors((4, 3, 5), Ranks(2, 2, 2), seed=0)
+    with pytest.raises(error):
+        dataclasses.replace(f, mean=mean)
+    g = dataclasses.replace(f, mean=np.float32(1.5))
+    assert type(g.mean) is float and g.mean == 1.5
+    assert predict(g, (1, 1, 1)) == predict(f, (1, 1, 1)) + 1.5
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, "2", None])
