@@ -6,26 +6,27 @@
  * A model value is formed in two parts: pt_form_g contracts the core with
  * the mode-1 row, g[n,l] = sum over m of u[m] core[m,n,l], which depends on
  * the cell's i alone, and pt_finish completes the value at (i, j, k) from
- * g.  pt_step applies one entry's SGD update in place, reading g for the
- * mode-3 row's gradient.  `value` and `step` form g and call them for one
- * cell, `values` for each row of an (n, 3) cell array, and `sums` returns
- * in one pass the sums of squared residuals, of the core's squares, of the
- * touched factor rows' squares and of the touched biases' squares; `values`
- * and `sums` form g again only when a row's i differs from the previous
- * row's, so cells sorted by i (as missing cells are) form it once per
- * segment.  Everything is compiled without floating-point contraction, so
- * results do not depend on whether the CPU has fused multiply-add.
+ * g.  pt_cell owns the reuse of g: it forms g again unless the cell valued
+ * before has the same i, so `value` (one cell), `values` (each row of an
+ * (n, 3) cell array) and `sums` reach g only through it, and cells sorted
+ * by i (as missing cells are) form g once per segment.  `sums` returns in
+ * one pass the sums of squared residuals, of the core's squares, of the
+ * touched factor rows' squares and of the touched biases' squares.
+ * pt_step applies one entry's SGD update in place, reading g for the mode-3
+ * row's gradient; `step` forms g and calls it for one cell.  Everything is
+ * compiled without floating-point contraction, so results do not depend on
+ * whether the CPU has fused multiply-add.
  *
  * The contraction-order contract: every sum in pt_form_g, pt_finish and
  * pt_step starts from 0.0 and adds its terms in increasing index order, as
  * the comments at each sum state, and tests replay that order in Python
- * floats bit for bit.  Only the scheduling is free: the kernels form four
- * independent sums at once (dot4), with one at a time (dot1) for the
- * remainder, and never split or reorder one sum.  So a g kept from an
- * earlier row holds the bits a fresh one would.  pt_step's row, core and
- * scratch pointers are restrict, which holds because the arrays are
- * disjoint views of one parameter block and the scratch is a buffer of its
- * own.
+ * floats bit for bit.  dots forms every one of them but pt_finish's fused
+ * dn, four independent sums at once (dot4), then one at a time (dot1) for
+ * the remainder; only that scheduling is free, and no sum is split or
+ * reordered.  So a g kept from an earlier row holds the bits a fresh one
+ * would.  pt_step's row, core and scratch pointers are restrict, which
+ * holds because the arrays are disjoint views of one parameter block and
+ * the scratch is a buffer of its own.
  *
  * `records` formats one block of CSV rows "<segment><day><slot>,<value>\n"
  * from prefix tuples the caller has already quoted.  Each value is written
@@ -79,7 +80,7 @@ typedef struct {
     double *factor[3];  /* (dims[m], rank[m]), row-major */
     double *core;       /* (rank[0], rank[1], rank[2]), row-major */
     double *bias[3];    /* (dims[m],) */
-    double *scratch;    /* pt_step's (r1*r2 + r1 + r2 + r3), then g (r2*r3) */
+    double *scratch;    /* g (r2*r3), then pt_step's gt (r1*r2) and row gradients */
     long rank[3];
     int64_t dims[3];
     double mean;        /* fixed in training */
@@ -113,41 +114,33 @@ static inline double dot1(const double *restrict x, const double *restrict c, lo
     return w;
 }
 
-/* The next sums w[a] = sum over m < n of x[m] * c[m * sm + a] of a run with
- * `left` still to go: four when at least four are left, else one.  Returns
- * how many. */
-static inline long dot_next(const double *x, const double *c, long n, long sm, long left,
-                            double *w)
+/* w[a] = sum over m < n of x[m] * c[m * sm + a * sa], for every a < count:
+ * four sums at a time, then the rest one at a time. */
+static inline void dots(const double *restrict x, const double *restrict c, long n, long sm,
+                        long sa, long count, double *restrict w)
 {
-    if (left >= 4) {
-        dot4(x, c, n, sm, 1, w);
-        return 4;
-    }
-    w[0] = dot1(x, c, n, sm);
-    return 1;
+    long a = 0;
+    for (; a + 4 <= count; a += 4)
+        dot4(x, c + a * sa, n, sm, sa, w + a);
+    for (; a < count; a++)
+        w[a] = dot1(x, c + a * sa, n, sm);
 }
 
-/* g[n,l] = sum over m of u[m] core[m,n,l], for u the mode-1 row i, over
- * the (n, l) pairs in blocks, into g (the handle's g_scratch). */
-static void pt_form_g(const pt_model *h, long i, double *g)
+/* g[n,l] = sum over m of u[m] core[m,n,l], for u the mode-1 row i, into
+ * the scratch's first r2*r3 doubles. */
+static inline void pt_form_g(const pt_model *h, long i)
 {
     const long r1 = h->rank[0], s = h->rank[1] * h->rank[2];
-    const double *u = h->factor[0] + i * r1;
-    for (long q = 0; q < s;)
-        q += dot_next(u, h->core + q, r1, s, s - q, g + q);
-}
-
-static double *g_scratch(const pt_model *h)
-{
-    return h->scratch + h->rank[0] * h->rank[1] + h->rank[0] + h->rank[1] + h->rank[2];
+    dots(h->factor[0] + i * r1, h->core, r1, s, 1, s, h->scratch);
 }
 
 /* mean + multilinear term + the three biases at (i, j, k), from the g of
  * row i.  The term is contracted in predict_batch's order: dn = sum over l
  * of g[n,l] t[l], four n at a time, then the sum over n of dn d[n]. */
-static double pt_finish(const pt_model *h, const double *g, long i, long j, long k)
+static inline double pt_finish(const pt_model *h, long i, long j, long k)
 {
     const long r2 = h->rank[1], r3 = h->rank[2];
+    const double *g = h->scratch;
     const double *d = h->factor[1] + j * r2;
     const double *t = h->factor[2] + k * r3;
     double multi = 0.0, dn[4];
@@ -162,53 +155,53 @@ static double pt_finish(const pt_model *h, const double *g, long i, long j, long
     return h->mean + multi + h->bias[0][i] + h->bias[1][j] + h->bias[2][k];
 }
 
+/* The model value at cell c = (i, j, k).  prev is the cell valued before
+ * it on this handle, or NULL; g is formed again unless prev has c's i. */
+static inline double pt_cell(const pt_model *h, const int64_t *c, const int64_t *prev)
+{
+    if (prev == NULL || prev[0] != c[0])
+        pt_form_g(h, c[0]);
+    return pt_finish(h, c[0], c[1], c[2]);
+}
+
+/* w[a] = lambda2 row[a] - err w[a]: a row's gradient from its sums. */
+static inline void row_gradient(const double *restrict row, long count, double lambda2,
+                                double err, double *restrict w)
+{
+    for (long a = 0; a < count; a++)
+        w[a] = lambda2 * row[a] - err * w[a];
+}
+
 /* One entry's update, as model.instance_gradient followed by a step of size
  * eta: every gradient is formed from pre-update values, then the three
  * factor rows, the core and the three biases move against it.  g is
  * pt_form_g's for row i, formed before the call. */
-static void pt_step(const pt_model *h, const double *g, long i, long j, long k, double err,
-                    double eta, double lambda1, double lambda2, double lambda3)
+static inline void pt_step(const pt_model *h, long i, long j, long k, double err, double eta,
+                           double lambda1, double lambda2, double lambda3)
 {
     const long r1 = h->rank[0], r2 = h->rank[1], r3 = h->rank[2];
     double *restrict u = h->factor[0] + i * r1;
     double *restrict d = h->factor[1] + j * r2;
     double *restrict t = h->factor[2] + k * r3;
     double *restrict core = h->core;
-    double *restrict gt = h->scratch;    /* (r1, r2): core contracted with t */
+    const double *g = h->scratch;        /* (r2, r3): pt_form_g's */
+    double *restrict gt = h->scratch + r2 * r3;  /* (r1, r2): core contracted with t */
     double *restrict g1 = gt + r1 * r2;  /* row gradients */
     double *restrict g2 = g1 + r1;
     double *restrict g3 = g2 + r2;
-    double w[4];
-    long m, n, l, p;
+    long m, n, l;
 
-    /* gt[m, n] = sum over l of t[l] core[m, n, l], four (m, n) at a time. */
-    for (p = 0; p + 4 <= r1 * r2; p += 4)
-        dot4(t, core + p * r3, r3, 1, r3, gt + p);
-    for (; p < r1 * r2; p++)
-        gt[p] = dot1(t, core + p * r3, r3, 1);
+    /* gt[m, n] = sum over l of t[l] core[m, n, l]. */
+    dots(t, core, r3, 1, r3, r1 * r2, gt);
     /* phi[m] = sum over n of d[n] gt[m, n]. */
-    for (m = 0; m + 4 <= r1; m += 4) {
-        dot4(d, gt + m * r2, r2, 1, r2, w);
-        for (long a = 0; a < 4; a++)
-            g1[m + a] = lambda2 * u[m + a] - err * w[a];
-    }
-    for (; m < r1; m++)
-        g1[m] = lambda2 * u[m] - err * dot1(d, gt + m * r2, r2, 1);
+    dots(d, gt, r2, 1, r2, r1, g1);
+    row_gradient(u, r1, lambda2, err, g1);
     /* psi[n] = sum over m of u[m] gt[m, n]. */
-    for (n = 0; n + 4 <= r2; n += 4) {
-        dot4(u, gt + n, r1, r2, 1, w);
-        for (long a = 0; a < 4; a++)
-            g2[n + a] = lambda2 * d[n + a] - err * w[a];
-    }
-    for (; n < r2; n++)
-        g2[n] = lambda2 * d[n] - err * dot1(u, gt + n, r1, r2);
-    /* chi[l] = sum over n of d[n] g[n, l], added in n order. */
-    for (l = 0; l < r3; l++) {
-        double chi = 0.0;
-        for (n = 0; n < r2; n++)
-            chi += d[n] * g[n * r3 + l];
-        g3[l] = lambda2 * t[l] - err * chi;
-    }
+    dots(u, gt, r1, r2, 1, r2, g2);
+    row_gradient(d, r2, lambda2, err, g2);
+    /* chi[l] = sum over n of d[n] g[n, l]. */
+    dots(d, g, r2, r3, 1, r3, g3);
+    row_gradient(t, r3, lambda2, err, g3);
 
     /* The core step reads the rows, so it goes before they move. */
     for (m = 0; m < r1; m++)
@@ -292,9 +285,7 @@ static PyObject *value(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssiz
     pt_model h; int64_t idx[3];
     if (unpack_model(args, nargs, 2, &h) < 0 || unpack_index(&h, args[1], idx) < 0)
         return NULL;
-    double *g = g_scratch(&h);
-    pt_form_g(&h, idx[0], g);
-    return PyFloat_FromDouble(pt_finish(&h, g, idx[0], idx[1], idx[2]));
+    return PyFloat_FromDouble(pt_cell(&h, idx, NULL));
 }
 
 static PyObject *step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
@@ -308,9 +299,8 @@ static PyObject *step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
     }
     if (unpack_index(&h, args[1], idx) < 0 || unpack_doubles(args + 3, 4, x + 1) < 0)
         return NULL;
-    double *g = g_scratch(&h);
-    pt_form_g(&h, idx[0], g);
-    pt_step(&h, g, idx[0], idx[1], idx[2], x[0], x[1], x[2], x[3], x[4]);
+    pt_form_g(&h, idx[0]);
+    pt_step(&h, idx[0], idx[1], idx[2], x[0], x[1], x[2], x[3], x[4]);
     Py_RETURN_NONE;
 }
 
@@ -487,13 +477,9 @@ static PyObject *values(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssi
         || (n = get_cells(h.dims, args[1], &ib, args[2], &ob, PyBUF_WRITABLE, "out")) < 0)
         return NULL;
     const int64_t *idx = ib.buf;
-    double *out = ob.buf, *g = g_scratch(&h);
-    for (Py_ssize_t r = 0; r < n; r++) {
-        const int64_t *c = idx + 3 * r;
-        if (r == 0 || c[0] != c[-3])
-            pt_form_g(&h, c[0], g);
-        out[r] = pt_finish(&h, g, c[0], c[1], c[2]);
-    }
+    double *out = ob.buf;
+    for (Py_ssize_t r = 0; r < n; r++)
+        out[r] = pt_cell(&h, idx + 3 * r, r ? idx + 3 * (r - 1) : NULL);
     PyBuffer_Release(&ob);
     PyBuffer_Release(&ib);
     Py_RETURN_NONE;
@@ -515,12 +501,10 @@ static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
         return NULL;
     const int64_t *idx = ib.buf;
     const double *y = yb.buf;
-    double resid = 0.0, rows = 0.0, biases = 0.0, *g = g_scratch(&h);
+    double resid = 0.0, rows = 0.0, biases = 0.0;
     for (Py_ssize_t r = 0; r < n; r++) {
         const int64_t *c = idx + 3 * r;
-        if (r == 0 || c[0] != c[-3])
-            pt_form_g(&h, c[0], g);
-        double e = y[r] - pt_finish(&h, g, c[0], c[1], c[2]);
+        double e = y[r] - pt_cell(&h, c, r ? c - 3 : NULL);
         resid += e * e;
         for (int m = 0; m < 3; m++) {
             rows += sum_squares(h.factor[m] + c[m] * h.rank[m], h.rank[m]);

@@ -14,14 +14,14 @@ match (numpy or plain Python):
   reference.  There is no switch for the backend.  All but records take
   f's handle (below) first and read the model, mean included, from it alone.
 - The backends agree within 1e-12, and each is bitwise deterministic.  On
-  the kernel every model value comes from one contraction (pt_form_g, then
-  pt_finish), and values and sums reuse a row's g for the next row with the
-  same i, which holds the bits a fresh g would; so predict, predict_batch,
-  rmse and regularized_loss agree bit for bit in any row order (rmse is 0.0
-  on values predict_batch gave).  records writes the reference's bytes.  A
-  value within ~1e-12 of a 6th-decimal rounding boundary can still be
-  written differently by the two backends, so imputed.csv may differ there
-  alone.
+  the kernel every model value comes from pt_cell, one contraction
+  (pt_form_g, then pt_finish) that reuses the previous row's g for a row
+  with the same i, which holds the bits a fresh g would; so predict,
+  predict_batch, rmse and regularized_loss agree bit for bit in any row
+  order (rmse is 0.0 on values predict_batch gave).  records writes the
+  reference's bytes.  A value within ~1e-12 of a 6th-decimal rounding
+  boundary can still be written differently by the two backends, so
+  imputed.csv may differ there alone.
 - Errors: a kernel raises IndexError (or TypeError, ValueError,
   OverflowError for an index that is not three integers) before touching
   any memory, and step raises FloatingPointError for a non-finite err,
@@ -48,14 +48,15 @@ directory, a file that will not load) makes `library()` return None.
 `handle(f)` gives the kernel's view of one TuckerFactors, or None when the
 library did not load: a packed pt_model struct, the whole model, of pointers
 to the seven arrays in checkpoint order (f.arrays) and to a scratch buffer
-(pt_step's r1*r2 + r1 + r2 + r3 doubles, then r2*r3 for g), the ranks, the
-dims (which the kernel checks every index against) and f.mean.  The arrays
-are disjoint views of f.params, one C-contiguous, writeable float64 block
-that TuckerFactors owns and has checked against dims and ranks, so the
-kernel can take every TuckerFactors.  A TuckerFactors builds its handle
-once, when it is constructed, and keeps it in f._kernel_handle, which every
-caller reads.  The handle stays valid because the fields of a TuckerFactors,
-mean among them, are bound once and its arrays are updated only in place.
+(g's r2*r3 doubles first, then pt_step's r1*r2 for gt and r1 + r2 + r3 for
+the row gradients), the ranks, the dims (which the kernel checks every index
+against) and f.mean.  The arrays are disjoint views of f.params, one
+C-contiguous, writeable float64 block that TuckerFactors owns and has
+checked against dims and ranks, so the kernel can take every TuckerFactors.
+A TuckerFactors builds its handle once, when it is constructed, and keeps
+it in f._kernel_handle, which every caller reads.  The handle stays valid
+because the fields of a TuckerFactors, mean among them, are bound once and
+its arrays are updated only in place.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class _Handle:
 
     def __init__(self, lib, f):
         ranks = f.core.shape
-        # pt_step's gt and row gradients, then pt_form_g's g (_kernel.c).
+        # pt_form_g's g, then pt_step's gt and row gradients (_kernel.c).
         scratch = np.empty(ranks[0] * ranks[1] + sum(ranks) + ranks[1] * ranks[2])
         self.arrays = (*f.arrays, scratch)
         self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in self.arrays), *ranks,

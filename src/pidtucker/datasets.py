@@ -31,7 +31,8 @@ import numpy as np
 from . import _kernel
 from .errors import ConfigError, DataError
 from .model import Ranks, TuckerFactors, _drawn, _entries, predict_batch
-from .sparse import SparseTensor, _first_duplicate, _first_out_of_bounds, _freeze, _grid_error
+from .sparse import (SparseTensor, _cells, _first_duplicate, _first_out_of_bounds, _freeze,
+                     _grid_error)
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
 
@@ -345,10 +346,16 @@ def missing_indices(tensor: SparseTensor) -> np.ndarray:
     the grid-shaped mask).  The result is a C-contiguous (n, 3) int64 array
     of every missing cell, sorted by segment, then day, then slot, which is
     the order in which predict_batch's kernel reuses a segment's work.
+    DataError naming the dims and the cell count when the mask or the list
+    does not fit in memory.
     """
-    missing = np.ones(tensor.n_cells, dtype=bool)
-    missing[np.ravel_multi_index(tensor.indices.T, tensor.dims)] = False
-    cells = np.stack(np.nonzero(missing.reshape(tensor.dims)), axis=1)
+    try:
+        missing = np.ones(tensor.n_cells, dtype=bool)
+        missing[np.ravel_multi_index(tensor.indices.T, tensor.dims)] = False
+        cells = np.stack(np.nonzero(missing.reshape(tensor.dims)), axis=1)
+    except MemoryError as exc:
+        raise DataError(f"cannot list the missing cells of dims {tensor.dims} "
+                        f"({tensor.n_cells} cells) in memory: {exc}") from None
     return cells.astype(np.int64, copy=False)  # a copy only where intp is not int64
 
 
@@ -404,8 +411,9 @@ def export_imputed(f: TuckerFactors, targets, mapping: IndexMapping, path) -> No
     """Write model values for the target cells under original identifiers.
 
     Output CSV: segment_id,day,slot,predicted_speed with 6 decimal places.
-    DataError from _check_mapping unless mapping has f's dims.
+    DataError from _check_mapping unless mapping has f's dims, and from
+    sparse._cells unless targets is an (n, 3) array of integers.
     """
     _check_mapping(mapping, f)
-    idx = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
+    idx = _cells(targets)
     write_records_csv(idx, predict_batch(f, idx), mapping, path, _IMPUTED_SCHEMA)

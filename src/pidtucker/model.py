@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, DataError
-from .sparse import _first_out_of_bounds
+from .sparse import _cells, _first_out_of_bounds
 
 CHECKPOINT_FORMAT = "pidtucker-checkpoint-v1"
 
@@ -148,7 +148,7 @@ class TuckerFactors:
 def _drawn(dims, ranks: Ranks, mean: float, weights, biases) -> TuckerFactors:
     """A new model: factors and core from weights(shape), biases from biases(shape),
     called in the order of _shapes.  ConfigError when they cannot be allocated."""
-    dims = tuple(int(x) for x in dims)
+    dims, mean = tuple(int(x) for x in dims), float(mean)  # as TuckerFactors converts it
     shapes = _shapes(dims, ranks.as_tuple())
     try:
         arrays = [weights(s) for s in shapes[:4]] + [biases(s) for s in shapes[4:]]
@@ -207,16 +207,6 @@ def predict(f: TuckerFactors, idx) -> float:
     i, j, k = check_index(f, idx)
     phi = (f.core @ f.factors[2][k]) @ f.factors[1][j]
     return float(f.mean + f.factors[0][i] @ phi + f.biases[0][i] + f.biases[1][j] + f.biases[2][k])
-
-
-def _cells(indices) -> np.ndarray:
-    """indices as a C-contiguous (n, 3) int64 array; DataError for another shape."""
-    idx = np.ascontiguousarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return idx.reshape(0, 3)
-    if idx.ndim != 2 or idx.shape[1] != 3:
-        raise DataError(f"indices must have shape (n, 3), got {idx.shape}")
-    return idx
 
 
 def _entries(indices, values) -> tuple[np.ndarray, np.ndarray]:

@@ -84,6 +84,20 @@ def _first_duplicate(indices: np.ndarray, dims) -> tuple[int, int] | None:
     return (int(first[inverse[repeats[0]]]), int(repeats[0])) if len(repeats) else None
 
 
+def _cells(indices) -> np.ndarray:
+    """indices as a C-contiguous (n, 3) int64 array; DataError for another
+    shape, or for entries that are not integers or bools (by the dtype alone,
+    so a fractional cell is refused rather than truncated)."""
+    idx = np.asarray(indices)
+    if idx.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    if idx.dtype.kind not in "biu":
+        raise DataError(f"indices must be integers, got dtype {idx.dtype}")
+    if idx.ndim != 2 or idx.shape[1] != 3:
+        raise DataError(f"indices must have shape (n, 3), got {idx.shape}")
+    return np.ascontiguousarray(idx, dtype=np.int64)
+
+
 def _first_out_of_bounds(indices: np.ndarray, dims) -> int | None:
     """The lowest position of an (n, 3) index row outside dims, or None.
 
@@ -100,9 +114,9 @@ def _first_out_of_bounds(indices: np.ndarray, dims) -> int | None:
 def from_records(dims, records) -> SparseTensor:
     """Build a SparseTensor from (i, j, k, value) records.
 
-    Raises DataError for dims _grid_error rejects, out-of-bounds indices (naming the
-    offending record), duplicate coordinates (naming both positions), or
-    non-finite values.
+    Raises DataError for dims _grid_error rejects, indices _cells rejects or
+    out-of-bounds indices (naming the offending record), duplicate
+    coordinates (naming both positions), or non-finite values.
     """
     dims = tuple(int(x) for x in dims)
     error = _grid_error(dims)
@@ -114,7 +128,10 @@ def from_records(dims, records) -> SparseTensor:
     indices = np.zeros((n, 3), dtype=np.int64)
     values = np.zeros(n, dtype=np.float64)
     for pos, (i, j, k, v) in enumerate(records):
-        indices[pos] = (i, j, k)
+        try:
+            indices[pos] = _cells([(i, j, k)])[0]
+        except DataError as exc:
+            raise DataError(f"record {pos} has index {(i, j, k)}: {exc}") from None
         values[pos] = v
 
     pos = _first_out_of_bounds(indices, dims)

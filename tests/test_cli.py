@@ -15,11 +15,13 @@ from pidtucker import (
     PidGains,
     Ranks,
     RegWeights,
+    identity_mapping,
     init_factors,
     load_checkpoint,
     load_csv,
     rmse,
     save_checkpoint,
+    save_mapping,
     split,
     train,
 )
@@ -769,6 +771,24 @@ def _unlistable_grid(tmp_path):
         "synth", "--dims", "2000,2000,2000", "--ranks", "2,2,2", "--observed-fraction", "0.5"]
 
 
+def _all_missing_beyond_memory(dims):
+    """impute --all-missing over a grid whose missing cells are more than the
+    child's address space holds: a (2000, 2000, 2000) grid's one-byte mask
+    (8 GB), or a (1000, 1000, 100) grid's list of cells (2.4 GB)."""
+
+    def case(tmp_path):
+        save_checkpoint(init_factors(dims, Ranks(1, 1, 1)), tmp_path / "m.ckpt")
+        save_mapping(identity_mapping(dims), tmp_path / "m.json")
+        (tmp_path / "d.csv").write_text("segment,day,slot,speed\n0,0,0,1.0\n1,1,1,2.0\n")
+        n = dims[0] * dims[1] * dims[2]
+        return 3, f"cannot list the missing cells of dims {dims} ({n} cells) in memory", [
+            "impute", "--checkpoint", "m.ckpt", "--mapping", "m.json", "--data", "d.csv",
+            "--all-missing", "true"]
+
+    case.__name__ = f"_all_missing_beyond_memory_{dims[2]}"
+    return case
+
+
 def _limit_address_space():
     # Set in the child alone, so a case that asks for more memory than the
     # host can give fails at once.
@@ -786,7 +806,9 @@ def _limit_address_space():
                                   _slots_beyond_a_grid("train", 10**18),
                                   _slots_beyond_a_grid("benchmark", 10**18),
                                   _evaluate_with_a_mapping_beyond_a_grid,
-                                  _impute_with_a_mapping_of_another_grid])
+                                  _impute_with_a_mapping_of_another_grid,
+                                  _all_missing_beyond_memory((2000, 2000, 2000)),
+                                  _all_missing_beyond_memory((1000, 1000, 100))])
 def test_unusable_input_exits_cleanly(tmp_path, case):
     code, message, argv = case(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}

@@ -341,6 +341,14 @@ def test_export_mapping_dims_mismatch(tmp_path):
         export_imputed(f, [(0, 0, 0)], identity_mapping((3, 2, 2)), tmp_path / "x.csv")
 
 
+def test_export_rejects_targets_that_are_not_n_by_3(tmp_path):
+    f = init_factors((2, 2, 2), Ranks(1, 1, 1), seed=0)
+    with pytest.raises(DataError, match=r"indices must have shape \(n, 3\), got \(1, 6\)"):
+        export_imputed(f, np.zeros((1, 6), dtype=np.int64), identity_mapping((2, 2, 2)),
+                       tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_load_export_round_trip_ids(tmp_path):
     rows = ["seg-b,mon,3,12.0", "seg-a,tue,1,9.5", "seg-b,tue,0,11.0"]
     data = write_csv(tmp_path / "d.csv", rows)

@@ -32,6 +32,7 @@ from pidtucker import (
     RegWeights,
     SyntheticSpec,
     TuckerFactors,
+    export_imputed,
     generate_synthetic,
     identity_mapping,
     init_factors,
@@ -215,6 +216,11 @@ def hexes(f):
        lambdas=st.tuples(*[st.floats(0.0, 1.0)] * 3))
 @example(ranks=(5, 5, 5), seed=0, steps=[(0.5, 0.01)], lambdas=(0.01, 0.01, 0.01))
 @example(ranks=(9, 4, 1), seed=1, steps=[(-3.0, 0.1)] * 3, lambdas=(0.0, 0.5, 1.0))
+# With (5, 5, 5) above, every dots call sees a count below 4, exactly 4, and
+# 4 plus a remainder: the counts are r2*r3 (g), r1*r2 (gt), r1, r2 and r3.
+@example(ranks=(4, 4, 4), seed=2, steps=[(1.5, 0.05)] * 2, lambdas=(0.01, 0.02, 0.03))
+@example(ranks=(1, 1, 8), seed=3, steps=[(-0.7, 0.2)] * 2, lambdas=(0.1, 0.0, 0.01))
+@example(ranks=(8, 1, 3), seed=4, steps=[(2.0, 0.01)] * 2, lambdas=(0.0, 0.3, 0.2))
 def test_the_kernel_is_a_bitwise_replay_of_its_documented_order(ranks, seed, steps, lambdas):
     f = random_factors((3, 4, 2), ranks, seed)
     g = copy.deepcopy(f)
@@ -252,6 +258,24 @@ def test_batch_evaluation_rejects_an_out_of_bounds_row_alike(each_backend, cell)
         with pytest.raises(DataError) as exc:
             call()
         assert str(exc.value) == f"index {cell} out of bounds for dims (4, 3, 5)"
+
+
+@pytest.mark.parametrize("cells", [[(1.7, 0, 0)], np.array([(1.0, 2.0, 0.0)]),
+                                   [("1", "0", "0")], [(1, 2, 10**20)]])
+def test_array_entry_points_refuse_cells_that_are_not_integers(tmp_path, each_backend, cells):
+    f = random_factors((4, 3, 5), (2, 2, 2), seed=8)
+    mapping, y = identity_mapping(f.dims), np.ones(1)
+    calls = [lambda: predict_batch(f, cells), lambda: rmse(f, cells, y),
+             lambda: regularized_loss(f, cells, y, RegWeights()),
+             lambda: write_records_csv(cells, y, mapping, tmp_path / "r.csv"),
+             lambda: export_imputed(f, cells, mapping, tmp_path / "i.csv")]
+    message = f"indices must be integers, got dtype {np.asarray(cells).dtype}"
+    for call in calls:
+        with pytest.raises(DataError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []
+    assert predict_batch(f, [(True, False, 4)]).tolist() == [predict(f, (1, 0, 4))]
 
 
 ids = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=5)

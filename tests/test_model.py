@@ -119,6 +119,9 @@ def test_a_mean_float_rejects_fails_at_construction(mean, error):
     f = init_factors((4, 3, 5), Ranks(2, 2, 2), seed=0)
     with pytest.raises(error):
         dataclasses.replace(f, mean=mean)
+    with pytest.raises(error) as exc:
+        init_factors((4, 3, 5), Ranks(2, 2, 2), mean=mean)
+    assert type(exc.value) is error  # not an allocation failure's ConfigError
     g = dataclasses.replace(f, mean=np.float32(1.5))
     assert type(g.mean) is float and g.mean == 1.5
     assert predict(g, (1, 1, 1)) == predict(f, (1, 1, 1)) + 1.5

@@ -42,6 +42,8 @@ def test_index_errors_show_the_cell_as_plain_ints():
          "record 1 has out-of-bounds index (-1, 2, 0) for dims (2, 2, 2)"),
         ([(0, 1, 0, 1.0), (1, 1, 1, 1.0), (1, 1, 1, 2.0)],
          "duplicate index (1, 1, 1) at record positions 1 and 2"),
+        ([(0, 0, 0, 1.0), (1.7, 0, 0, 1.0)],
+         "record 1 has index (1.7, 0, 0): indices must be integers, got dtype float64"),
     ]:
         with pytest.raises(DataError) as exc:
             from_records((2, 2, 2), records)
