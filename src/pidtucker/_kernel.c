@@ -19,14 +19,14 @@
  *
  * The contraction-order contract: every sum in pt_form_g, pt_finish and
  * pt_step starts from 0.0 and adds its terms in increasing index order, as
- * the comments at each sum state, and tests replay that order in Python
- * floats bit for bit.  dots forms every one of them but pt_finish's fused
- * dn, four independent sums at once (dot4), then one at a time (dot1) for
- * the remainder; only that scheduling is free, and no sum is split or
- * reordered.  So a g kept from an earlier row holds the bits a fresh one
- * would.  pt_step's row, core and scratch pointers are restrict, which
- * holds because the arrays are disjoint views of one parameter block and
- * the scratch is a buffer of its own.
+ * the comments at each sum state; model.py's numpy reference replays that
+ * order, so both backends give the same bits.  dots forms every one of them
+ * but pt_finish's fused dn, four independent sums at once (dot4), then one
+ * at a time (dot1) for the remainder; only that scheduling is free, and no
+ * sum is split or reordered.  So a g kept from an earlier row holds the
+ * bits a fresh one would.  pt_step's row, core and scratch pointers are
+ * restrict, which holds because the arrays are disjoint views of one
+ * parameter block and the scratch is a buffer of its own.
  *
  * `records` formats one block of CSV rows "<segment><day><slot>,<value>\n"
  * from prefix tuples the caller has already quoted.  Each value is written

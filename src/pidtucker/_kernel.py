@@ -13,15 +13,11 @@ match (numpy or plain Python):
 - A caller runs the kernel when `library()` has loaded it, else the
   reference.  There is no switch for the backend.  All but records take
   f's handle (below) first and read the model, mean included, from it alone.
-- The backends agree within 1e-12, and each is bitwise deterministic.  On
-  the kernel every model value comes from pt_cell, one contraction
-  (pt_form_g, then pt_finish) that reuses the previous row's g for a row
-  with the same i, which holds the bits a fresh g would; so predict,
-  predict_batch, rmse and regularized_loss agree bit for bit in any row
-  order (rmse is 0.0 on values predict_batch gave).  records writes the
-  reference's bytes.  A value within ~1e-12 of a 6th-decimal rounding
-  boundary can still be written differently by the two backends, so
-  imputed.csv may differ there alone.
+- The backends are bit-identical: the reference forms every sum in the
+  kernel's order (model._dots, model._sums); records writes its bytes.  The
+  kernel's reuse of the previous row's g for a row with the same i keeps the
+  bits a fresh g would, so predict, predict_batch, rmse and regularized_loss
+  agree bit for bit in any row order (rmse is 0.0 on values predict_batch gave).
 - Errors: a kernel raises IndexError (or TypeError, ValueError,
   OverflowError for an index that is not three integers) before touching
   any memory, and step raises FloatingPointError for a non-finite err,

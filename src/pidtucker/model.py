@@ -184,18 +184,43 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
 
 
 def check_index(f: TuckerFactors, idx) -> tuple[int, int, int]:
-    """One (i, j, k) index as plain ints, by operator.index; DataError outside f.dims."""
-    i, j, k = map(operator.index, idx)
+    """One (i, j, k) index as plain ints; DataError outside f.dims, or _cells' if not integers."""
+    try:
+        i, j, k = map(operator.index, idx)
+    except (TypeError, ValueError):
+        _cells([idx])
+        raise
     if not (0 <= i < f.dims[0] and 0 <= j < f.dims[1] and 0 <= k < f.dims[2]):
         raise DataError(f"index {(i, j, k)} out of bounds for dims {f.dims}") from None
     return i, j, k
+
+
+def _dots(x, c):
+    """The sum over m of x[..., m] * c[..., m], broadcast: _kernel.c's dots and its bits, the
+    terms added in increasing m to +0.0 and vectorized over the other axes.  The +0.0 start
+    makes terms that are all -0.0 sum to +0.0, where a sum begun from the first gives -0.0."""
+    terms, w = x * c, 0.0
+    for m in range(terms.shape[-1]):
+        w = w + terms[..., m]
+    return w
+
+
+def _form_g(f: TuckerFactors, i):
+    """pt_form_g: g[..., n, l] = sum over m of u[..., m] core[m, n, l], u the row(s) F1[i]."""
+    return _dots(f.factors[0][i][..., None, None, :], f.core.transpose(1, 2, 0))
+
+
+def _finish(f: TuckerFactors, g, i, j, k):
+    """pt_finish: the value at (i, j, k), or at each cell for arrays, from the g of row i."""
+    dn = _dots(f.factors[2][k][..., None, :], g)
+    return f.mean + _dots(f.factors[1][j], dn) + f.biases[0][i] + f.biases[1][j] + f.biases[2][k]
 
 
 def predict(f: TuckerFactors, idx) -> float:
     """Model value at one cell: mean + multilinear term + the three biases.
 
     Runs the compiled kernel when it is available (see the module docstring),
-    else the numpy reference below; the two agree within 1e-12.
+    else the numpy reference below, which sums in the kernel's order (_dots).
     """
     h = f._kernel_handle
     if h is not None:
@@ -205,8 +230,7 @@ def predict(f: TuckerFactors, idx) -> float:
             check_index(f, idx)
             raise
     i, j, k = check_index(f, idx)
-    phi = (f.core @ f.factors[2][k]) @ f.factors[1][j]
-    return float(f.mean + f.factors[0][i] @ phi + f.biases[0][i] + f.biases[1][j] + f.biases[2][k])
+    return float(_finish(f, _form_g(f, i), i, j, k))
 
 
 def _entries(indices, values) -> tuple[np.ndarray, np.ndarray]:
@@ -242,11 +266,9 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
     docstring); its values are predict's, bit for bit.  The kernel contracts
     the core with a segment's factor row once for each run of rows with that
     segment, so rows sorted by segment (as missing_indices gives them) cost
-    least.  The numpy reference forms the multilinear term by mode products
-    (factor rows of mode 1 times the unfolded core, then contracted with the
-    mode-3 and mode-2 rows) in blocks of _PREDICT_BLOCK_ROWS rows written
-    into one preallocated output, so temporaries stay bounded however many
-    cells are asked for.
+    least.  The numpy reference forms g once a segment in blocks of
+    _PREDICT_BLOCK_ROWS rows written into one preallocated output, so
+    temporaries stay bounded however many cells are asked for.
     """
     idx = _cells(indices)
     out = np.empty(len(idx))
@@ -255,15 +277,11 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
         _on_kernel(f, idx, h.values, h.model, idx, out)
         return out
     _check_cells(f, idx)
-    r1, r2, r3 = f.core.shape
-    core = f.core.reshape(r1, r2 * r3)
     for start in range(0, len(idx), _PREDICT_BLOCK_ROWS):
         stop = start + _PREDICT_BLOCK_ROWS
         ii, jj, kk = idx[start:stop].T
-        g = (f.factors[0][ii] @ core).reshape(-1, r2, r3)   # (b, r2, r3)
-        g = np.einsum("bnl,bl->bn", g, f.factors[2][kk])     # (b, r2)
-        multi = np.einsum("bn,bn->b", g, f.factors[1][jj])
-        out[start:stop] = f.mean + multi + f.biases[0][ii] + f.biases[1][jj] + f.biases[2][kk]
+        segments, row_segment = np.unique(ii, return_inverse=True)
+        out[start:stop] = _finish(f, _form_g(f, segments)[row_segment], ii, jj, kk)
     return out
 
 
@@ -275,9 +293,11 @@ def _sums(f: TuckerFactors, idx: np.ndarray, vals: np.ndarray) -> tuple[float, .
     if h is not None:
         return _on_kernel(f, idx, h.sums, h.model, idx, vals)
     resid = vals - predict_batch(f, idx)
-    rows = sum(float(np.sum(a[c] ** 2)) for a, c in zip(f.factors, idx.T))
-    biases = sum(float(np.sum(b[c] ** 2)) for b, c in zip(f.biases, idx.T))
-    return float(resid @ resid), float(np.sum(f.core**2)), rows, biases
+    rows = np.column_stack([_dots(a[c], a[c]) for a, c in zip(f.factors, idx.T)])
+    biases = np.column_stack([b[c] * b[c] for b, c in zip(f.biases, idx.T)])
+    # 0.0 + t[0] + t[1] + ... over t in C order, as the kernel's sums run (cumsum is sequential).
+    return tuple(float(np.cumsum(np.append(0.0, t))[-1])
+                 for t in (resid * resid, f.core * f.core, rows, biases))
 
 
 def rmse(f: TuckerFactors, indices, values) -> float:
@@ -338,32 +358,16 @@ def instance_gradient(f: TuckerFactors, idx, err: float, reg: RegWeights) -> Ins
     Passing the raw residual gives the plain stochastic gradient; passing a
     PID-adjusted residual gives the adjusted update direction.  The core
     gradient is per element: lambda1 * core[m,n,l] - err * u[m] * d[n] * t[l].
+    Every sum runs as _kernel.c's pt_step runs it.
     """
     i, j, k = check_index(f, idx)
-    u = f.factors[0][i]
-    d = f.factors[1][j]
-    t = f.factors[2][k]
-    core = f.core
-    r1 = core.shape[0]
-
-    gt = core @ t                                  # (r1, r2): sum over l
-    phi = gt @ d                                   # d/du of the multilinear term
-    psi = u @ gt                                   # d/dd
-    chi = d @ (u @ core.reshape(r1, -1)).reshape(core.shape[1], core.shape[2])  # d/dt
+    u, d, t = f.factors[0][i], f.factors[1][j], f.factors[2][k]
+    gt = _dots(t, f.core)                          # (r1, r2): sum over l
+    phi, psi, chi = _dots(d, gt), _dots(u, gt.T), _dots(d, _form_g(f, i).T)  # d/du, d/dd, d/dt
+    rows = (reg.lambda2 * u - err * phi, reg.lambda2 * d - err * psi, reg.lambda2 * t - err * chi)
     outer = (u[:, None] * d)[:, :, None] * t       # u x d x t
-
-    rows = (
-        reg.lambda2 * u - err * phi,
-        reg.lambda2 * d - err * psi,
-        reg.lambda2 * t - err * chi,
-    )
-    core_grad = reg.lambda1 * core - err * outer
-    biases = (
-        reg.lambda3 * float(f.biases[0][i]) - err,
-        reg.lambda3 * float(f.biases[1][j]) - err,
-        reg.lambda3 * float(f.biases[2][k]) - err,
-    )
-    return InstanceGradient(rows, core_grad, biases)
+    biases = tuple(reg.lambda3 * float(b[c]) - err for b, c in zip(f.biases, (i, j, k)))
+    return InstanceGradient(rows, reg.lambda1 * f.core - err * outer, biases)
 
 
 def save_checkpoint(f: TuckerFactors, path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import resource
@@ -528,6 +529,103 @@ def test_benchmark_rerun_identical_modulo_timing(tmp_path):
         for rep in payload["repeats"]:
             rep.pop("seconds")
     assert ja == jb
+
+
+def pipeline_digests(out):
+    """Run synth, train (PID and plain SGD), impute (all missing cells and a
+    targets file), evaluate and benchmark into out; the sha256 of each output,
+    its timing fields removed, in the order the commands wrote them."""
+    def run(name, command, *args):
+        assert run_cli(command, "--outdir", out, "--run-name", name, *args) == 0
+
+    run("synth", "synth", "--dims", "8,6,10", "--ranks", "2,2,2", "--observed-fraction", "0.5",
+        "--noise-sigma", "0.02", "--seed", "9")
+    data = out / "synth" / "data.csv"
+    # Ranks past 4 take both of the kernel's sum schedules; at the default
+    # init scale the multilinear term is too small for a changed rounding
+    # in it to reach the outputs.
+    fit = ["--data", data, "--ratios", "0.5,0.2,0.3", "--ranks", "4,3,5", "--slots-per-day", "10",
+           "--init-scale", "0.5"]
+    run("pid", "train", *fit, "--max-epochs", "15", "--seed", "4")
+    run("plain", "train", *fit, "--max-epochs", "15", "--seed", "4", "--plain-sgd", "true")
+    model = ["--checkpoint", out / "pid" / "model.ckpt", "--mapping", out / "pid" / "mapping.json"]
+    targets = out / "targets.csv"
+    targets.write_text("segment,day,slot\n" + "".join(
+        f"{i},{j},{k}\n" for i in range(8) for j in (5, 0) for k in (9, 2)))
+    run("all", "impute", *model, "--all-missing", "true", "--data", data)
+    run("targets", "impute", *model, "--targets", targets)
+    run("eval", "evaluate", *model, "--data", data)
+    run("bench", "benchmark", *fit, "--max-epochs", "8", "--repeats", "3", "--base-seed", "2",
+        "--jobs", "1")
+
+    def untimed_csv(path):  # the last column is elapsed_s or seconds
+        return "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in path.read_text().splitlines()).encode()
+
+    def untimed_json(path):
+        payload = json.loads(path.read_text())
+        for key in ("train_seconds", "seconds_mean", "seconds_std"):
+            payload.pop(key, None)
+        for rep in payload.get("repeats", []):
+            rep.pop("seconds")
+        return json.dumps(payload, sort_keys=True).encode()
+
+    outputs = {f"synth/{name}": (out / "synth" / name).read_bytes()
+               for name in ("data.csv", "truth.ckpt", "mapping.json")}
+    for run_name in ("pid", "plain"):
+        outputs[f"{run_name}/model.ckpt"] = (out / run_name / "model.ckpt").read_bytes()
+        outputs[f"{run_name}/trace.csv"] = untimed_csv(out / run_name / "trace.csv")
+        outputs[f"{run_name}/summary.json"] = untimed_json(out / run_name / "summary.json")
+    for run_name in ("all", "targets"):
+        outputs[f"{run_name}/imputed.csv"] = (out / run_name / "imputed.csv").read_bytes()
+    outputs["eval/evaluation.json"] = (out / "eval" / "evaluation.json").read_bytes()
+    outputs["bench/summary.json"] = untimed_json(out / "bench" / "summary.json")
+    outputs["bench/summary.csv"] = untimed_csv(out / "bench" / "summary.csv")
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
+# What pipeline_digests gives, on either backend.  A change to any of these
+# is a change to the program's outputs.  synth depends on numpy's Generator
+# streams and every CSV on its float formatting, so a numpy release could
+# move them too.
+PIPELINE_DIGESTS = {
+    "synth/data.csv":
+        "792ff9198490ac8e4770f1d64551a26c84818e629e5bc22ba4d0698d0f132b20",
+    "synth/truth.ckpt":
+        "838e5268b6777a8a66b2a611f8e40b367dff0258325d8a7b0601ad58b3774a71",
+    "synth/mapping.json":
+        "f2668556e903f8fd68d62ba83e55b6726b775f3dfe792881926c6807ea94a2bd",
+    "pid/model.ckpt":
+        "9dc40a9ab58c53909c371d80147724f809a5cd89b394ef0d7eacabf767b69fe1",
+    "pid/trace.csv":
+        "73005bb3049dda3dc5e39f1f6f4303d5410497ca1e4ea644bfe47f0fd2c8a4cd",
+    "pid/summary.json":
+        "b8722d2273f5af746a865c7a5432930ab417b37352dafae04c7e90c1cc43cce3",
+    "plain/model.ckpt":
+        "26fea0e2398dd55e9f2c4e1a028095f0a9adb11002c03e38cc854ed7d7f8fa9a",
+    "plain/trace.csv":
+        "c7eb68c447ae43ca82b1a2bb277c24accda62e58e7e663114b6f639d461bedcf",
+    "plain/summary.json":
+        "c2fc93e62b3655fd098b4885b3e99e9844d77cae389be811001016a2fa04ea52",
+    "all/imputed.csv":
+        "4f6f51b4fcc2dee7e6649ddc3b47f54b82142e561d80c91f18ad2d9456e7402e",
+    "targets/imputed.csv":
+        "20c5949242981b9813fe16ab90cd429d9de13657ef933c164822867999bc8a07",
+    "eval/evaluation.json":
+        "b7cf82fba29369f94cfa5243d793a1bfa4071c029e813e8499df5e3a4a636397",
+    "bench/summary.json":
+        "3e6f31bd3e468df7f51051a3eecb5fde897d15534a329c971667621e5025a87c",
+    "bench/summary.csv":
+        "c088c3e3b99274ddc4fe2f1f33e0da1c45a6f1e41db56c1ac99c3b51080e5e6a",
+}
+
+
+def test_the_pipeline_writes_the_committed_bytes_on_each_backend(tmp_path, each_backend):
+    got = pipeline_digests(tmp_path)
+    assert list(got) == list(PIPELINE_DIGESTS)
+    moved = [name for name in got if got[name] != PIPELINE_DIGESTS[name]]
+    assert not moved, (f"numpy {np.__version__}, {each_backend} backend: {moved[0]} differs "
+                       f"from the committed digest ({len(moved)} outputs differ)")
 
 
 def test_divergence_exit_4(tmp_path, capsys):

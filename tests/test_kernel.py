@@ -1,7 +1,8 @@
 """The compiled kernels against the numpy and Python reference code (the
-per-entry kernels, the batch evaluation and the CSV record writer), the
-checks they make on their arguments, their handle on a TuckerFactors, the
-build cache, and the silent fallback when no kernel can be built."""
+per-entry kernels, the batch evaluation and the CSV record writer), bit for
+bit, the checks they make on their arguments, their handle on a
+TuckerFactors, the build cache, and the silent fallback when no kernel can
+be built."""
 
 import contextlib
 import copy
@@ -48,10 +49,9 @@ from pidtucker import (
     write_records_csv,
 )
 from pidtucker import _kernel
+from pidtucker.model import _sums
 from pidtucker.solver import _all_finite
 from pidtucker.cli import main
-
-TOL = 1e-12
 
 needs_kernel = pytest.mark.skipif(_kernel.library() is None,
                                   reason="no kernel can be built here (gcc or cache dir)")
@@ -87,9 +87,9 @@ def random_factors(dims, ranks, seed):
     return f
 
 
-def assert_close(f, g, tol=TOL):
-    for a, b in zip(arrays(f), arrays(g)):
-        assert np.max(np.abs(a - b), initial=0.0) <= tol
+def same_bits(f, g):
+    """Whether f and g hold the same parameter bytes and the same mean."""
+    return f.params.tobytes() == g.params.tobytes() and f.mean.hex() == g.mean.hex()
 
 
 # ---------------------------------------------------------------- parity
@@ -114,9 +114,9 @@ def test_kernel_matches_numpy_reference(shape, seed, err, eta, lambdas):
         sgd_step(g, idx, 0.0, err, hyper)
         assert g._kernel_handle is None
     assert f._kernel_handle is not None
-    assert abs(predict(f, idx) - want) <= TOL
+    assert predict(f, idx).hex() == want.hex()
     sgd_step(f, idx, 0.0, err, hyper)
-    assert_close(f, g)
+    assert same_bits(f, g)
 
 
 @needs_kernel
@@ -136,76 +136,10 @@ def test_batch_evaluation_matches_numpy_reference(shape, seed, n, lambdas):
         assert g._kernel_handle is None
     assert f._kernel_handle is not None
     values = predict_batch(f, idx)
-    assert np.max(np.abs(values - want[0])) <= TOL
-    assert abs(rmse(f, idx, y) - want[1]) <= TOL * want[1]
-    assert abs(regularized_loss(f, idx, y, reg) - want[2]) <= TOL * want[2]
+    assert values.tobytes() == want[0].tobytes()
+    assert rmse(f, idx, y).hex() == want[1].hex()
+    assert regularized_loss(f, idx, y, reg).hex() == want[2].hex()
     assert [predict(f, row) for row in idx.tolist()] == values.tolist()
-
-
-def replay_value(f, cell):
-    """predict, as _kernel.c documents its order, in Python floats: each of
-    g[n,l] = sum_m u[m] core[m,n,l], dn = sum_l g[n,l] t[l] and sum_n dn d[n]
-    starts from 0.0 and adds its terms in index order."""
-    i, j, k = cell
-    u, d, t = (a[c].tolist() for a, c in zip(f.factors, cell))
-    core = f.core.tolist()
-    multi = 0.0
-    for n in range(len(d)):
-        dn = 0.0
-        for l in range(len(t)):
-            g = 0.0
-            for m in range(len(u)):
-                g += u[m] * core[m][n][l]
-            dn += g * t[l]
-        multi += dn * d[n]
-    return f.mean + multi + float(f.biases[0][i]) + float(f.biases[1][j]) + float(f.biases[2][k])
-
-
-def replay_step(f, cell, err, eta, lambda1, lambda2, lambda3):
-    """sgd_step, as _kernel.c documents its order, in Python floats, applied to f."""
-    u, d, t = (a[c].tolist() for a, c in zip(f.factors, cell))
-    core = f.core.tolist()
-    r1, r2, r3 = len(u), len(d), len(t)
-    gt = [[0.0] * r2 for _ in range(r1)]
-    for m in range(r1):
-        for n in range(r2):
-            for l in range(r3):
-                gt[m][n] += core[m][n][l] * t[l]
-    g1 = []
-    for m in range(r1):
-        phi = 0.0
-        for n in range(r2):
-            phi += gt[m][n] * d[n]
-        g1.append(lambda2 * u[m] - err * phi)
-    g2 = []
-    for n in range(r2):
-        psi = 0.0
-        for m in range(r1):
-            psi += u[m] * gt[m][n]
-        g2.append(lambda2 * d[n] - err * psi)
-    chi = [0.0] * r3
-    for n in range(r2):
-        for l in range(r3):
-            w = 0.0
-            for m in range(r1):
-                w += u[m] * core[m][n][l]
-            chi[l] += d[n] * w
-    g3 = [lambda2 * t[l] - err * chi[l] for l in range(r3)]
-    for m in range(r1):
-        for n in range(r2):
-            ud = u[m] * d[n]
-            for l in range(r3):
-                c = core[m][n][l]
-                core[m][n][l] = c - eta * (lambda1 * c - err * (ud * t[l]))
-    f.core[...] = core
-    for a, c, row, grad in zip(f.factors, cell, (u, d, t), (g1, g2, g3)):
-        a[c] = [x - eta * g for x, g in zip(row, grad)]
-    for b, c in zip(f.biases, cell):
-        b[c] = float(b[c]) - eta * (lambda3 * float(b[c]) - err)
-
-
-def hexes(f):
-    return [x.hex() for a in arrays(f) for x in a.ravel().tolist()]
 
 
 @needs_kernel
@@ -222,16 +156,19 @@ def hexes(f):
 @example(ranks=(1, 1, 8), seed=3, steps=[(-0.7, 0.2)] * 2, lambdas=(0.1, 0.0, 0.01))
 @example(ranks=(8, 1, 3), seed=4, steps=[(2.0, 0.01)] * 2, lambdas=(0.0, 0.3, 0.2))
 def test_the_kernel_is_a_bitwise_replay_of_its_documented_order(ranks, seed, steps, lambdas):
+    """The kernel against the numpy reference, which replays its order."""
     f = random_factors((3, 4, 2), ranks, seed)
-    g = copy.deepcopy(f)
+    with reference_backend():
+        g = copy.deepcopy(f)
     rng = np.random.default_rng(seed + 1)
-    assert f._kernel_handle is not None
+    assert f._kernel_handle is not None and g._kernel_handle is None
     for err, eta in steps:
         cell = tuple(int(rng.integers(n)) for n in f.dims)
-        assert predict(f, cell).hex() == replay_value(g, cell).hex()
-        sgd_step(f, cell, 0.0, err, Hyperparams(eta=eta, reg=RegWeights(*lambdas)))
-        replay_step(g, cell, err, eta, *lambdas)
-        assert hexes(f) == hexes(g)
+        hyper = Hyperparams(eta=eta, reg=RegWeights(*lambdas))
+        assert predict(f, cell).hex() == predict(g, cell).hex()
+        sgd_step(f, cell, 0.0, err, hyper)
+        sgd_step(g, cell, 0.0, err, hyper)
+        assert same_bits(f, g)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -362,25 +299,6 @@ def test_records_writes_every_class_of_double_as_format_does(kind):
     assert len(got) == len(want)
 
 
-def replay_sums(f, idx, y):
-    """The four sums of _kernel.c's `sums`, in its row order and in Python
-    floats, with each model value from predict on that cell alone."""
-    resid = rows = biases = 0.0
-    for cell, target in zip(idx.tolist(), y.tolist()):
-        e = target - predict(f, cell)
-        resid += e * e
-        for a, b, c in zip(f.factors, f.biases, cell):
-            row = 0.0
-            for x in a[c].tolist():
-                row += x * x
-            rows += row
-            biases += float(b[c]) * float(b[c])
-    core = 0.0
-    for x in f.core.ravel().tolist():
-        core += x * x
-    return resid, core, rows, biases
-
-
 @needs_kernel
 @pytest.mark.parametrize("order", ["sorted by segment", "a segment recurs"])
 @pytest.mark.parametrize("ranks", [(5, 5, 5), (3, 6, 2), (1, 9, 7)])
@@ -395,9 +313,15 @@ def test_batch_values_and_sums_equal_per_cell_predict_bit_for_bit(order, ranks):
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     y = f.mean + rng.normal(scale=5.0, size=len(idx))
     reg = RegWeights(0.3, 0.02, 0.7)
-    values = predict_batch(f, idx)
-    assert [v.hex() for v in values.tolist()] == [predict(f, c).hex() for c in idx.tolist()]
-    resid, core, rows, biases = replay_sums(f, idx, y)
+    with reference_backend():
+        g = copy.deepcopy(f)
+        want = [predict(g, c).hex() for c in idx.tolist()]
+        want_sums = _sums(g, idx, y)
+        want_batch = [v.hex() for v in predict_batch(g, idx).tolist()]
+    assert [v.hex() for v in predict_batch(f, idx).tolist()] == want == want_batch
+    assert [predict(f, c).hex() for c in idx.tolist()] == want
+    assert [x.hex() for x in _sums(f, idx, y)] == [x.hex() for x in want_sums]
+    resid, core, rows, biases = want_sums
     assert rmse(f, idx, y).hex() == math.sqrt(resid / len(idx)).hex()
     loss = 0.5 * (resid + reg.lambda1 * core * len(idx) + reg.lambda2 * rows
                   + reg.lambda3 * biases)
@@ -424,19 +348,21 @@ INDEX_FORMS = {
                                       else object)[0],
     "numpy ints": lambda v: tuple(np.int64(x) if _fits_int64(x)
                                   else np.uint64(x) if 0 <= x < 2**64 else x for x in v),
-    # Not indices: every backend raises operator.index's TypeError.
+    # Not indices: every backend raises sparse._cells' DataError.
     "floats": lambda v: tuple(x + 0.5 for x in v),
     "float first": lambda v: (float(v[0]), *v[1:]),
+    "numpy float last": lambda v: (*v[:2], np.float64(v[2])),
+    "string middle": lambda v: (v[0], str(v[1]), v[2]),
     # Indices: a bool is the int 0 or 1.
     "bools": lambda v: [x == 1 if x in (0, 1) else x for x in v],
 }
 
 
 def outcome(fn, *args):
-    """fn's result, or its DataError, DivergenceError or TypeError as a string."""
+    """fn's result, or its DataError or DivergenceError as a string."""
     try:
         return fn(*args)
-    except (DataError, DivergenceError, TypeError) as exc:
+    except (DataError, DivergenceError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -451,6 +377,8 @@ def outcome(fn, *args):
 @example(seed=1, form="ndarray row", entries=(0, 0, -2**70))
 @example(seed=1, form="floats", entries=(1, 0, 0))
 @example(seed=1, form="float first", entries=(4, 0, 0))
+@example(seed=1, form="numpy float last", entries=(1, 0, 2))
+@example(seed=1, form="string middle", entries=(1, 0, 2))
 @example(seed=1, form="bools", entries=(1, 0, 0))
 @example(seed=1, form="bools", entries=(1, 0, 5))
 def test_both_backends_take_and_reject_the_same_indices(seed, form, entries):
@@ -465,18 +393,34 @@ def test_both_backends_take_and_reject_the_same_indices(seed, form, entries):
     assert f._kernel_handle is not None
     got = outcome(predict, f, idx)
     got_step = outcome(sgd_step, f, idx, 1.5, 0.25, hyper)
-    if "float" in form:
-        message = "TypeError: 'float' object cannot be interpreted as an integer"
+    if "float" in form or "string" in form:  # float64, or object beside ints past int64
+        message = f"DataError: indices must be integers, got dtype {np.asarray([idx]).dtype}"
         assert got == want == got_step == want_step == message
-        assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
+        assert same_bits(f, g)
     elif all(0 <= v < n for v, n in zip(entries, f.dims)):
-        assert abs(got - want) <= TOL
+        assert got.hex() == want.hex()
         assert got_step is want_step is None
-        assert_close(f, g)
+        assert same_bits(f, g)
     else:
         message = f"DataError: index {entries} out of bounds for dims {f.dims}"
         assert got == want == got_step == want_step == message
         assert all(np.array_equal(a, b) for a, b in zip(arrays(f), arrays(g)))
+
+
+@pytest.mark.parametrize("cell, message", [
+    ((1.7, 0, 0), "indices must be integers, got dtype float64"),
+    ((1, "0", 2), "indices must be integers, got dtype <U21"),
+    ((1, 0, np.float64(2.0)), "indices must be integers, got dtype float64"),
+    (5, "indices must have shape (n, 3), got (1,)"),
+    ((1, 2), "indices must have shape (n, 3), got (1, 2)")])
+def test_a_cell_of_non_integers_is_a_data_error(each_backend, cell, message):
+    f = random_factors((4, 3, 5), (2, 2, 3), seed=3)
+    before = f.params.tobytes()
+    for call in (lambda: predict(f, cell), lambda: sgd_step(f, cell, 1.0, 0.5, Hyperparams())):
+        with pytest.raises(DataError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert f.params.tobytes() == before
 
 
 @pytest.mark.parametrize("backend", ["kernel", "numpy"])
@@ -510,10 +454,10 @@ def test_train_agrees_across_backends():
     f, report = small_run()
     with reference_backend():
         g, ref = small_run()
-    assert_close(f, g)
+    assert same_bits(f, g)
     assert report.epochs_run == ref.epochs_run == 4
-    for a, b in zip(report.records, ref.records):
-        assert abs(a.val_rmse - b.val_rmse) <= TOL
+    untimed = [dataclasses.replace(r, elapsed_s=0.0) for r in report.records]
+    assert untimed == [dataclasses.replace(r, elapsed_s=0.0) for r in ref.records]
 
 
 @pytest.mark.parametrize("backend", ["kernel", "numpy"])
@@ -560,7 +504,7 @@ def test_a_replaced_array_is_read_by_the_next_predict():
     assert (g._kernel_handle is None) == (_kernel.library() is None)  # copied into params
     with reference_backend():
         want = predict(copy.deepcopy(g), (1, 1, 1))
-    assert abs(predict(g, (1, 1, 1)) - want) <= TOL
+    assert predict(g, (1, 1, 1)) == want
 
 
 def _handle_reads(f):
@@ -615,7 +559,9 @@ def test_an_in_place_update_keeps_the_handle():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(f, name, getattr(f, name))
     assert f._kernel_handle is h
-    assert predict(f, (3, 2, 3)) == replay_value(f, (3, 2, 3))
+    with reference_backend():
+        want = predict(copy.deepcopy(f), (3, 2, 3))
+    assert predict(f, (3, 2, 3)) == want
 
 
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "replace"])  # pickle: the test above
@@ -649,8 +595,7 @@ def test_factors_given_as_lists_are_stored_as_tuples():
         g.biases[0] = np.full(4, 100.0)
     with reference_backend():
         want = predict(copy.deepcopy(g), (1, 1, 1))
-    assert abs(predict(g, (1, 1, 1)) - want) <= TOL
-    assert predict(g, (1, 1, 1)) == predict(f, (1, 1, 1))
+    assert predict(g, (1, 1, 1)) == want == predict(f, (1, 1, 1))
 
 
 def test_the_kernel_build_is_not_counted_as_training_time(tmp_path):
@@ -818,9 +763,9 @@ def test_arrays_the_kernel_cannot_take_are_copied_into_the_block(kind):
         want = [predict(ref, c) for c in cells]
         sgd_step(ref, cells[0], 0.0, 0.5, hyper)
         assert ref._kernel_handle is None
-    assert all(abs(predict(g, c) - w) <= TOL for c, w in zip(cells, want))
+    assert [predict(g, c) for c in cells] == want
     sgd_step(g, cells[0], 0.0, 0.5, hyper)
-    assert_close(g, ref)
+    assert same_bits(g, ref)
     assert [a.tobytes() for a in given] == before  # the caller's arrays are not written
 
 
@@ -840,6 +785,16 @@ def test_library_builds_once_into_a_private_cache(tmp_path):
     with kernel_state(XDG_CACHE_HOME=str(tmp_path)):
         assert _kernel.library() is not None
     assert [p.stat().st_mtime_ns for p in cache.iterdir()] == [mtime]
+
+
+def test_the_compile_command_keeps_every_rounding_and_every_cpu():
+    """The reference replays the kernel's bits only while gcc rounds each
+    product and sum as written, and the cache, keyed by the machine name and
+    not by CPU features, holds code any CPU of that machine can run."""
+    flags = _kernel._COMPILE
+    assert "-ffp-contract=off" in flags
+    unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"}
+    assert [flag for flag in flags if flag in unsafe or flag.startswith("-march=")] == []
 
 
 def test_the_cache_file_name_is_keyed_on_the_interpreter_abi():
@@ -963,6 +918,8 @@ def test_train_falls_back_to_the_numpy_reference(cause, tmp_path, capsys, monkey
         assert _kernel.library() is None
     assert err == ""
     assert (got, got_cli) == (want, want_cli)
+    if _kernel.library() is not None:  # and the kernel writes the same bytes
+        assert train_both_ways(tmp_path, "kernel", capsys)[:2] == (want, want_cli)
 
 
 def impute_both_ways(tmp_path, name, capsys):

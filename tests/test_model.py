@@ -175,7 +175,7 @@ def test_predict_batch_matches_predict():
     idx = np.array([(i, j, k) for i in range(4) for j in range(3) for k in range(5)])
     batch = predict_batch(f, idx)
     singles = np.array([predict(f, tuple(row)) for row in idx])
-    assert np.allclose(batch, singles, atol=1e-12, rtol=0)
+    assert batch.tobytes() == singles.tobytes()
 
 
 def test_predict_batch_names_an_out_of_bounds_row_in_plain_ints():
@@ -195,7 +195,7 @@ def test_predict_batch_blocks_match_predict(n):
     batch = predict_batch(f, idx)
     singles = np.array([predict(f, tuple(row)) for row in idx.tolist()])
     assert batch.shape == (n,)
-    assert np.allclose(batch, singles, atol=1e-12, rtol=0)
+    assert batch.tobytes() == singles.reshape(n).tobytes()
 
 
 def test_predict_invariant_under_core_factor_rescaling():
