@@ -17,16 +17,19 @@
  * compiled without floating-point contraction, so results do not depend on
  * whether the CPU has fused multiply-add.
  *
- * The contraction-order contract: every sum in pt_form_g, pt_finish and
- * pt_step starts from 0.0 and adds its terms in increasing index order, as
- * the comments at each sum state; model.py's numpy reference replays that
- * order, so both backends give the same bits.  dots forms every one of them
- * but pt_finish's fused dn, four independent sums at once (dot4), then one
- * at a time (dot1) for the remainder; only that scheduling is free, and no
- * sum is split or reordered.  So a g kept from an earlier row holds the
- * bits a fresh one would.  pt_step's row, core and scratch pointers are
- * restrict, which holds because the arrays are disjoint views of one
- * parameter block and the scratch is a buffer of its own.
+ * The contraction-order contract: every sum in pt_form_g, pt_finish,
+ * pt_step and `sums` starts from 0.0 and adds its terms in increasing index
+ * order, as the comments at each sum state; model.py's numpy reference
+ * replays that order, so both backends give the same bits.  dots and dot1
+ * form every contraction and square sum, dots four independent sums at once
+ * (dot4), then one at a time (dot1) for the remainder; only that scheduling
+ * is free, and no sum is split or reordered.  `sums` accumulates its
+ * per-entry terms with += in row order.  So a g kept from an earlier row
+ * holds the bits a fresh one would.  pt_step's row, core and scratch
+ * pointers are restrict, which holds because the arrays are disjoint views
+ * of one parameter block and the scratch is a buffer of its own.  `sums`
+ * passes one array as both of dot1's pointers, which restrict allows, as
+ * neither is written through.
  *
  * `records` formats one block of CSV rows "<segment><day><slot>,<value>\n"
  * from prefix tuples the caller has already quoted.  Each value is written
@@ -80,7 +83,7 @@ typedef struct {
     double *factor[3];  /* (dims[m], rank[m]), row-major */
     double *core;       /* (rank[0], rank[1], rank[2]), row-major */
     double *bias[3];    /* (dims[m],) */
-    double *scratch;    /* g (r2*r3), then pt_step's gt (r1*r2) and row gradients */
+    double *scratch;    /* g (r2*r3), pt_step's gt or pt_finish's dn (r1*r2), row gradients */
     long rank[3];
     int64_t dims[3];
     double mean;        /* fixed in training */
@@ -135,24 +138,17 @@ static inline void pt_form_g(const pt_model *h, long i)
 }
 
 /* mean + multilinear term + the three biases at (i, j, k), from the g of
- * row i.  The term is contracted in predict_batch's order: dn = sum over l
- * of g[n,l] t[l], four n at a time, then the sum over n of dn d[n]. */
+ * row i.  The term is contracted in predict_batch's order: dn[n] = sum over
+ * l of g[n,l] t[l], into pt_step's gt slot (r1*r2 >= r2 doubles, unused
+ * outside pt_step), then the sum over n of dn[n] d[n]. */
 static inline double pt_finish(const pt_model *h, long i, long j, long k)
 {
     const long r2 = h->rank[1], r3 = h->rank[2];
     const double *g = h->scratch;
-    const double *d = h->factor[1] + j * r2;
-    const double *t = h->factor[2] + k * r3;
-    double multi = 0.0, dn[4];
-    long n;
-    for (n = 0; n + 4 <= r2; n += 4) {
-        dot4(t, g + n * r3, r3, 1, r3, dn);
-        for (long a = 0; a < 4; a++)
-            multi += dn[a] * d[n + a];
-    }
-    for (; n < r2; n++)
-        multi += dot1(t, g + n * r3, r3, 1) * d[n];
-    return h->mean + multi + h->bias[0][i] + h->bias[1][j] + h->bias[2][k];
+    double *dn = h->scratch + r2 * r3;
+    dots(h->factor[2] + k * r3, g, r3, 1, r3, r2, dn);
+    return h->mean + dot1(dn, h->factor[1] + j * r2, r2, 1) + h->bias[0][i] + h->bias[1][j]
+           + h->bias[2][k];
 }
 
 /* The model value at cell c = (i, j, k).  prev is the cell valued before
@@ -485,14 +481,6 @@ static PyObject *values(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssi
     Py_RETURN_NONE;
 }
 
-static double sum_squares(const double *x, long n)
-{
-    double s = 0.0;
-    for (long a = 0; a < n; a++)
-        s += x[a] * x[a];
-    return s;
-}
-
 static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     pt_model h; Py_buffer ib, yb; Py_ssize_t n;
@@ -507,13 +495,14 @@ static PyObject *sums(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
         double e = y[r] - pt_cell(&h, c, r ? c - 3 : NULL);
         resid += e * e;
         for (int m = 0; m < 3; m++) {
-            rows += sum_squares(h.factor[m] + c[m] * h.rank[m], h.rank[m]);
+            const double *row = h.factor[m] + c[m] * h.rank[m];
+            rows += dot1(row, row, h.rank[m], 1);
             biases += h.bias[m][c[m]] * h.bias[m][c[m]];
         }
     }
     PyBuffer_Release(&yb);
     PyBuffer_Release(&ib);
-    double core = sum_squares(h.core, h.rank[0] * h.rank[1] * h.rank[2]);
+    double core = dot1(h.core, h.core, h.rank[0] * h.rank[1] * h.rank[2], 1);
     return Py_BuildValue("(dddd)", resid, core, rows, biases);
 }
 

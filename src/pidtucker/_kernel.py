@@ -33,18 +33,17 @@ headers into a per-user cache directory ($XDG_CACHE_HOME/pidtucker, else
 ABI tag and a CRC-32 of the source, the compiler command, the machine and
 that tag, so a new source version builds once per interpreter and later
 processes only load it.  A fresh build deletes the other builds with the same
-ABI tag, and the untagged kernel-<crc>.so builds named before file names
-carried a tag, that are more than a day old; builds for other ABI tags are
-never touched.  A younger build is kept, so two checkouts with different
-sources used alternately do not delete and rebuild each other's kernel every
-time.
+ABI tag that are more than a day old; builds for other ABI tags are never
+touched.  A younger build is kept, so two checkouts with different sources
+used alternately do not delete and rebuild each other's kernel every time.
 Any failure (no gcc or no Python headers, an unwritable or foreign cache
 directory, a file that will not load) makes `library()` return None.
 
 `handle(f)` gives the kernel's view of one TuckerFactors, or None when the
 library did not load: a packed pt_model struct, the whole model, of pointers
 to the seven arrays in checkpoint order (f.arrays) and to a scratch buffer
-(g's r2*r3 doubles first, then pt_step's r1*r2 for gt and r1 + r2 + r3 for
+(g's r2*r3 doubles first, then r1*r2 for pt_step's gt, of which pt_finish's
+dn takes the first r2, so dn adds nothing to the size, then r1 + r2 + r3 for
 the row gradients), the ranks, the dims (which the kernel checks every index
 against) and f.mean.  The arrays are disjoint views of f.params, one
 C-contiguous, writeable float64 block that TuckerFactors owns and has
@@ -103,14 +102,13 @@ def _file_name(source: bytes, abi: str) -> str:
 
 
 def _prune(built: Path) -> None:
-    """Delete the other builds with built's ABI tag, and the untagged builds
-    named before file names carried one, that are more than a day old.
+    """Delete the other builds with built's ABI tag that are more than a day old.
 
-    Only names kernel-<that tag>-<8 hex digits>.so and kernel-<8 hex
-    digits>.so qualify.  A deletion that fails is left for a later build.
+    Only names kernel-<that tag>-<8 hex digits>.so qualify.  A deletion that
+    fails is left for a later build.
     """
     tag = built.name[len("kernel-"): -len("-00000000.so")]
-    pattern = re.compile(rf"kernel-(?:{re.escape(tag)}-)?[0-9a-f]{{8}}\.so")
+    pattern = re.compile(rf"kernel-{re.escape(tag)}-[0-9a-f]{{8}}\.so")
     stale = time.time() - _STALE_S
     for path in built.parent.iterdir():
         if path.name != built.name and pattern.fullmatch(path.name):
@@ -195,7 +193,8 @@ class _Handle:
 
     def __init__(self, lib, f):
         ranks = f.core.shape
-        # pt_form_g's g, then pt_step's gt and row gradients (_kernel.c).
+        # pt_form_g's g, then pt_step's gt (pt_finish's dn shares it) and row
+        # gradients (_kernel.c).
         scratch = np.empty(ranks[0] * ranks[1] + sum(ranks) + ranks[1] * ranks[2])
         self.arrays = (*f.arrays, scratch)
         self.model = struct.pack(_PT_MODEL, *(a.ctypes.data for a in self.arrays), *ranks,

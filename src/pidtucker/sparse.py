@@ -86,8 +86,9 @@ def _first_duplicate(indices: np.ndarray, dims) -> tuple[int, int] | None:
 
 def _cells(indices) -> np.ndarray:
     """indices as a C-contiguous (n, 3) int64 array; DataError for another
-    shape, or for entries that are not integers or bools (by the dtype alone,
-    so a fractional cell is refused rather than truncated)."""
+    shape, for entries that are not integers or bools (by the dtype alone,
+    so a fractional cell is refused rather than truncated), or for unsigned
+    entries beyond int64 (refused rather than wrapped)."""
     idx = np.asarray(indices)
     if idx.size == 0:
         return np.empty((0, 3), dtype=np.int64)
@@ -95,6 +96,9 @@ def _cells(indices) -> np.ndarray:
         raise DataError(f"indices must be integers, got dtype {idx.dtype}")
     if idx.ndim != 2 or idx.shape[1] != 3:
         raise DataError(f"indices must have shape (n, 3), got {idx.shape}")
+    most = np.iinfo(np.int64).max
+    if idx.dtype.kind == "u" and idx.max() > most:
+        raise DataError(f"index entry {idx[idx > most][0]} is beyond int64's maximum {most}")
     return np.ascontiguousarray(idx, dtype=np.int64)
 
 
