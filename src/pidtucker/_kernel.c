@@ -32,9 +32,9 @@
  * neither is written through.
  *
  * `records` formats one block of CSV rows "<segment><day><slot>,<value>\n"
- * from prefix tuples the caller has already quoted.  Each value is written
- * as Python's format(v, ".6f") writes it, in one of two ways:
- *  - fixed6, for a finite |v| < 1e12 when the compiler has 128-bit
+ * from prefix tuples the caller has already quoted, writing each value as
+ * Python's format(v, ".6f") writes it, with fixed6:
+ *  - fixed6 takes a finite |v| < 1e12 when the compiler has 128-bit
  *    integers.  The double is |v| = m / 2^s exactly, with the integer
  *    m < 2^53 and, as |v| < 2^40, s >= 13.  So |v| * 10^6 = N / 2^s with
  *    N = m * 10^6 < 2^73, which unsigned __int128 holds exactly.
@@ -46,10 +46,11 @@
  *    N < 2^73 <= 2^(s-1) and q is 0.  q <= 10^18 < 2^64, and it is printed
  *    as q / 10^6, a point and six digits of q % 10^6, after a '-' whenever
  *    signbit(v) is set (format writes -0.0 and -1e-9 as -0.000000).
- *  - PyOS_double_to_string(v, 'f', 6, 0, NULL), the routine format calls,
- *    for nan, the infinities, |v| >= 1e12 and compilers without 128-bit
- *    integers.
- * So the bytes equal the Python reference's for every double.
+ *  - A block holding a value fixed6 refuses (nan, the infinities,
+ *    |v| >= 1e12, or any value when the compiler has no 128-bit integers)
+ *    is not written here: `records` returns None, and the caller writes that
+ *    block with its Python reference.
+ * So the bytes equal the Python reference's for every block `records` writes.
  *
  * Where each check lives:
  *  - model.TuckerFactors checks every parameter array's shape against dims
@@ -326,7 +327,7 @@ static Py_ssize_t prefix_count(PyObject *arg, const char *what)
 
 /* format(v, ".6f") into out (at least 24 bytes) for a finite |v| < 1e12,
  * by the exact integer rounding the header proves; returns the length, or 0
- * when v must go through PyOS_double_to_string. */
+ * when v is outside that domain. */
 static size_t fixed6(double v, char *out)
 {
 #ifdef __SIZEOF_INT128__
@@ -368,7 +369,8 @@ static size_t fixed6(double v, char *out)
 #endif
 }
 
-/* The rows of n checked cells, as bytes. */
+/* The rows of n checked cells, as bytes, or None, with no exception set, at
+ * the first value fixed6 refuses. */
 static PyObject *format_rows(PyObject *segments, PyObject *days, const int64_t *idx,
                              const double *values, Py_ssize_t n)
 {
@@ -377,6 +379,12 @@ static PyObject *format_rows(PyObject *segments, PyObject *days, const int64_t *
     if (buf == NULL)
         return PyErr_NoMemory();
     for (Py_ssize_t r = 0; r < n; r++) {
+        char v[24];
+        size_t lv = fixed6(values[r], v);
+        if (lv == 0) {
+            PyMem_Free(buf);
+            Py_RETURN_NONE;
+        }
         PyObject *s = PyTuple_GET_ITEM(segments, idx[3 * r]);
         PyObject *d = PyTuple_GET_ITEM(days, idx[3 * r + 1]);
         size_t ls = (size_t)PyBytes_GET_SIZE(s), ld = (size_t)PyBytes_GET_SIZE(d);
@@ -387,21 +395,12 @@ static PyObject *format_rows(PyObject *segments, PyObject *days, const int64_t *
             *--k = (char)('0' + rest % 10);
         while ((rest /= 10) > 0);
         size_t lk = (size_t)(slot + sizeof slot - k);
-        char fixed[24], *v = fixed;
-        size_t lv = fixed6(values[r], fixed);
-        if (lv == 0) {
-            if ((v = PyOS_double_to_string(values[r], 'f', 6, 0, NULL)) == NULL)
-                goto fail;
-            lv = strlen(v);
-        }
         size_t need = len + ls + ld + lk + lv + 1;
         if (need > cap) {
             char *grown = PyMem_Realloc(buf, cap = 2 * need);
             if (grown == NULL) {
-                if (v != fixed)
-                    PyMem_Free(v);
-                PyErr_NoMemory();
-                goto fail;
+                PyMem_Free(buf);
+                return PyErr_NoMemory();
             }
             buf = grown;
         }
@@ -412,15 +411,10 @@ static PyObject *format_rows(PyObject *segments, PyObject *days, const int64_t *
         memcpy(out += lk, v, lv);
         out[lv] = '\n';
         len = need;
-        if (v != fixed)
-            PyMem_Free(v);
     }
     PyObject *rows = PyBytes_FromStringAndSize(buf, (Py_ssize_t)len);
     PyMem_Free(buf);
     return rows;
-fail:
-    PyMem_Free(buf);
-    return NULL;
 }
 
 /* Acquire arg as a C-contiguous buffer of native 8-byte items: (n, 3) int64
@@ -536,7 +530,8 @@ static PyMethodDef methods[] = {
      "sums(handle, idx, y): the sums of squared residuals, core, touched factor rows "
      "and touched biases."},
     {"records", (PyCFunction)(void (*)(void))records, METH_FASTCALL,
-     "records(segments, days, slots_per_day, idx, values): one block of CSV rows as bytes."},
+     "records(segments, days, slots_per_day, idx, values): one block of CSV rows as bytes, "
+     "or None when a value is outside fixed6's domain."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -8,16 +8,18 @@ match (numpy or plain Python):
     step        solver.sgd_step (reference: model.instance_gradient, applied)
     values      model.predict_batch
     sums        model._sums, behind model.rmse and model.regularized_loss
-    records     datasets.write_records_csv
+    records     datasets.write_records_csv, one block of rows a call; the
+                reference writes each block it returns None for (_kernel.c)
 
 - A caller runs the kernel when `library()` has loaded it, else the
   reference.  There is no switch for the backend.  All but records take
   f's handle (below) first and read the model, mean included, from it alone.
 - The backends are bit-identical: the reference forms every sum in the
-  kernel's order (model._dots, model._sums); records writes its bytes.  The
-  kernel's reuse of the previous row's g for a row with the same i keeps the
-  bits a fresh g would, so predict, predict_batch, rmse and regularized_loss
-  agree bit for bit in any row order (rmse is 0.0 on values predict_batch gave).
+  kernel's order (model._dots, model._sums); records writes its bytes, or
+  None.  The kernel's reuse of the previous row's g for a row with the same
+  i keeps the bits a fresh g would, so predict, predict_batch, rmse and
+  regularized_loss agree bit for bit in any row order (rmse is 0.0 on values
+  predict_batch gave).
 - Errors: a kernel raises IndexError (or TypeError, ValueError,
   OverflowError for an index that is not three integers) before touching
   any memory, and step raises FloatingPointError for a non-finite err,

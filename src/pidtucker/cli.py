@@ -159,7 +159,7 @@ def _read_config_file(path: str) -> list[str]:
     """The file's key=value lines as --key=value arguments, in file order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a NUL byte in the path, or not UTF-8
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     args = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -360,7 +360,7 @@ def _make_rundir(outdir: str, run_name: str | None, command: str) -> tuple[Path,
         # A unique staging name, so concurrent runs never share or remove each
         # other's staging directory.
         staging = Path(tempfile.mkdtemp(prefix=f".{run_name}.", suffix=".tmp", dir=parent))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create run directory {final}: {exc}") from None
     # mkdtemp's directory is private; give the run the mode a plain mkdir would.
     umask = os.umask(0)

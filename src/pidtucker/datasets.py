@@ -93,12 +93,14 @@ def load_mapping(path) -> IndexMapping:
     when its cell count is beyond _grid_error's bound.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
+        fh = open(path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read mapping: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise DataError(f"{path}: not a mapping file ({exc})") from None
+    with fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{path}: not a mapping file ({exc})") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: not a mapping file (a JSON object is expected)")
     if payload.get("format") != MAPPING_FORMAT:
@@ -175,7 +177,7 @@ def _read_rows(path, schema: CsvSchema, mapping: IndexMapping | None, speed: boo
     slots_per_day = schema.slots_per_day if mapping is None else mapping.slots_per_day
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read file: {exc}") from None
     columns = (schema.segment, schema.day, schema.slot) + ((schema.speed,) if speed else ())
     lines, codes, speeds = array("q"), array("q"), array("d")
@@ -320,9 +322,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SparseTensor, TuckerFactors
     ii, jj, kk = np.unravel_index(flat, truth.dims)
     indices = np.column_stack((ii, jj, kk)).astype(np.int64)
 
-    values = predict_batch(truth, indices)
-    if spec.noise_sigma > 0:
-        values = values + rng.normal(0.0, spec.noise_sigma, size=n_obs)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        values = predict_batch(truth, indices)
+        if spec.noise_sigma > 0:
+            values = values + rng.normal(0.0, spec.noise_sigma, size=n_obs)
 
     if not np.isfinite(values).all():
         raise DataError(f"{spec} gives non-finite values")
@@ -375,9 +378,10 @@ def write_records_csv(indices, values, mapping: IndexMapping, path,
     the file is opened; DataError names the first row outside them.  Rows are
     formatted _CSV_BLOCK_ROWS at a time and each block is written with one
     call.  A block's bytes come from the compiled `records` writer in
-    _kernel.c when the kernel loads, else from the f-string code below, the
-    reference; both format a value as format(v, ".6f") does, so the bytes are
-    the same.
+    _kernel.c, or from the f-string code below, the reference, when the
+    kernel did not load or `records` returns None (for a block holding a nan,
+    an infinity or a |v| >= 1e12); both format a value as format(v, ".6f")
+    does, so the bytes are the same.
     """
     schema = schema or CsvSchema()
     idx, vals = _entries(indices, values)
@@ -392,16 +396,14 @@ def write_records_csv(indices, values, mapping: IndexMapping, path,
     with open(path, "wb") as fh:
         fh.write(f"{_csv_line(columns)}\n".encode())
         for start in range(0, len(idx), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            if lib is not None:
-                fh.write(lib.records(segments, days, mapping.slots_per_day, idx[start:stop],
-                                     vals[start:stop]))
-            else:
-                ii, jj, kk = idx[start:stop].T.tolist()
-                fh.write(b"".join([
-                    segments[i] + days[j] + f"{k},{v:.6f}\n".encode()
-                    for i, j, k, v in zip(ii, jj, kk, vals[start:stop].tolist())
-                ]))
+            cells, block = idx[start:start + _CSV_BLOCK_ROWS], vals[start:start + _CSV_BLOCK_ROWS]
+            rows = None if lib is None else lib.records(segments, days, mapping.slots_per_day,
+                                                        cells, block)
+            if rows is None:
+                ii, jj, kk = cells.T.tolist()
+                rows = b"".join([segments[i] + days[j] + f"{k},{v:.6f}\n".encode()
+                                 for i, j, k, v in zip(ii, jj, kk, block.tolist())])
+            fh.write(rows)
 
 
 _IMPUTED_SCHEMA = CsvSchema("segment_id", "day", "slot", "predicted_speed")

@@ -184,13 +184,15 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
 
 
 def check_index(f: TuckerFactors, idx) -> tuple[int, int, int]:
-    """One (i, j, k) index as plain ints; DataError outside f.dims, or _cells' if not integers."""
+    """One (i, j, k) index as plain ints; _cells' DataError for an index it refuses (one
+    that is not three integers, or holds one outside int64), else DataError outside f.dims."""
     try:
         i, j, k = map(operator.index, idx)
     except (TypeError, ValueError):
         _cells([idx])
         raise
     if not (0 <= i < f.dims[0] and 0 <= j < f.dims[1] and 0 <= k < f.dims[2]):
+        _cells([idx])
         raise DataError(f"index {(i, j, k)} out of bounds for dims {f.dims}") from None
     return i, j, k
 
@@ -399,7 +401,7 @@ def load_checkpoint(path) -> TuckerFactors:
     """
     try:
         fh = open(path, "rb")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read checkpoint: {exc}") from None
     with fh:
         header_line = fh.readline()

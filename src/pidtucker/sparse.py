@@ -9,6 +9,7 @@ so per-entry state (e.g. PID error history) can be keyed by stable position.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,19 +87,31 @@ def _first_duplicate(indices: np.ndarray, dims) -> tuple[int, int] | None:
 
 def _cells(indices) -> np.ndarray:
     """indices as a C-contiguous (n, 3) int64 array; DataError for another
-    shape, for entries that are not integers or bools (by the dtype alone,
-    so a fractional cell is refused rather than truncated), or for unsigned
-    entries beyond int64 (refused rather than wrapped)."""
+    shape, for an entry that is not an integer (one operator.index refuses,
+    so a fractional cell is refused rather than truncated; the message names
+    the dtype numpy infers), or for an integer outside int64 (refused rather
+    than wrapped)."""
     idx = np.asarray(indices)
     if idx.size == 0:
         return np.empty((0, 3), dtype=np.int64)
     if idx.dtype.kind not in "biu":
-        raise DataError(f"indices must be integers, got dtype {idx.dtype}")
+        # Integers beyond int64 beside others give float64 or object: look at
+        # the entries as Python objects, on this path only.
+        entries = np.array(indices, dtype=object)
+        try:
+            entries.flat = [operator.index(x) for x in entries.flat]
+        except TypeError:
+            raise DataError(f"indices must be integers, got dtype {idx.dtype}") from None
+        idx = entries
     if idx.ndim != 2 or idx.shape[1] != 3:
         raise DataError(f"indices must have shape (n, 3), got {idx.shape}")
-    most = np.iinfo(np.int64).max
-    if idx.dtype.kind == "u" and idx.max() > most:
-        raise DataError(f"index entry {idx[idx > most][0]} is beyond int64's maximum {most}")
+    if idx.dtype.kind in "uO":  # the kinds that can hold integers outside int64
+        least, most = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        outside = (idx < least) | (idx > most)
+        if outside.any():
+            v = idx[outside][0]
+            bound = f"minimum {least}" if v < 0 else f"maximum {most}"
+            raise DataError(f"index entry {v} is beyond int64's {bound}")
     return np.ascontiguousarray(idx, dtype=np.int64)
 
 

@@ -887,6 +887,32 @@ def _all_missing_beyond_memory(dims):
     return case
 
 
+def _nul_in_config(key):
+    """A config file whose `key` path ends in a NUL byte, which open refuses."""
+
+    def case(tmp_path):
+        _model_files(tmp_path, 5)
+        (tmp_path / "t.csv").write_text("segment,day,slot\ns0,d0,0\n")
+        if key == "data":
+            command, paths = ["train", "--ratios", "0.5,0.2,0.3"], {"data": "d.csv"}
+        else:
+            command, paths = ["impute"], {"checkpoint": "m.ckpt", "mapping": "m.json",
+                                          "targets": "t.csv"}
+        paths[key] += "\0"
+        (tmp_path / "nul.cfg").write_text("".join(f"{k}={v}\n" for k, v in paths.items()))
+        what = {"data": "file", "targets": "file"}.get(key, key)
+        return 3, f"cannot read {what}: embedded null byte", [*command, "--config", "nul.cfg"]
+
+    case.__name__ = f"_nul_in_config_{key}"
+    return case
+
+
+def _synth_overflow(tmp_path):
+    return 2, "gives non-finite values; lower --noise-sigma or --value-offset", [
+        "synth", "--dims", "6,5,8", "--ranks", "2,2,2", "--observed-fraction", "0.5",
+        "--noise-sigma", "1e308", "--value-offset", "1e308"]
+
+
 def _limit_address_space():
     # Set in the child alone, so a case that asks for more memory than the
     # host can give fails at once.
@@ -906,7 +932,10 @@ def _limit_address_space():
                                   _evaluate_with_a_mapping_beyond_a_grid,
                                   _impute_with_a_mapping_of_another_grid,
                                   _all_missing_beyond_memory((2000, 2000, 2000)),
-                                  _all_missing_beyond_memory((1000, 1000, 100))])
+                                  _all_missing_beyond_memory((1000, 1000, 100)),
+                                  _nul_in_config("data"), _nul_in_config("targets"),
+                                  _nul_in_config("checkpoint"), _nul_in_config("mapping"),
+                                  _synth_overflow])
 def test_unusable_input_exits_cleanly(tmp_path, case):
     code, message, argv = case(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -915,6 +944,21 @@ def test_unusable_input_exits_cleanly(tmp_path, case):
                           preexec_fn=_limit_address_space)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr  # the error alone, no warning
     assert message in proc.stderr
+    runs = tmp_path / "runs"
+    assert not runs.is_dir() or list(runs.iterdir()) == []  # no staging directory left
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--config", "c.cfg\0"], "cannot read config file c.cfg\0: embedded null byte"),
+    (["--outdir", "runs\0"], "cannot create run directory runs\0/r: embedded null byte"),
+    (["--run-name", "r\0"], "cannot create run directory runs/r\0: embedded null byte")],
+    ids=["config", "outdir", "run-name"])
+def test_a_nul_byte_in_a_path_flag_exits_2(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    argv = ["synth", "--dims", "6,5,8", "--run-name", "r", *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     runs = tmp_path / "runs"
     assert not runs.is_dir() or list(runs.iterdir()) == []  # no staging directory left

@@ -49,6 +49,7 @@ from pidtucker import (
     write_records_csv,
 )
 from pidtucker import _kernel
+from pidtucker.datasets import _CSV_BLOCK_ROWS
 from pidtucker.model import _sums
 from pidtucker.solver import _all_finite
 from pidtucker.cli import main
@@ -197,20 +198,35 @@ def test_batch_evaluation_rejects_an_out_of_bounds_row_alike(each_backend, cell)
         assert str(exc.value) == f"index {cell} out of bounds for dims (4, 3, 5)"
 
 
-@pytest.mark.parametrize("cells", [[(1.7, 0, 0)], np.array([(1.0, 2.0, 0.0)]),
-                                   [("1", "0", "0")], [(1, 2, 10**20)],
-                                   np.array([(2**64 - 1, 0, 0)], dtype=np.uint64)])
-def test_array_entry_points_refuse_cells_that_are_not_integers(tmp_path, each_backend, cells):
+def _beyond_int64(v):
+    bound = f"minimum {-2**63}" if v < 0 else f"maximum {2**63 - 1}"
+    return f"index entry {v} is beyond int64's {bound}"
+
+
+REFUSED_CELLS = [
+    ([(1.7, 0, 0)], "indices must be integers, got dtype float64"),
+    (np.array([(1.0, 2.0, 0.0)]), "indices must be integers, got dtype float64"),
+    ([("1", "0", "0")], "indices must be integers, got dtype <U1"),
+    ([(1, 2, 10**20)], _beyond_int64(10**20)),
+    # A uint64 entry beyond int64 would wrap to a negative index in the cast.
+    (np.array([(2**64 - 1, 0, 0)], dtype=np.uint64), _beyond_int64(2**64 - 1)),
+    ([(2**63, 0, 0)], _beyond_int64(2**63)),  # numpy infers float64
+    ([(0, 2**64, 0)], _beyond_int64(2**64)),  # numpy infers object
+    ([(0, 0, -2**70)], _beyond_int64(-2**70)),
+    ([(np.uint64(2**64 - 1), 0, 0)], _beyond_int64(2**64 - 1))]
+
+
+@pytest.mark.parametrize("cells, message", REFUSED_CELLS,
+                         ids=[f"cells{n}" for n in range(len(REFUSED_CELLS))])
+def test_array_entry_points_refuse_cells_that_are_not_integers(tmp_path, each_backend, cells,
+                                                               message):
     f = random_factors((4, 3, 5), (2, 2, 2), seed=8)
     mapping, y = identity_mapping(f.dims), np.ones(1)
     calls = [lambda: predict_batch(f, cells), lambda: rmse(f, cells, y),
              lambda: regularized_loss(f, cells, y, RegWeights()),
              lambda: write_records_csv(cells, y, mapping, tmp_path / "r.csv"),
-             lambda: export_imputed(f, cells, mapping, tmp_path / "i.csv")]
-    dtype = np.asarray(cells).dtype
-    # A uint64 entry beyond int64 would wrap to a negative index in the cast.
-    message = (f"index entry {2**64 - 1} is beyond int64's maximum {2**63 - 1}"
-               if dtype == np.uint64 else f"indices must be integers, got dtype {dtype}")
+             lambda: export_imputed(f, cells, mapping, tmp_path / "i.csv"),
+             lambda: predict(f, cells[0])]  # the one cell: the same text
     for call in calls:
         with pytest.raises(DataError) as exc:
             call()
@@ -288,19 +304,62 @@ def _value_class(kind, rng, n):
     return rng.choice([math.nan, -math.nan, math.inf, -math.inf], n)
 
 
+def _assert_rows(got, values, prefix):
+    """got is the rows prefix + format(v, ".6f") + "\n" for the values, in order."""
+    want = [f"{prefix}{v:.6f}".encode() for v in values.tolist()] + [b""]
+    got = got.split(b"\n")
+    bad = next((r for r, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, (values[bad].hex(), got[bad], want[bad])
+    assert len(got) == len(want)
+
+
 @needs_kernel
 @pytest.mark.parametrize("kind", [
     "bit patterns", "bit patterns, 2**-21 <= |v| < 2**40", "odd multiples of 1/128",
     "around 1e12", "subnormals", "signed zeros", "negatives that round to -0.000000",
     "halves of a millionth", "nan and infinities"])
-def test_records_writes_every_class_of_double_as_format_does(kind):
+def test_records_writes_every_class_of_double_as_format_does(tmp_path, kind):
+    """records writes a block fixed6 can write and returns None for any other;
+    write_records_csv writes format(v, ".6f") for every value either way."""
     values = _value_class(kind, np.random.default_rng(2304), 100_000)
-    got = _kernel.library().records((b"",), (b"",), 1, np.zeros((len(values), 3), np.int64),
-                                    values).split(b"\n")
-    want = [f"0,{v:.6f}".encode() for v in values.tolist()] + [b""]
-    bad = next((r for r, (a, b) in enumerate(zip(got, want)) if a != b), None)
-    assert bad is None, (values[bad].hex(), got[bad], want[bad])
-    assert len(got) == len(want)
+    records = _kernel.library().records
+    inside = np.abs(values) < 1e12  # False for nan, the infinities and |v| >= 1e12
+    cells = np.zeros((len(values), 3), np.int64)
+
+    def block(v):
+        return records((b"",), (b"",), 1, cells[:len(v)], v)
+
+    got = block(values)
+    if inside.all():
+        _assert_rows(got, values, "0,")
+    else:
+        assert got is None
+        _assert_rows(block(values[inside]), values[inside], "0,")
+        assert all(block(values[r:r + 1]) is None for r in np.flatnonzero(~inside))
+    write_records_csv(cells, values, identity_mapping((1, 1, 1)), tmp_path / "r.csv")
+    header, rows = (tmp_path / "r.csv").read_bytes().split(b"\n", 1)
+    assert header == b"segment,day,slot,speed"
+    _assert_rows(rows, values, "0,0,0,")
+
+
+@needs_kernel
+def test_a_block_with_a_nan_is_written_by_the_reference_between_kernel_blocks(tmp_path):
+    rows = _CSV_BLOCK_ROWS  # 65,536
+    rng = np.random.default_rng(24)
+    mapping = IndexMapping(("s,1", "s2", '"s3"'), ("2024-03-01", "día"), 288)
+    cells = np.column_stack([rng.integers(0, n, 3 * rows) for n in mapping.dims])
+    values = rng.uniform(8.0, 137.0, 3 * rows)
+    values[rows + 12_345] = math.nan
+    records = _kernel.library().records
+    assert [records((b"",) * 3, (b"",) * 2, 288, cells[a:a + rows], values[a:a + rows]) is None
+            for a in range(0, 3 * rows, rows)] == [False, True, False]
+    write_records_csv(cells, values, mapping, tmp_path / "kernel.csv")
+    with reference_backend():
+        write_records_csv(cells, values, mapping, tmp_path / "reference.csv")
+        assert _kernel.library() is None
+    got = (tmp_path / "kernel.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert got.count(b",nan\n") == 1 and got.count(b"\n") == 3 * rows + 1
 
 
 @needs_kernel
@@ -411,6 +470,10 @@ def test_both_backends_take_and_reject_the_same_indices(seed, form, entries):
     elif all(0 <= v < n for v, n in zip(entries, f.dims)):
         assert got.hex() == want.hex()
         assert got_step is want_step is None
+        assert same_bits(f, g)
+    elif not all(map(_fits_int64, entries)):  # the first entry outside int64 is named
+        message = f"DataError: {_beyond_int64(next(v for v in entries if not _fits_int64(v)))}"
+        assert got == want == got_step == want_step == message
         assert same_bits(f, g)
     else:
         message = f"DataError: index {entries} out of bounds for dims {f.dims}"
