@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .errors import ConfigError, DataError
-from .model import Ranks, TuckerFactors, _drawn, _entries, predict_batch
-from .sparse import (SparseTensor, _cells, _first_duplicate, _first_out_of_bounds, _freeze,
-                     _grid_error)
+from .errors import ConfigError, DataError, _check_int, _check_real, _real
+from .model import (Ranks, TuckerFactors, _drawn, _entries, _open_input, _tagged_header,
+                    predict_batch)
+from .sparse import (SparseTensor, _cells, _check_grid, _first_duplicate, _first_out_of_bounds,
+                     _freeze)
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
 
@@ -51,8 +52,7 @@ class CsvSchema:
     slots_per_day: int = 288
 
     def __post_init__(self):
-        if self.slots_per_day < 1:
-            raise ConfigError(f"slots_per_day must be >= 1, got {self.slots_per_day}")
+        _check_int("slots_per_day", self.slots_per_day, 1)
 
 
 @dataclass(frozen=True)
@@ -86,29 +86,17 @@ def save_mapping(mapping: IndexMapping, path) -> None:
 def load_mapping(path) -> IndexMapping:
     """Read a mapping written by save_mapping; DataError if it cannot be used.
 
-    Segment ids and days must be lists of distinct, non-empty strings that
-    UTF-8 can encode (JSON's \\u escapes can spell a lone surrogate), since
-    imputations are written back under them, and slots_per_day an integer of
-    at least 1.  DataError names the first value that is not, or the grid
-    when its cell count is beyond _grid_error's bound.
+    DataError from model._open_input and model._tagged_header (the file is
+    one JSON object with segments, days and slots_per_day).  Segment ids and
+    days must be lists of distinct, non-empty strings that UTF-8 can encode
+    (JSON's \\u escapes can spell a lone surrogate), since imputations are
+    written back under them, and slots_per_day an integer of at least 1.
+    DataError names the first value that is not, or the grid when its cell
+    count is beyond _check_grid's bound.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise DataError(f"cannot read mapping: {exc}") from None
-    with fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise DataError(f"{path}: not a mapping file ({exc})") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: not a mapping file (a JSON object is expected)")
-    if payload.get("format") != MAPPING_FORMAT:
-        raise DataError(f"{path}: unsupported mapping format {payload.get('format')!r}")
-    try:
-        segments, days, slots = (payload[k] for k in ("segments", "days", "slots_per_day"))
-    except KeyError as exc:
-        raise DataError(f"{path}: malformed mapping (missing {exc})") from None
+    with _open_input(path, "mapping") as fh:
+        segments, days, slots = _tagged_header(path, "mapping", MAPPING_FORMAT, fh.read(),
+                                               ("segments", "days", "slots_per_day"))
     for kind, ids in (("segment", segments), ("day", days)):
         if not isinstance(ids, list):
             raise DataError(f"{path}: {kind} ids must be a list, got {ids!r}")
@@ -124,9 +112,7 @@ def load_mapping(path) -> IndexMapping:
     if type(slots) is not int or slots < 1:
         raise DataError(f"{path}: slots_per_day must be an integer >= 1, got {slots!r}")
     mapping = IndexMapping(tuple(segments), tuple(days), slots)
-    error = _grid_error(mapping.dims)
-    if error is not None:
-        raise DataError(f"{path}: {error}")
+    _check_grid(mapping.dims, DataError, f"{path}: ")
     return mapping
 
 
@@ -175,10 +161,7 @@ def _read_rows(path, schema: CsvSchema, mapping: IndexMapping | None, speed: boo
     the file for text that is not UTF-8.
     """
     slots_per_day = schema.slots_per_day if mapping is None else mapping.slots_per_day
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise DataError(f"cannot read file: {exc}") from None
+    fh = io.TextIOWrapper(_open_input(path, "file"), encoding="utf-8", newline="")
     columns = (schema.segment, schema.day, schema.slot) + ((schema.speed,) if speed else ())
     lines, codes, speeds = array("q"), array("q"), array("d")
     segments, days = {}, {}  # id -> code, in first-seen order
@@ -246,14 +229,12 @@ def load_csv(path, schema: CsvSchema,
     unknown ids are an error, and the slot count is mapping.slots_per_day.
     Raises DataError naming the line for malformed rows, out-of-range slots,
     negative or non-finite speeds, and duplicated (segment, day, slot) cells,
-    and ConfigError for a grid _grid_error rejects (a slot count too large).
+    and ConfigError for a grid _check_grid rejects (a slot count too large).
     """
     lines, cells, speeds, mapping = _read_rows(path, schema, mapping)
     if not lines:
         raise DataError(f"{path}: no data rows")
-    error = _grid_error(mapping.dims)
-    if error is not None:
-        raise ConfigError(f"{path}: {error}")
+    _check_grid(mapping.dims, ConfigError, f"{path}: ")
     dup = _first_duplicate(cells, mapping.dims)
     if dup is not None:
         i, j, k = cells[dup[1]].tolist()
@@ -281,17 +262,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.observed_fraction <= 1.0:
+        if not (_real(self.observed_fraction) and 0.0 < self.observed_fraction <= 1.0):
             raise ConfigError(
                 f"observed_fraction must be in (0, 1], got {self.observed_fraction}"
             )
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        error = _grid_error(self.dims)
-        if error is not None:
-            raise ConfigError(error)
+        _check_real("noise_sigma", self.noise_sigma)
+        _check_int("seed", self.seed, 0)
+        _check_grid(self.dims, ConfigError)
         cells = self.dims[0] * self.dims[1] * self.dims[2]
         if self.observed_fraction * cells < 10:
             raise ConfigError(
@@ -350,7 +327,8 @@ def missing_indices(tensor: SparseTensor) -> np.ndarray:
     of every missing cell, sorted by segment, then day, then slot, which is
     the order in which predict_batch's kernel reuses a segment's work.
     DataError naming the dims and the cell count when the mask or the list
-    does not fit in memory.
+    does not fit in memory, and naming the first cell outside the dims of a
+    tensor built by hand (the search runs only once numpy has refused one).
     """
     try:
         missing = np.ones(tensor.n_cells, dtype=bool)
@@ -359,6 +337,12 @@ def missing_indices(tensor: SparseTensor) -> np.ndarray:
     except MemoryError as exc:
         raise DataError(f"cannot list the missing cells of dims {tensor.dims} "
                         f"({tensor.n_cells} cells) in memory: {exc}") from None
+    except ValueError:  # ravel_multi_index: "invalid entry in coordinates array"
+        pos = _first_out_of_bounds(tensor.indices, tensor.dims)
+        if pos is None:
+            raise
+        raise DataError(f"tensor entry {pos} has cell {tuple(tensor.indices[pos].tolist())}, "
+                        f"out of bounds for dims {tensor.dims}") from None
     return cells.astype(np.int64, copy=False)  # a copy only where intp is not int64
 
 

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .datasets import _write_json
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import DataError, DivergenceError, _check_int
 from .model import rmse
 from .solver import Hyperparams, train
 from .sparse import SparseTensor, split
@@ -23,10 +23,8 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        _check_int("repeats", self.repeats, 1)
+        _check_int("base_seed", self.base_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,7 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
     and does not abort the others.  Results are deterministic for a fixed
     (tensor, cfg) regardless of `jobs`, which must be >= 1.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    _check_int("jobs", jobs, 1)
 
     def one(r: int) -> RepeatResult:
         seed = cfg.base_seed + r

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .errors import ConfigError, DataError
-from .sparse import _cells, _first_out_of_bounds
+from .errors import ConfigError, DataError, _check_int, _check_real
+from .sparse import _cells, _check_grid, _first_out_of_bounds
 
 CHECKPOINT_FORMAT = "pidtucker-checkpoint-v1"
 
@@ -50,8 +50,7 @@ class Ranks:
 
     def __post_init__(self):
         for name, r in zip(("r1", "r2", "r3"), self.as_tuple()):
-            if type(r) is bool or not isinstance(r, (int, np.integer)) or r < 1:
-                raise ConfigError(f"rank {name} must be an integer >= 1, got {r}")
+            _check_int(f"rank {name}", r, 1)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)
@@ -67,9 +66,7 @@ class RegWeights:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+            _check_real(name, getattr(self, name))
 
 
 def _shapes(dims, ranks) -> list[tuple[int, ...]]:
@@ -88,8 +85,9 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 class TuckerFactors:
     """Model parameters, held in one block.
 
-    Construction checks the seven given arrays against the shapes dims and
-    ranks imply (DataError naming both otherwise) and copies them, as
+    Construction checks dims with sparse._check_grid (DataError; they are kept
+    as three ints) and the seven given arrays against the shapes dims and
+    ranks imply (DataError naming both otherwise), and copies them, as
     float64, into params, one C-contiguous array in checkpoint order;
     factors, core and biases are then views of params, and the caller's
     arrays are never written.  The fields are bound once; the trainer updates
@@ -119,6 +117,7 @@ class TuckerFactors:
     _kernel_handle: _kernel._Handle | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", _check_grid(self.dims))
         given = (*self.factors, self.core, *self.biases)
         got, shapes = [np.shape(a) for a in given], _shapes(self.dims, self.ranks.as_tuple())
         if got != shapes:
@@ -147,8 +146,9 @@ class TuckerFactors:
 
 def _drawn(dims, ranks: Ranks, mean: float, weights, biases) -> TuckerFactors:
     """A new model: factors and core from weights(shape), biases from biases(shape),
-    called in the order of _shapes.  ConfigError when they cannot be allocated."""
-    dims, mean = tuple(int(x) for x in dims), float(mean)  # as TuckerFactors converts it
+    called in the order of _shapes.  ConfigError for dims _check_grid refuses, and when the
+    arrays cannot be allocated."""
+    dims, mean = _check_grid(dims, ConfigError), float(mean)  # as TuckerFactors converts them
     shapes = _shapes(dims, ranks.as_tuple())
     try:
         arrays = [weights(s) for s in shapes[:4]] + [biases(s) for s in shapes[4:]]
@@ -174,10 +174,11 @@ def init_factors(dims, ranks: Ranks, mean: float = 0.0, init_scale: float = 0.04
     Core and factor entries are i.i.d. uniform on (0, init_scale]; biases start
     at zero.  Draw order is factors (mode 1, 2, 3) then core, so results are
     reproducible for a fixed seed.  ConfigError unless init_scale is finite
-    and > 0, and, from _drawn, when the arrays cannot be allocated.
+    and > 0 and seed an integer >= 0, and, from _drawn, for dims it refuses
+    and when the arrays cannot be allocated.
     """
-    if not (math.isfinite(init_scale) and init_scale > 0):
-        raise ConfigError(f"init_scale must be finite and > 0, got {init_scale}")
+    _check_real("init_scale", init_scale, positive=True)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # 1 - random() maps [0, 1) onto (0, 1].
     return _drawn(dims, ranks, mean, lambda s: init_scale * (1.0 - rng.random(s)), np.zeros)
@@ -236,9 +237,17 @@ def predict(f: TuckerFactors, idx) -> float:
 
 
 def _entries(indices, values) -> tuple[np.ndarray, np.ndarray]:
-    """Cells as _cells gives them and their (n,) float64 values; DataError unless one a cell."""
+    """Cells as _cells gives them and their (n,) float64 values; DataError unless one a cell,
+    and, told by the dtype numpy infers alone, for values it cannot read as numbers (such as
+    "1.5" or None; a bool reads as one) or a ragged list."""
     idx = _cells(indices)
-    vals = np.ascontiguousarray(values, dtype=np.float64)
+    try:
+        vals = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DataError("values must have shape (n,), got a ragged list") from None
+    if vals.dtype.kind not in "biuf":
+        raise DataError(f"values must be real numbers, got dtype {vals.dtype}")
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
     if vals.shape != (len(idx),):
         raise DataError(f"{vals.size} values for {len(idx)} indices")
     return idx, vals
@@ -392,36 +401,48 @@ def save_checkpoint(f: TuckerFactors, path) -> None:
         fh.write(f.params.astype("<f8", copy=False).tobytes())
 
 
+def _open_input(path, what: str):
+    """path opened for binary reading; DataError "cannot read {what}: ..." when it cannot be."""
+    try:
+        return open(path, "rb")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise DataError(f"cannot read {what}: {exc}") from None
+
+
+def _tagged_header(path, what: str, fmt: str, text: bytes, keys) -> list:
+    """The values of keys in text, a header of the library's own file path; DataError unless
+    text is a UTF-8 JSON object whose "format" is fmt and which has every key."""
+    try:
+        header = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise DataError(f"{path}: not a {what} file ({exc})") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: not a {what} file (a JSON object is expected)")
+    if header.get("format") != fmt:
+        raise DataError(f"{path}: unsupported {what} format {header.get('format')!r}")
+    try:
+        return [header[key] for key in keys]
+    except KeyError as exc:
+        raise DataError(f"{path}: malformed {what} (missing {exc})") from None
+
+
 def load_checkpoint(path) -> TuckerFactors:
     """Read a checkpoint written by save_checkpoint.
 
-    Raises DataError for an unreadable file, a malformed header (dims and ranks
-    must be JSON integers, mean a finite JSON number), a payload of the wrong
-    size, or any non-finite parameter.
+    Raises DataError from _open_input and _tagged_header (whose first line must
+    hold dims, ranks and mean), for dims or ranks that are not three JSON
+    integers >= 1, a mean that is not a finite JSON number, a payload of the
+    wrong size, or any non-finite parameter.
     """
-    try:
-        fh = open(path, "rb")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise DataError(f"cannot read checkpoint: {exc}") from None
-    with fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: not a checkpoint file ({exc})") from None
-        if not isinstance(header, dict):
-            raise DataError(f"{path}: not a checkpoint file (a JSON object is expected)")
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise DataError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
-        try:
-            dims, ranks, mean = (header[key] for key in ("dims", "ranks", "mean"))
-            dims, ranks = tuple(dims), tuple(ranks)
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{path}: malformed checkpoint header ({exc!r})") from None
+    with _open_input(path, "checkpoint") as fh:
+        dims, ranks, mean = _tagged_header(path, "checkpoint", CHECKPOINT_FORMAT, fh.readline(),
+                                           ("dims", "ranks", "mean"))
+        dims, ranks = (tuple(v) if type(v) is list else v for v in (dims, ranks))
         for key, values in (("dims", dims), ("ranks", ranks)):
-            if len(values) != 3 or not all(type(x) is int and x >= 1 for x in values):
+            if type(values) is not tuple or len(values) != 3 or not all(
+                    type(x) is int and x >= 1 for x in values):
                 raise DataError(f"{path}: checkpoint {key} must be three positive integers, "
-                                f"got {values}")
+                                f"got {values!r}")
         # A JSON number is an int or a float (a bool is neither); nan, the
         # infinities and ints beyond every float are not finite doubles.
         if type(mean) not in (int, float) or not abs(mean) <= sys.float_info.max:

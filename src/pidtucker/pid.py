@@ -17,10 +17,9 @@ error, and the derivative is the change from that entry's previous error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DataError
+from .errors import DataError, _check_real
 
 
 @dataclass(frozen=True)
@@ -31,9 +30,7 @@ class PidGains:
 
     def __post_init__(self):
         for name in ("kp", "ki", "kd"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+            _check_real(name, getattr(self, name))
 
 
 class PidState:

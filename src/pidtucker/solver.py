@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, _check_int, _check_real, _real
 from .model import (
     Ranks,
     RegWeights,
@@ -56,18 +56,14 @@ class Hyperparams:
     error_clamp: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
-        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ConfigError(f"init_scale must be finite and > 0, got {self.init_scale}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.error_clamp is not None and not self.error_clamp > 0:
-            raise ConfigError(f"error_clamp must be > 0 when set, got {self.error_clamp}")
+        _check_real("eta", self.eta, positive=True)
+        _check_int("max_epochs", self.max_epochs, 1)
+        _check_real("tol", self.tol, positive=True)
+        _check_real("init_scale", self.init_scale, positive=True)
+        _check_int("seed", self.seed, 0)
+        clamp = self.error_clamp
+        if clamp is not None and not (_real(clamp) and clamp > 0):
+            raise ConfigError(f"error_clamp must be > 0 when set, got {clamp}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +151,8 @@ def train(tensor: SparseTensor, data_split: DataSplit,
 
     Its times (EpochRecord.elapsed_s, TrainReport.seconds) count from the
     call, setup included, and exclude a first-use build of the kernel.
+    DataError for an empty part, and, before any update, naming the first
+    training or validation entry whose value is not finite.
     """
     _kernel.library()
     start = time.perf_counter()
@@ -164,6 +162,15 @@ def train(tensor: SparseTensor, data_split: DataSplit,
 
     train_idx = tensor.indices[data_split.train]
     train_val = tensor.values[data_split.train]
+    val_idx = tensor.indices[data_split.validation]
+    val_y = tensor.values[data_split.validation]
+    for name, part, values in (("training", data_split.train, train_val),
+                               ("validation", data_split.validation, val_y)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            pos = int(part[np.argmin(finite)])
+            raise DataError(f"{name} entry {pos} (cell {tuple(tensor.indices[pos].tolist())}) "
+                            f"has non-finite value {tensor.values[pos]}")
     n_train = len(train_val)
     mean = float(np.mean(train_val))
     f = init_factors(tensor.dims, hyper.ranks, mean=mean,
@@ -173,9 +180,6 @@ def train(tensor: SparseTensor, data_split: DataSplit,
     # Plain-python copies keep the per-entry loop off numpy scalar overhead.
     idx_rows = [tuple(row) for row in train_idx.tolist()]
     ys = train_val.tolist()
-
-    val_idx = tensor.indices[data_split.validation]
-    val_y = tensor.values[data_split.validation]
 
     gains = hyper.gains
     clamp = hyper.error_clamp

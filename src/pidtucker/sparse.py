@@ -9,12 +9,13 @@ so per-entry state (e.g. PID error history) can be keyed by stable position.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, _check_int
 
 RATIO_SUM_TOL = 1e-9
 
@@ -62,18 +63,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _grid_error(dims) -> str | None:
-    """Why dims cannot shape a grid, or None: they must be three ints >= 1
-    whose product, the cell count, fits np.intp, in which np.ravel_multi_index
-    and Generator.choice number the cells."""
+def _check_grid(dims, error=DataError, where: str = "") -> tuple[int, int, int]:
+    """dims as three Python ints, checked before any is converted; error(where + why)
+    unless they can shape a grid: three ints >= 1 whose product, the cell count, fits
+    np.intp, in which np.ravel_multi_index and Generator.choice number the cells."""
     dims = tuple(dims)
     if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
                                  and d >= 1 for d in dims):
-        return f"dims must be three positive integers, got {dims}"
-    cells, most = math.prod(map(int, dims)), np.iinfo(np.intp).max
-    if cells > most:
-        return f"dims {dims} give {cells} cells, more than the {most} a grid can number"
-    return None
+        raise error(f"{where}dims must be three positive integers, got {dims}")
+    dims, most = tuple(map(int, dims)), np.iinfo(np.intp).max
+    if math.prod(dims) > most:
+        raise error(f"{where}dims {dims} give {math.prod(dims)} cells, more than the {most} "
+                    f"a grid can number")
+    return dims
 
 
 def _first_duplicate(indices: np.ndarray, dims) -> tuple[int, int] | None:
@@ -90,9 +92,12 @@ def _cells(indices) -> np.ndarray:
     shape, for an entry that is not an integer (one operator.index refuses,
     so a fractional cell is refused rather than truncated; the message names
     the dtype numpy infers), or for an integer outside int64 (refused rather
-    than wrapped)."""
-    idx = np.asarray(indices)
-    if idx.size == 0:
+    than wrapped).  A ragged list, which has no shape, is refused as one."""
+    try:
+        idx = np.asarray(indices)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DataError("indices must have shape (n, 3), got a ragged list") from None
+    if idx.shape in ((0,), (0, 3)):  # no cells, in whatever dtype numpy gives them
         return np.empty((0, 3), dtype=np.int64)
     if idx.dtype.kind not in "biu":
         # Integers beyond int64 beside others give float64 or object: look at
@@ -131,24 +136,29 @@ def _first_out_of_bounds(indices: np.ndarray, dims) -> int | None:
 def from_records(dims, records) -> SparseTensor:
     """Build a SparseTensor from (i, j, k, value) records.
 
-    Raises DataError for dims _grid_error rejects, indices _cells rejects or
-    out-of-bounds indices (naming the offending record), duplicate
-    coordinates (naming both positions), or non-finite values.
+    Raises DataError for dims _check_grid rejects, and naming the offending
+    record for one that is not four fields, indices _cells rejects or that
+    lie out of bounds, a value that is not a real number (a bool is one; a
+    string or None is not), duplicate coordinates (naming both positions),
+    or non-finite values.
     """
-    dims = tuple(int(x) for x in dims)
-    error = _grid_error(dims)
-    if error is not None:
-        raise DataError(error)
+    dims = _check_grid(dims)
 
     records = list(records)
     n = len(records)
     indices = np.zeros((n, 3), dtype=np.int64)
     values = np.zeros(n, dtype=np.float64)
-    for pos, (i, j, k, v) in enumerate(records):
+    for pos, record in enumerate(records):
+        try:
+            i, j, k, v = record
+        except (TypeError, ValueError):
+            raise DataError(f"record {pos} is {record!r}, not (i, j, k, value)") from None
         try:
             indices[pos] = _cells([(i, j, k)])[0]
         except DataError as exc:
             raise DataError(f"record {pos} has index {(i, j, k)}: {exc}") from None
+        if not isinstance(v, numbers.Real):
+            raise DataError(f"record {pos} has value {v!r}, not a real number")
         values[pos] = v
 
     pos = _first_out_of_bounds(indices, dims)
@@ -179,10 +189,9 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DataSplit:
     Deterministic for a fixed (tensor, ratios, seed).
 
     Raises DataError if the ratios are invalid or any part would be empty,
-    and ConfigError for a negative seed.
+    and ConfigError unless seed is an integer >= 0.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_int("seed", seed, 0)
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or not all(0 < r < math.inf for r in ratios):
         raise DataError(f"ratios must be three positive reals, got {ratios}")

@@ -450,15 +450,15 @@ def test_negative_seed_exit_2(tmp_path, capsys, command, flag, value):
               else ["--data", tmp_path / "s" / "data.csv", "--slots-per-day", "8"])
     code = run_cli(command, "--outdir", tmp_path, "--run-name", "r", *inputs, flag, value)
     assert code == 2
-    assert f"seed must be >= 0, got {value}" in capsys.readouterr().err
+    assert f"seed must be an integer >= 0, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
     ("synth", "--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
     ("synth", "--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
-    ("benchmark", "--jobs", "0", "jobs must be >= 1, got 0"),
-    ("benchmark", "--jobs", "-3", "jobs must be >= 1, got -3"),
+    ("benchmark", "--jobs", "0", "jobs must be an integer >= 1, got 0"),
+    ("benchmark", "--jobs", "-3", "jobs must be an integer >= 1, got -3"),
     ("synth", "--dims", "-2,-5,10", "dims must be three positive integers, got (-2, -5, 10)"),
     ("synth", "--dims", "6,0,8", "dims must be three positive integers, got (6, 0, 8)"),
     ("synth", "--noise-sigma", "1e308", "lower --noise-sigma or --value-offset"),
@@ -792,6 +792,12 @@ def _checkpoint_header_not_an_object(tmp_path):
                                                 "--mapping", "m.json", "--targets", "t.csv"]
 
 
+def _mapping_nested_too_deep(tmp_path):
+    args = _model_files(tmp_path, 5)
+    (tmp_path / "m.json").write_text("[" * 100_000)
+    return 3, "m.json: not a mapping file (maximum recursion depth", ["evaluate", *args]
+
+
 def _nan_ratios(tmp_path):
     (tmp_path / "d.csv").write_text("segment,day,slot,speed\ns,d,0,1.0\n")
     return 3, "ratios must be three positive reals, got (nan, 0.5, 0.5)", [
@@ -921,7 +927,8 @@ def _limit_address_space():
 
 @pytest.mark.parametrize("case", [_non_utf8_data, _oversize_field, _non_utf8_config,
                                   _outdir_under_a_file, _run_name_with_a_slash,
-                                  _checkpoint_header_not_an_object, _nan_ratios,
+                                  _checkpoint_header_not_an_object, _mapping_nested_too_deep,
+                                  _nan_ratios,
                                   _oversized_ranks("train"), _oversized_ranks("benchmark"),
                                   _oversized_ranks("synth"), _unlistable_grid,
                                   _synth_beyond_a_grid,

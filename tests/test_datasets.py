@@ -16,12 +16,14 @@ from pidtucker import (
     CsvSchema,
     DataError,
     Ranks,
+    SparseTensor,
     SyntheticSpec,
     export_imputed,
     from_records,
     generate_synthetic,
     identity_mapping,
     init_factors,
+    load_checkpoint,
     load_csv,
     load_mapping,
     missing_indices,
@@ -225,6 +227,25 @@ def test_load_mapping_rejects_ids_and_slot_counts_it_cannot_use(tmp_path, change
         load_mapping(path)
     assert str(exc.value) == f"{path}: {message}"
 
+
+def test_checkpoints_and_mappings_share_one_opener_and_header_reader(tmp_path):
+    path = tmp_path / "f"
+    for load, what, tag, key in [(load_checkpoint, "checkpoint", "pidtucker-checkpoint-v1", "dims"),
+                                 (load_mapping, "mapping", "pidtucker-mapping-v1", "segments")]:
+        for text, message in [
+                (b"\xff{}\n", f"{path}: not a {what} file ('utf-8' codec can't decode byte 0xff"),
+                (b"[1]\n", f"{path}: not a {what} file (a JSON object is expected)"),
+                (b"[" * 100_000 + b"\n", f"{path}: not a {what} file (maximum recursion depth"),
+                (b'{"format": "v0"}\n', f"{path}: unsupported {what} format 'v0'"),
+                (json.dumps({"format": tag}).encode() + b"\n",
+                 f"{path}: malformed {what} (missing '{key}')")]:
+            path.write_bytes(text)
+            with pytest.raises(DataError) as exc:
+                load(path)
+            assert str(exc.value).startswith(message)
+        with pytest.raises(DataError, match=f"^cannot read {what}: embedded null byte$"):
+            load(f"{path}\0")
+
 # ---------------------------------------------------------------- synthetic
 
 
@@ -379,6 +400,13 @@ def test_missing_indices_are_contiguous_int64_rows_in_row_major_order():
     assert got.flags.c_contiguous
     assert [tuple(r) for r in got.tolist()] == [
         c for c in itertools.product(*map(range, dims)) if c not in set(observed)]
+
+
+def test_missing_indices_names_a_cell_outside_the_dims_of_a_tensor_built_by_hand():
+    tensor = SparseTensor((2, 2, 2), np.array([(0, 0, 0), (1, 1, 1), (5, 5, 5)]), np.ones(3))
+    with pytest.raises(DataError) as exc:
+        missing_indices(tensor)
+    assert str(exc.value) == "tensor entry 2 has cell (5, 5, 5), out of bounds for dims (2, 2, 2)"
 
 
 @st.composite

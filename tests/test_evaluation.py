@@ -115,7 +115,7 @@ def test_experiment_jobs_match_sequential(synthetic_fixture):
     par = run_experiment(tensor, cfg, jobs=4)
     assert [r.rmse for r in seq.results] == [r.rmse for r in par.results]
     for jobs in (0, -3):
-        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        with pytest.raises(ConfigError, match=f"jobs must be an integer >= 1, got {jobs}"):
             run_experiment(tensor, cfg, jobs=jobs)
 
 

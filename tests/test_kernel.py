@@ -235,6 +235,87 @@ def test_array_entry_points_refuse_cells_that_are_not_integers(tmp_path, each_ba
     assert predict_batch(f, [(True, False, 4)]).tolist() == [predict(f, (1, 0, 4))]
 
 
+def entry_point_calls(f, cells, values, path):
+    """The five array entry points, each run on cells (and values, where it takes them)."""
+    mapping = identity_mapping(f.dims)
+    return [lambda: predict_batch(f, cells), lambda: rmse(f, cells, values),
+            lambda: regularized_loss(f, cells, values, RegWeights()),
+            lambda: write_records_csv(cells, values, mapping, path / "r.csv"),
+            lambda: export_imputed(f, cells, mapping, path / "i.csv")]
+
+
+RAGGED = "indices must have shape (n, 3), got a ragged list"
+NOT_NUMBERS = "values must be real numbers, got"
+REFUSED_CELL_LISTS = [([(1, 2, 3), (1, 2)], RAGGED), ([(1, 2, 3), [0, 0, [1]]], RAGGED),
+                      ([()], "indices must have shape (n, 3), got (1, 0)")]
+REFUSED_VALUES = [(["a"], f"{NOT_NUMBERS} dtype <U1"), ([None], f"{NOT_NUMBERS} dtype object"),
+                  (["1.5"], f"{NOT_NUMBERS} dtype <U3"),
+                  ([1.0, None], f"{NOT_NUMBERS} dtype object"),
+                  ([[1.0], [1.0, 2.0]], "values must have shape (n,), got a ragged list")]
+
+
+@pytest.mark.parametrize("cells, values, message", [
+    *[(cells, [1.0] * len(cells), message) for cells, message in REFUSED_CELL_LISTS],
+    *[([(1, 2, 3), (0, 0, 0)][:len(values)], values, message)
+      for values, message in REFUSED_VALUES]],
+    ids=[f"cells{n}" for n in range(len(REFUSED_CELL_LISTS))]
+    + [f"values{n}" for n in range(len(REFUSED_VALUES))])
+def test_array_entry_points_refuse_ragged_cells_and_values_that_are_not_numbers(
+        tmp_path, each_backend, cells, values, message):
+    f = random_factors((4, 3, 5), (2, 2, 2), seed=8)
+    calls = entry_point_calls(f, cells, values, tmp_path)
+    # predict_batch and export_imputed take no values.
+    for call in calls if message.startswith("indices") else calls[1:4]:
+        with pytest.raises(DataError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+cell_parts = st.one_of(st.integers(-2, 6), st.integers(2**62, 2**65), st.booleans(),
+                       st.floats(-1.0, 6.0), st.text(max_size=2), st.none(),
+                       st.lists(st.integers(0, 2), max_size=2))
+value_parts = st.one_of(st.floats(), st.integers(-10**6, 10**6), st.booleans(),
+                        st.text(max_size=2), st.none(), st.lists(st.floats(0, 1), max_size=2))
+
+
+def cells_ok(cells, dims) -> bool:
+    """Whether every cell is three ints (a bool is one, as numpy reads it) inside dims."""
+    return all(len(c) == 3 and all(type(x) in (int, bool) and 0 <= x < n
+                                   for x, n in zip(c, dims)) for c in cells)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A directory for the files the entry points write, shared by every drawn example."""
+    return tmp_path_factory.mktemp("written")
+
+
+@pytest.mark.parametrize("backend", ["kernel", "numpy"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cells=st.lists(st.one_of(st.tuples(*[st.integers(0, 2)] * 3),
+                                st.lists(cell_parts, max_size=4).map(tuple)), max_size=4),
+       values=st.lists(st.one_of(st.floats(0, 5), value_parts), max_size=4))
+def test_malformed_cells_or_values_give_a_data_error_and_nothing_else(written, backend, cells,
+                                                                      values):
+    if backend == "kernel" and _kernel.library() is None:
+        pytest.skip("no kernel can be built here (gcc or cache dir)")
+    ctx = reference_backend() if backend == "numpy" else contextlib.nullcontext()
+    with ctx, np.errstate(over="ignore", invalid="ignore"):
+        f = random_factors((3, 3, 3), (2, 2, 2), seed=8)
+        values_ok = len(values) == len(cells) and all(type(v) in (int, float, bool)
+                                                       for v in values)
+        for n, call in enumerate(entry_point_calls(f, cells, values, written)):
+            accepted = cells_ok(cells, f.dims) and (values_ok or n in (0, 4))
+            try:
+                call()
+            except DataError as exc:
+                # rmse of no entries is undefined; every other refusal is of a malformed input.
+                assert not accepted or (n == 1 and not cells), exc
+            else:
+                assert accepted
+
+
 ids = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=5)
 doubles = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
 

@@ -127,6 +127,18 @@ def test_a_mean_float_rejects_fails_at_construction(mean, error):
     assert predict(g, (1, 1, 1)) == predict(f, (1, 1, 1)) + 1.5
 
 
+@pytest.mark.parametrize("dims", [(2.5, 3, 4), ("3", 3, 4), (True, 3, 4), (0, 3, 4), (3, 4)])
+def test_dims_are_checked_before_they_are_converted(dims):
+    message = re.escape(f"dims must be three positive integers, got {dims}")
+    with pytest.raises(ConfigError, match=message):
+        init_factors(dims, Ranks(2, 2, 2))
+    f = init_factors((2, 1, 1), Ranks(1, 1, 1))
+    with pytest.raises(DataError, match=re.escape("got (2.0, 1, 1)")):
+        dataclasses.replace(f, dims=(2.0, 1, 1))
+    g = dataclasses.replace(f, dims=[np.int64(2), 1, 1])
+    assert g.dims == (2, 1, 1) and all(type(d) is int for d in g.dims)
+
+
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, "2", None])
 def test_ranks_must_be_positive_integers(bad):
     with pytest.raises(ConfigError, match=f"rank r2 must be an integer >= 1, got {bad}"):

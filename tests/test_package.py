@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import math
 import shutil
 import subprocess
 import sysconfig
@@ -8,7 +10,21 @@ from pathlib import Path
 import pytest
 
 import pidtucker
-from pidtucker import _kernel
+from pidtucker import (
+    ConfigError,
+    CsvSchema,
+    ExperimentConfig,
+    Hyperparams,
+    PidGains,
+    Ranks,
+    RegWeights,
+    SyntheticSpec,
+    _kernel,
+    generate_synthetic,
+    init_factors,
+    run_experiment,
+    split,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -38,6 +54,71 @@ def test_every_module_uses_what_it_imports():
               for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
     assert unused_imports("import os\nimport time\nfrom . import x as y\nos.sep") == ["time", "y"]
+
+
+def setting_rules(source: str) -> list[str]:
+    """The text of each ConfigError a module builds that states the integer or the
+    finite-real rule of a numeric setting, which errors._check_int and _check_real own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError":
+            text = "".join(n.value for arg in node.args for n in ast.walk(arg)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if "must be an integer" in text or "must be finite" in text:
+                found.append(text)
+    return found
+
+
+def test_only_errors_states_the_rule_of_a_numeric_setting():
+    package = Path(pidtucker.__file__).parent
+    found = {path.name: setting_rules(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert len(found.pop("errors.py")) == 2  # the owners, as the guard sees them
+    assert {name: rules for name, rules in found.items() if rules} == {}
+    assert setting_rules('if x < 1:\n    raise ConfigError(f"{x} must be finite, got")') == [
+        " must be finite, got"]
+
+
+# Settings whose numeric fields are walked, each with the other arguments it needs.
+SETTINGS = [(Hyperparams, {}), (RegWeights, {}), (PidGains, {}), (Ranks, {}),
+            (ExperimentConfig, {"hyper": Hyperparams()}), (CsvSchema, {}),
+            (SyntheticSpec, {"dims": (6, 5, 8), "ranks": Ranks(2, 2, 2),
+                             "observed_fraction": 0.5})]
+# The truth's mean, which TuckerFactors takes through float(); generate_synthetic
+# refuses the non-finite values a non-finite offset gives.
+UNCHECKED = {"SyntheticSpec.value_offset"}
+
+
+def _tensor():
+    return generate_synthetic(SyntheticSpec((6, 5, 8), Ranks(2, 2, 2), 0.5, seed=1))[0]
+
+
+def numeric_settings():
+    """(build, kind, name): build(v) makes the setting with value v; kind is "int" or "float"."""
+    for cls, needed in SETTINGS:
+        for fld in dataclasses.fields(cls):
+            kind = fld.type.split(" |")[0]  # "float | None": error_clamp, None when unset
+            if kind in ("int", "float") and f"{cls.__name__}.{fld.name}" not in UNCHECKED:
+                yield pytest.param(lambda v, cls=cls, name=fld.name, needed=needed:
+                                   cls(**{**needed, name: v}), kind, fld.name,
+                                   id=f"{cls.__name__}.{fld.name}")
+    yield pytest.param(lambda v: split(_tensor(), (0.5, 0.2, 0.3), v), "int", "seed",
+                       id="split.seed")
+    yield pytest.param(lambda v: init_factors((2, 2, 2), Ranks(1, 1, 1), init_scale=v), "float",
+                       "init_scale", id="init_factors.init_scale")
+    yield pytest.param(lambda v: init_factors((2, 2, 2), Ranks(1, 1, 1), seed=v), "int", "seed",
+                       id="init_factors.seed")
+    yield pytest.param(lambda v: run_experiment(_tensor(), ExperimentConfig(
+        Hyperparams(max_epochs=1), (0.5, 0.2, 0.3), repeats=1), jobs=v), "int", "jobs",
+                       id="run_experiment.jobs")
+
+
+@pytest.mark.parametrize("build, kind, name", numeric_settings())
+def test_every_numeric_setting_refuses_what_is_not_its_kind_of_number(build, kind, name):
+    build(1 if kind == "int" else 0.5)
+    for bad in [2.5 if kind == "int" else math.nan, True, "1"]:
+        with pytest.raises(ConfigError, match=name):
+            build(bad)
 
 
 def test_kernel_source_ships_with_the_package():

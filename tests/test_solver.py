@@ -13,6 +13,7 @@ from pidtucker import (
     PidGains,
     Ranks,
     RegWeights,
+    SparseTensor,
     from_records,
     init_factors,
     predict,
@@ -299,6 +300,22 @@ def test_impute_full_grid_matches_dense():
     grid = np.array([(i, j, k) for i in range(4) for j in range(3) for k in range(5)])
     out = predict_batch(f, grid)
     assert np.allclose(out, reconstruct_dense(f).ravel(), atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("part, bad", [("train", np.inf), ("train", -np.inf),
+                                       ("validation", np.nan)])
+def test_train_names_a_non_finite_value_before_any_update(synthetic_fixture, fixture_split,
+                                                          part, bad):
+    tensor, _ = synthetic_fixture
+    pos = int(getattr(fixture_split, part)[3])
+    values = tensor.values.copy()
+    values[pos] = bad
+    broken = SparseTensor(tensor.dims, tensor.indices, values)
+    name = "training" if part == "train" else "validation"
+    with pytest.raises(DataError) as exc:
+        train(broken, fixture_split, Hyperparams(max_epochs=2))
+    assert str(exc.value) == (f"{name} entry {pos} (cell {tuple(tensor.indices[pos].tolist())}) "
+                              f"has non-finite value {bad}")
 
 
 def test_hyperparams_validation():

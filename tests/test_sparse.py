@@ -75,6 +75,25 @@ def test_bad_dims_rejected():
         from_records((0, 2, 2), [])
 
 
+@pytest.mark.parametrize("dims", [(2.5, 2, 2), (2, "2", 2), (True, 2, 2)])
+def test_dims_are_checked_before_they_are_converted(dims):
+    with pytest.raises(DataError, match=r"dims must be three positive integers, got \("):
+        from_records(dims, [(0, 0, 0, 1.0)])
+
+
+@pytest.mark.parametrize("record, message", [
+    ((0, 1, 0), "record 1 is (0, 1, 0), not (i, j, k, value)"),
+    ((0, 1, 0, 1.0, 2.0), "record 1 is (0, 1, 0, 1.0, 2.0), not (i, j, k, value)"),
+    (7, "record 1 is 7, not (i, j, k, value)"),
+    ((0, 1, 0, "x"), "record 1 has value 'x', not a real number"),
+    ((0, 1, 0, None), "record 1 has value None, not a real number"),
+    ((0, 1, 0, "1.5"), "record 1 has value '1.5', not a real number")])
+def test_a_record_of_the_wrong_shape_or_value_is_named(record, message):
+    with pytest.raises(DataError) as exc:
+        from_records((2, 2, 2), [(0, 0, 0, 1.0), record])
+    assert str(exc.value) == message
+
+
 def test_round_trip_values_exact():
     rng = np.random.default_rng(3)
     records = [(i, j, k, float(rng.normal())) for i in range(3) for j in range(2)
