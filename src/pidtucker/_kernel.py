@@ -24,7 +24,7 @@ match (numpy or plain Python):
   OverflowError for an index that is not three integers) before touching
   any memory, and step raises FloatingPointError for a non-finite err,
   before it looks at the index.  The caller then runs the reference's own
-  check (model.check_index, model._check_cells), so both backends raise the
+  check (model.check_index, sparse._check_bounds), so both backends raise the
   same DataError, and sgd_step raises the reference's DivergenceError.
   Checks the library makes anyway (one value a cell, write_records_csv's
   bounds) run before either backend.  _kernel.c lists its own checks.

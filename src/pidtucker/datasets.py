@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .errors import ConfigError, DataError, _check_int, _check_real, _real
-from .model import (Ranks, TuckerFactors, _drawn, _entries, _open_input, _tagged_header,
-                    predict_batch)
-from .sparse import (SparseTensor, _cells, _check_grid, _first_duplicate, _first_out_of_bounds,
-                     _freeze)
+from .errors import ConfigError, DataError, _check_int, _check_real, _check_type, _real
+from .model import Ranks, TuckerFactors, _drawn, _open_input, _tagged_header, predict_batch
+from .sparse import (SparseTensor, _cells, _check_bounds, _check_grid, _entries,
+                     _first_duplicate)
 
 MAPPING_FORMAT = "pidtucker-mapping-v1"
 
@@ -57,11 +56,27 @@ class CsvSchema:
 
 @dataclass(frozen=True)
 class IndexMapping:
-    """Original segment/day identifiers in index order, plus the slot count."""
+    """Original segment/day identifiers in index order, plus the slot count; DataError
+    naming the first id that is not a distinct, non-empty string UTF-8 can encode
+    (imputations are written back under them), or a slots_per_day not an int >= 1."""
 
     segments: tuple[str, ...]
     days: tuple[str, ...]
     slots_per_day: int
+
+    def __post_init__(self):
+        for kind, ids in (("segment", self.segments), ("day", self.days)):
+            seen = set()
+            for s in ids:
+                if not (isinstance(s, str) and s and s not in seen):
+                    raise DataError(f"{kind} id {s!r} is not a distinct non-empty string")
+                try:
+                    s.encode()
+                except UnicodeEncodeError:
+                    raise DataError(f"{kind} id {s!r} is not encodable as UTF-8") from None
+                seen.add(s)
+        if type(self.slots_per_day) is not int or self.slots_per_day < 1:
+            raise DataError(f"slots_per_day must be an integer >= 1, got {self.slots_per_day!r}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -87,12 +102,9 @@ def load_mapping(path) -> IndexMapping:
     """Read a mapping written by save_mapping; DataError if it cannot be used.
 
     DataError from model._open_input and model._tagged_header (the file is
-    one JSON object with segments, days and slots_per_day).  Segment ids and
-    days must be lists of distinct, non-empty strings that UTF-8 can encode
-    (JSON's \\u escapes can spell a lone surrogate), since imputations are
-    written back under them, and slots_per_day an integer of at least 1.
-    DataError names the first value that is not, or the grid when its cell
-    count is beyond _check_grid's bound.
+    one JSON object with segments, days and slots_per_day) and unless segments
+    and days are lists; then IndexMapping's and _check_grid's, after "{path}: "
+    (JSON's \\u escapes can spell an id that UTF-8 cannot encode).
     """
     with _open_input(path, "mapping") as fh:
         segments, days, slots = _tagged_header(path, "mapping", MAPPING_FORMAT, fh.read(),
@@ -100,18 +112,10 @@ def load_mapping(path) -> IndexMapping:
     for kind, ids in (("segment", segments), ("day", days)):
         if not isinstance(ids, list):
             raise DataError(f"{path}: {kind} ids must be a list, got {ids!r}")
-        seen = set()
-        for s in ids:
-            if not (isinstance(s, str) and s and s not in seen):
-                raise DataError(f"{path}: {kind} id {s!r} is not a distinct non-empty string")
-            try:
-                s.encode()
-            except UnicodeEncodeError:
-                raise DataError(f"{path}: {kind} id {s!r} is not encodable as UTF-8") from None
-            seen.add(s)
-    if type(slots) is not int or slots < 1:
-        raise DataError(f"{path}: slots_per_day must be an integer >= 1, got {slots!r}")
-    mapping = IndexMapping(tuple(segments), tuple(days), slots)
+    try:
+        mapping = IndexMapping(tuple(segments), tuple(days), slots)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     _check_grid(mapping.dims, DataError, f"{path}: ")
     return mapping
 
@@ -204,7 +208,7 @@ def _read_rows(path, schema: CsvSchema, mapping: IndexMapping | None, speed: boo
 
     if mapping is None:
         mapping = IndexMapping(tuple(_sorted_ids(segments)), tuple(_sorted_ids(days)),
-                               slots_per_day)
+                               int(slots_per_day))  # CsvSchema takes a numpy integer too
     cells = np.asarray(codes).reshape(-1, 3)
     mapped = np.empty((len(cells), 2), dtype=np.int64)
     for m, (coded, ids) in enumerate(((segments, mapping.segments), (days, mapping.days))):
@@ -235,14 +239,14 @@ def load_csv(path, schema: CsvSchema,
     if not lines:
         raise DataError(f"{path}: no data rows")
     _check_grid(mapping.dims, ConfigError, f"{path}: ")
-    dup = _first_duplicate(cells, mapping.dims)
+    dup = _first_duplicate(np.ravel_multi_index(cells.T, mapping.dims))
     if dup is not None:
         i, j, k = cells[dup[1]].tolist()
         raise DataError(
             f"{path}: duplicate (segment, day, slot) {(mapping.segments[i], mapping.days[j], k)} "
             f"at lines {lines[dup[0]]} and {lines[dup[1]]}"
         )
-    return SparseTensor(mapping.dims, _freeze(cells), _freeze(speeds)), mapping
+    return SparseTensor(mapping.dims, cells, speeds), mapping
 
 
 def read_targets_csv(path, schema: CsvSchema, mapping: IndexMapping) -> np.ndarray:
@@ -266,7 +270,9 @@ class SyntheticSpec:
             raise ConfigError(
                 f"observed_fraction must be in (0, 1], got {self.observed_fraction}"
             )
+        _check_type("ranks", self.ranks, Ranks)
         _check_real("noise_sigma", self.noise_sigma)
+        _check_real("value_offset", self.value_offset, signed=True)
         _check_int("seed", self.seed, 0)
         _check_grid(self.dims, ConfigError)
         cells = self.dims[0] * self.dims[1] * self.dims[2]
@@ -285,7 +291,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SparseTensor, TuckerFactors
     uniformly without replacement at observed_fraction; observed values are
     the model value plus Gaussian noise of the given sigma.  Fully
     deterministic per seed (draw order: factors, core, biases, cells, noise).
-    ConfigError, from model._drawn, when the model cannot be allocated.
+    ConfigError, from model._drawn, when the model cannot be allocated, and
+    SparseTensor's DataError when a value is not finite.
     """
     rng = np.random.default_rng(spec.seed)
     truth = _drawn(spec.dims, spec.ranks, spec.value_offset, lambda s: 1.0 - rng.random(s),
@@ -299,14 +306,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SparseTensor, TuckerFactors
     ii, jj, kk = np.unravel_index(flat, truth.dims)
     indices = np.column_stack((ii, jj, kk)).astype(np.int64)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # SparseTensor refuses non-finite values
         values = predict_batch(truth, indices)
         if spec.noise_sigma > 0:
             values = values + rng.normal(0.0, spec.noise_sigma, size=n_obs)
-
-    if not np.isfinite(values).all():
-        raise DataError(f"{spec} gives non-finite values")
-    return SparseTensor(truth.dims, _freeze(indices), _freeze(values)), truth
+    return SparseTensor(truth.dims, indices, values), truth
 
 
 def identity_mapping(dims) -> IndexMapping:
@@ -327,8 +331,7 @@ def missing_indices(tensor: SparseTensor) -> np.ndarray:
     of every missing cell, sorted by segment, then day, then slot, which is
     the order in which predict_batch's kernel reuses a segment's work.
     DataError naming the dims and the cell count when the mask or the list
-    does not fit in memory, and naming the first cell outside the dims of a
-    tensor built by hand (the search runs only once numpy has refused one).
+    does not fit in memory.
     """
     try:
         missing = np.ones(tensor.n_cells, dtype=bool)
@@ -337,12 +340,6 @@ def missing_indices(tensor: SparseTensor) -> np.ndarray:
     except MemoryError as exc:
         raise DataError(f"cannot list the missing cells of dims {tensor.dims} "
                         f"({tensor.n_cells} cells) in memory: {exc}") from None
-    except ValueError:  # ravel_multi_index: "invalid entry in coordinates array"
-        pos = _first_out_of_bounds(tensor.indices, tensor.dims)
-        if pos is None:
-            raise
-        raise DataError(f"tensor entry {pos} has cell {tuple(tensor.indices[pos].tolist())}, "
-                        f"out of bounds for dims {tensor.dims}") from None
     return cells.astype(np.int64, copy=False)  # a copy only where intp is not int64
 
 
@@ -369,10 +366,7 @@ def write_records_csv(indices, values, mapping: IndexMapping, path,
     """
     schema = schema or CsvSchema()
     idx, vals = _entries(indices, values)
-    pos = _first_out_of_bounds(idx, mapping.dims)
-    if pos is not None:
-        raise DataError(f"row {pos}: index {tuple(idx[pos].tolist())} out of bounds "
-                        f"for dims {mapping.dims}")
+    _check_bounds(idx, mapping.dims, "row")
     segments, days = (tuple(f"{_csv_line([x])},".encode() for x in ids)
                       for ids in (mapping.segments, mapping.days))
     columns = (schema.segment, schema.day, schema.slot, schema.speed)

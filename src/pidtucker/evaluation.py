@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .datasets import _write_json
-from .errors import DataError, DivergenceError, _check_int
+from .errors import DataError, DivergenceError, _check_int, _check_type
 from .model import rmse
 from .solver import Hyperparams, train
 from .sparse import SparseTensor, split
@@ -23,6 +23,7 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        _check_type("hyper", self.hyper, Hyperparams)
         _check_int("repeats", self.repeats, 1)
         _check_int("base_seed", self.base_seed, 0)
 

@@ -15,8 +15,8 @@ predict, predict_batch, rmse and regularized_loss run the compiled kernels
 of _kernel.c when the kernel has loaded, else the numpy code here, which is
 the reference; _kernel.py states how the two backends agree and fail alike.
 rmse and regularized_loss are arithmetic on the four sums _sums returns.
-The reference checks each index with check_index or _check_cells, which
-also turn an index the kernel rejects into the same DataError.
+The reference checks each index with check_index or sparse._check_bounds,
+which also turn an index the kernel rejects into the same DataError.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, DataError, _check_int, _check_real
-from .sparse import _cells, _check_grid, _first_out_of_bounds
+from .sparse import _cells, _check_bounds, _check_grid, _entries
 
 CHECKPOINT_FORMAT = "pidtucker-checkpoint-v1"
 
@@ -193,8 +193,7 @@ def check_index(f: TuckerFactors, idx) -> tuple[int, int, int]:
         _cells([idx])
         raise
     if not (0 <= i < f.dims[0] and 0 <= j < f.dims[1] and 0 <= k < f.dims[2]):
-        _cells([idx])
-        raise DataError(f"index {(i, j, k)} out of bounds for dims {f.dims}") from None
+        _check_bounds(_cells([idx]), f.dims)  # raises: the cell lies outside f.dims
     return i, j, k
 
 
@@ -236,37 +235,13 @@ def predict(f: TuckerFactors, idx) -> float:
     return float(_finish(f, _form_g(f, i), i, j, k))
 
 
-def _entries(indices, values) -> tuple[np.ndarray, np.ndarray]:
-    """Cells as _cells gives them and their (n,) float64 values; DataError unless one a cell,
-    and, told by the dtype numpy infers alone, for values it cannot read as numbers (such as
-    "1.5" or None; a bool reads as one) or a ragged list."""
-    idx = _cells(indices)
-    try:
-        vals = np.asarray(values)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise DataError("values must have shape (n,), got a ragged list") from None
-    if vals.dtype.kind not in "biuf":
-        raise DataError(f"values must be real numbers, got dtype {vals.dtype}")
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    if vals.shape != (len(idx),):
-        raise DataError(f"{vals.size} values for {len(idx)} indices")
-    return idx, vals
-
-
-def _check_cells(f: TuckerFactors, idx: np.ndarray) -> None:
-    """DataError naming the first cell of idx outside f.dims."""
-    pos = _first_out_of_bounds(idx, f.dims)
-    if pos is not None:
-        raise DataError(f"index {tuple(idx[pos].tolist())} out of bounds for dims {f.dims}")
-
-
 def _on_kernel(f: TuckerFactors, idx: np.ndarray, fn, *args):
     """fn(*args), a kernel function over the cells idx; a cell it rejects for
     lying outside f.dims raises the reference's DataError."""
     try:
         return fn(*args)
     except IndexError:
-        _check_cells(f, idx)
+        _check_bounds(idx, f.dims)
         raise
 
 
@@ -287,7 +262,7 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
     if h is not None:
         _on_kernel(f, idx, h.values, h.model, idx, out)
         return out
-    _check_cells(f, idx)
+    _check_bounds(idx, f.dims)
     for start in range(0, len(idx), _PREDICT_BLOCK_ROWS):
         stop = start + _PREDICT_BLOCK_ROWS
         ii, jj, kk = idx[start:stop].T
@@ -297,7 +272,7 @@ def predict_batch(f: TuckerFactors, indices) -> np.ndarray:
 
 
 def _sums(f: TuckerFactors, idx: np.ndarray, vals: np.ndarray) -> tuple[float, ...]:
-    """Over the entries (idx, vals) as _entries gives them: the sums of squared
+    """Over the entries (idx, vals) as sparse._entries gives them: the sums of squared
     residuals, of the core's squares, of the touched factor rows' squares and
     of the touched biases' squares."""
     h = f._kernel_handle

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .errors import ConfigError, DataError, DivergenceError, _check_int, _check_real, _real
+from .errors import (ConfigError, DataError, DivergenceError, _check_int, _check_real,
+                     _check_type, _real)
 from .model import (
     Ranks,
     RegWeights,
@@ -37,7 +38,7 @@ from .model import (
     rmse,
 )
 from .pid import PidGains, PidState, adjust
-from .sparse import DataSplit, SparseTensor
+from .sparse import DataSplit, SparseTensor, _check_split
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,9 @@ class Hyperparams:
     error_clamp: float | None = None
 
     def __post_init__(self):
+        for name, cls in (("reg", RegWeights), ("gains", PidGains), ("ranks", Ranks),
+                          ("plain_sgd", bool)):
+            _check_type(name, getattr(self, name), cls)
         _check_real("eta", self.eta, positive=True)
         _check_int("max_epochs", self.max_epochs, 1)
         _check_real("tol", self.tol, positive=True)
@@ -151,26 +155,17 @@ def train(tensor: SparseTensor, data_split: DataSplit,
 
     Its times (EpochRecord.elapsed_s, TrainReport.seconds) count from the
     call, setup included, and exclude a first-use build of the kernel.
-    DataError for an empty part, and, before any update, naming the first
-    training or validation entry whose value is not finite.
+    The tensor's values are finite by construction; the split is checked
+    against it once (sparse._check_split's DataError).
     """
     _kernel.library()
     start = time.perf_counter()
-    for name, part in zip(("train", "validation", "test"), data_split.parts()):
-        if len(part) == 0:
-            raise DataError(f"{name} split part is empty")
+    _check_split(data_split, len(tensor))
 
     train_idx = tensor.indices[data_split.train]
     train_val = tensor.values[data_split.train]
     val_idx = tensor.indices[data_split.validation]
     val_y = tensor.values[data_split.validation]
-    for name, part, values in (("training", data_split.train, train_val),
-                               ("validation", data_split.validation, val_y)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            pos = int(part[np.argmin(finite)])
-            raise DataError(f"{name} entry {pos} (cell {tuple(tensor.indices[pos].tolist())}) "
-                            f"has non-finite value {tensor.values[pos]}")
     n_train = len(train_val)
     mean = float(np.mean(train_val))
     f = init_factors(tensor.dims, hyper.ranks, mean=mean,

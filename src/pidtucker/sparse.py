@@ -4,6 +4,8 @@ Only the observed cells of a (mostly missing) tensor are kept: an (n, 3)
 integer index array plus an (n,) value array, in insertion order.  Training
 code shuffles separate position permutations instead of reordering storage,
 so per-entry state (e.g. PID error history) can be keyed by stable position.
+A SparseTensor checks itself when it is made, so the layers that read one
+(training, imputation, evaluation) check its cells and values nowhere else.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ RATIO_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SparseTensor:
-    """Observed entries of a 3-mode tensor.
+    """Observed entries of a 3-mode tensor: int64 cells inside dims, finite values.
+
+    Construction takes dims through _check_grid and indices and values through
+    _entries, raises DataError naming the first entry with a cell outside dims or
+    a non-finite value, and keeps read-only views (no copies) of what it checked.
 
     Attributes:
         dims: (|I|, |J|, |K|) mode sizes.
@@ -33,6 +39,19 @@ class SparseTensor:
     dims: tuple[int, int, int]
     indices: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        dims = _check_grid(self.dims)
+        idx, vals = _entries(self.indices, self.values)
+        _check_bounds(idx, dims, "entry")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            pos = int(np.argmin(finite))
+            raise DataError(f"entry {pos}: cell {tuple(idx[pos].tolist())} has non-finite "
+                            f"value {vals[pos]}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "indices", _freeze(idx))
+        object.__setattr__(self, "values", _freeze(vals))
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -48,7 +67,7 @@ class SparseTensor:
 
 @dataclass(frozen=True)
 class DataSplit:
-    """Disjoint train/validation/test positions into a SparseTensor's entries."""
+    """Disjoint train/validation/test positions into a SparseTensor's entries (_check_split)."""
 
     train: np.ndarray
     validation: np.ndarray
@@ -58,9 +77,37 @@ class DataSplit:
         return self.train, self.validation, self.test
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+_PART_NAMES = ("train", "validation", "test")
+
+
+def _check_split(data_split: DataSplit, n: int) -> None:
+    """DataError naming the part and the first bad position unless each part is a non-empty
+    1-D integer array of positions in [0, n), none of them twice in one part or two."""
+    parts = []
+    for name, part in zip(_PART_NAMES, map(np.asarray, data_split.parts())):
+        if part.ndim != 1 or part.dtype.kind not in "iu":
+            raise DataError(f"{name} split part must be a 1-D integer array, "
+                            f"got dtype {part.dtype} and shape {part.shape}")
+        if len(part) == 0:
+            raise DataError(f"{name} split part is empty")
+        outside = (part < 0) | (part >= n)
+        if outside.any():
+            raise DataError(f"{name} split part has position {part[np.argmax(outside)]}, "
+                            f"outside [0, {n})")
+        parts.append(part.astype(np.intp, copy=False))
+    every = np.concatenate(parts)
+    if np.bincount(every, minlength=n).max() > 1:
+        first, again = _first_duplicate(every)
+        ends = np.cumsum([len(part) for part in parts])
+        name, earlier = (_PART_NAMES[p] for p in np.searchsorted(ends, [again, first], "right"))
+        raise DataError(f"{name} split part has position {every[again]}, "
+                        f"already in the {earlier} part")
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:  # a read-only view; arr keeps its flags
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_grid(dims, error=DataError, where: str = "") -> tuple[int, int, int]:
@@ -78,12 +125,12 @@ def _check_grid(dims, error=DataError, where: str = "") -> tuple[int, int, int]:
     return dims
 
 
-def _first_duplicate(indices: np.ndarray, dims) -> tuple[int, int] | None:
-    """(first, repeat): the lowest position whose cell occurs earlier, and
-    where that cell first occurs; None without repeats.  Indices lie in dims."""
-    flat = np.ravel_multi_index(indices.T, dims)
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    repeats = np.flatnonzero(first[inverse] != np.arange(len(flat)))
+def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
+    """(first, repeat): the lowest position of the 1-D keys whose key occurs earlier,
+    and where that key first occurs; None without repeats.  Cells in dims are
+    compared as np.ravel_multi_index(indices.T, dims) numbers them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != np.arange(len(keys)))
     return (int(first[inverse[repeats[0]]]), int(repeats[0])) if len(repeats) else None
 
 
@@ -133,17 +180,42 @@ def _first_out_of_bounds(indices: np.ndarray, dims) -> int | None:
     return int(np.argmax(oob.any(axis=1))) if oob.any() else None
 
 
+def _check_bounds(indices: np.ndarray, dims, label: str | None = None) -> None:
+    """DataError naming the first (n, 3) index row outside dims, as "index (i, j, k) out of
+    bounds for dims (...)", after "{label} {position}: " when a label is given."""
+    pos = _first_out_of_bounds(indices, dims)
+    if pos is not None:
+        where = "" if label is None else f"{label} {pos}: "
+        raise DataError(f"{where}index {tuple(indices[pos].tolist())} out of bounds for dims "
+                        f"{tuple(dims)}")
+
+
+def _entries(indices, values) -> tuple[np.ndarray, np.ndarray]:
+    """Cells as _cells gives them and their (n,) float64 values; DataError unless one a cell,
+    and, told by the dtype numpy infers alone, for values it cannot read as numbers (such as
+    "1.5" or None; a bool reads as one) or a ragged list."""
+    idx = _cells(indices)
+    try:
+        vals = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DataError("values must have shape (n,), got a ragged list") from None
+    if vals.dtype.kind not in "biuf":
+        raise DataError(f"values must be real numbers, got dtype {vals.dtype}")
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    if vals.shape != (len(idx),):
+        raise DataError(f"{vals.size} values for {len(idx)} indices")
+    return idx, vals
+
+
 def from_records(dims, records) -> SparseTensor:
-    """Build a SparseTensor from (i, j, k, value) records.
+    """Build a SparseTensor from (i, j, k, value) records; entry p is record p.
 
-    Raises DataError for dims _check_grid rejects, and naming the offending
-    record for one that is not four fields, indices _cells rejects or that
-    lie out of bounds, a value that is not a real number (a bool is one; a
-    string or None is not), duplicate coordinates (naming both positions),
-    or non-finite values.
+    Raises DataError naming the offending record for one that is not four
+    fields, indices _cells rejects, or a value that is not a real number (a
+    bool is one; a string or None is not); SparseTensor's DataError for dims,
+    a cell out of bounds or a non-finite value; and DataError for duplicate
+    coordinates, naming both record positions.
     """
-    dims = _check_grid(dims)
-
     records = list(records)
     n = len(records)
     indices = np.zeros((n, 3), dtype=np.int64)
@@ -161,24 +233,14 @@ def from_records(dims, records) -> SparseTensor:
             raise DataError(f"record {pos} has value {v!r}, not a real number")
         values[pos] = v
 
-    pos = _first_out_of_bounds(indices, dims)
-    if pos is not None:
-        raise DataError(
-            f"record {pos} has out-of-bounds index {tuple(indices[pos].tolist())} "
-            f"for dims {dims}"
-        )
-    bad = ~np.isfinite(values)
-    if bad.any():
-        pos = int(np.argmax(bad))
-        raise DataError(f"record {pos} has non-finite value {values[pos]}")
-    dup = _first_duplicate(indices, dims)
+    tensor = SparseTensor(dims, indices, values)
+    dup = _first_duplicate(np.ravel_multi_index(tensor.indices.T, tensor.dims))
     if dup is not None:
         raise DataError(
             f"duplicate index {tuple(indices[dup[1]].tolist())} at record positions "
             f"{dup[0]} and {dup[1]}"
         )
-
-    return SparseTensor(dims, _freeze(indices), _freeze(values))
+    return tensor
 
 
 def split(tensor: SparseTensor, ratios, seed: int) -> DataSplit:

@@ -462,7 +462,7 @@ def test_negative_seed_exit_2(tmp_path, capsys, command, flag, value):
     ("synth", "--dims", "-2,-5,10", "dims must be three positive integers, got (-2, -5, 10)"),
     ("synth", "--dims", "6,0,8", "dims must be three positive integers, got (6, 0, 8)"),
     ("synth", "--noise-sigma", "1e308", "lower --noise-sigma or --value-offset"),
-    ("synth", "--value-offset", "inf", "lower --noise-sigma or --value-offset"),
+    ("synth", "--value-offset", "inf", "value_offset must be finite, got inf"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, flag, value, message):
     assert run_cli(*synth_args(tmp_path, "s")) == 0
@@ -914,7 +914,7 @@ def _nul_in_config(key):
 
 
 def _synth_overflow(tmp_path):
-    return 2, "gives non-finite values; lower --noise-sigma or --value-offset", [
+    return 2, "has non-finite value inf; lower --noise-sigma or --value-offset", [
         "synth", "--dims", "6,5,8", "--ranks", "2,2,2", "--observed-fraction", "0.5",
         "--noise-sigma", "1e308", "--value-offset", "1e308"]
 

@@ -304,9 +304,14 @@ def test_synthetic_validation():
     for dims in ((-2, -5, 10), (10, 0, 10), (10, 10, -1), (10, 10)):
         with pytest.raises(ConfigError, match=r"dims must be three positive integers, got \("):
             SyntheticSpec(dims=dims, ranks=Ranks(1, 1, 1), observed_fraction=0.5)
+    for offset in (float("nan"), float("inf"), True, "1"):
+        with pytest.raises(ConfigError, match="value_offset must be finite, got"):
+            SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1), observed_fraction=0.5,
+                          value_offset=offset)
     with pytest.raises(DataError, match="non-finite"):
         generate_synthetic(SyntheticSpec(dims=(10, 10, 10), ranks=Ranks(1, 1, 1),
-                                         observed_fraction=0.5, value_offset=float("inf")))
+                                         observed_fraction=0.5, noise_sigma=1e308,
+                                         value_offset=1e308))
 
 
 # ---------------------------------------------------------------- export
@@ -402,11 +407,24 @@ def test_missing_indices_are_contiguous_int64_rows_in_row_major_order():
         c for c in itertools.product(*map(range, dims)) if c not in set(observed)]
 
 
-def test_missing_indices_names_a_cell_outside_the_dims_of_a_tensor_built_by_hand():
-    tensor = SparseTensor((2, 2, 2), np.array([(0, 0, 0), (1, 1, 1), (5, 5, 5)]), np.ones(3))
+@pytest.mark.parametrize("segments, days, slots, message", [
+    (("a", "a"), ("d",), 2, "segment id 'a' is not a distinct non-empty string"),
+    (("a",), ("d", ""), 2, "day id '' is not a distinct non-empty string"),
+    (("a",), (7,), 2, "day id 7 is not a distinct non-empty string"),
+    (("\ud800",), ("d",), 2, "segment id '\\ud800' is not encodable as UTF-8"),
+    (("a",), ("d",), 0, "slots_per_day must be an integer >= 1, got 0"),
+    (("a",), ("d",), 2.0, "slots_per_day must be an integer >= 1, got 2.0"),
+], ids=["repeat", "empty", "not-a-string", "surrogate", "no-slots", "float-slots"])
+def test_a_mapping_built_by_hand_is_checked_when_it_is_made(segments, days, slots, message):
     with pytest.raises(DataError) as exc:
-        missing_indices(tensor)
-    assert str(exc.value) == "tensor entry 2 has cell (5, 5, 5), out of bounds for dims (2, 2, 2)"
+        IndexMapping(segments, days, slots)
+    assert str(exc.value) == message
+
+
+def test_missing_indices_names_a_cell_outside_the_dims_of_a_tensor_built_by_hand():
+    with pytest.raises(DataError) as exc:  # when it is made, before missing_indices can run
+        SparseTensor((2, 2, 2), np.array([(0, 0, 0), (1, 1, 1), (5, 5, 5)]), np.ones(3))
+    assert str(exc.value) == "entry 2: index (5, 5, 5) out of bounds for dims (2, 2, 2)"
 
 
 @st.composite

@@ -84,13 +84,25 @@ SETTINGS = [(Hyperparams, {}), (RegWeights, {}), (PidGains, {}), (Ranks, {}),
             (ExperimentConfig, {"hyper": Hyperparams()}), (CsvSchema, {}),
             (SyntheticSpec, {"dims": (6, 5, 8), "ranks": Ranks(2, 2, 2),
                              "observed_fraction": 0.5})]
-# The truth's mean, which TuckerFactors takes through float(); generate_synthetic
-# refuses the non-finite values a non-finite offset gives.
-UNCHECKED = {"SyntheticSpec.value_offset"}
 
 
 def _tensor():
     return generate_synthetic(SyntheticSpec((6, 5, 8), Ranks(2, 2, 2), 0.5, seed=1))[0]
+
+
+def composite_settings():
+    """(cls, needed, name) for each field of a setting that holds a setting or a bool."""
+    for cls, needed in SETTINGS:
+        for fld in dataclasses.fields(cls):
+            if fld.type in {"bool", *(c.__name__ for c, _ in SETTINGS)}:
+                yield pytest.param(cls, needed, fld.name, id=f"{cls.__name__}.{fld.name}")
+
+
+@pytest.mark.parametrize("cls, needed, name", composite_settings())
+def test_every_composite_setting_refuses_what_is_not_its_class(cls, needed, name):
+    for bad in [None, "false", (2, 2, 2)]:
+        with pytest.raises(ConfigError, match=f"^{name} must be a "):
+            cls(**{**needed, name: bad})
 
 
 def numeric_settings():
@@ -98,7 +110,7 @@ def numeric_settings():
     for cls, needed in SETTINGS:
         for fld in dataclasses.fields(cls):
             kind = fld.type.split(" |")[0]  # "float | None": error_clamp, None when unset
-            if kind in ("int", "float") and f"{cls.__name__}.{fld.name}" not in UNCHECKED:
+            if kind in ("int", "float"):
                 yield pytest.param(lambda v, cls=cls, name=fld.name, needed=needed:
                                    cls(**{**needed, name: v}), kind, fld.name,
                                    id=f"{cls.__name__}.{fld.name}")
@@ -119,6 +131,16 @@ def test_every_numeric_setting_refuses_what_is_not_its_kind_of_number(build, kin
     for bad in [2.5 if kind == "int" else math.nan, True, "1"]:
         with pytest.raises(ConfigError, match=name):
             build(bad)
+
+
+@pytest.mark.parametrize("text", ["out of bounds for dims", "_freeze("])
+def test_only_sparse_states_the_rule_of_a_tensor(text):
+    # The message for a cell outside dims, and the read-only arrays a SparseTensor keeps,
+    # come from sparse.py alone; _kernel.c's own IndexError text is never shown.
+    package = Path(pidtucker.__file__).parent
+    found = [path.name for path in sorted(package.glob("*.py"))
+             if text in path.read_text(encoding="utf-8")]
+    assert found == ["sparse.py"]
 
 
 def test_kernel_source_ships_with_the_package():

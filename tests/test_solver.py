@@ -14,7 +14,9 @@ from pidtucker import (
     Ranks,
     RegWeights,
     SparseTensor,
+    SyntheticSpec,
     from_records,
+    generate_synthetic,
     init_factors,
     predict,
     predict_batch,
@@ -193,6 +195,26 @@ def test_train_empty_part_rejected():
         train(tensor, broken, Hyperparams())
 
 
+@pytest.mark.parametrize("part, positions, message", [
+    ("validation", [-1], "validation split part has position -1, outside [0, 120)"),
+    ("test", [10**6], "test split part has position 1000000, outside [0, 120)"),
+    ("train", [0.0, 1.0],
+     "train split part must be a 1-D integer array, got dtype float64 and shape (2,)"),
+    ("validation", [[80]],
+     "validation split part must be a 1-D integer array, got dtype int64 and shape (1, 1)"),
+    ("train", [0, 1, 0], "train split part has position 0, already in the train part"),
+    ("validation", [80, 5], "validation split part has position 5, already in the train part"),
+    ("test", np.array([], dtype=np.int64), "test split part is empty"),
+], ids=["negative", "too-large", "float", "2-d", "repeat-in-part", "repeat-across", "empty"])
+def test_train_checks_a_split_built_by_hand(part, positions, message):
+    tensor = generate_synthetic(SyntheticSpec((6, 5, 8), Ranks(2, 2, 2), 0.5, seed=1))[0]
+    parts = {"train": np.arange(80), "validation": np.arange(80, 100),
+             "test": np.arange(100, 120), part: np.asarray(positions)}
+    with pytest.raises(DataError) as exc:
+        train(tensor, DataSplit(**parts), Hyperparams(max_epochs=1))
+    assert str(exc.value) == message
+
+
 def test_train_divergence_names_epoch_and_entry():
     tensor, parts = small_problem()
     hyper = Hyperparams(eta=50.0, ranks=Ranks(2, 2, 2), max_epochs=50, seed=0)
@@ -310,11 +332,9 @@ def test_train_names_a_non_finite_value_before_any_update(synthetic_fixture, fix
     pos = int(getattr(fixture_split, part)[3])
     values = tensor.values.copy()
     values[pos] = bad
-    broken = SparseTensor(tensor.dims, tensor.indices, values)
-    name = "training" if part == "train" else "validation"
-    with pytest.raises(DataError) as exc:
-        train(broken, fixture_split, Hyperparams(max_epochs=2))
-    assert str(exc.value) == (f"{name} entry {pos} (cell {tuple(tensor.indices[pos].tolist())}) "
+    with pytest.raises(DataError) as exc:  # when the tensor is made, before train can run
+        SparseTensor(tensor.dims, tensor.indices, values)
+    assert str(exc.value) == (f"entry {pos}: cell {tuple(tensor.indices[pos].tolist())} "
                               f"has non-finite value {bad}")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pidtucker import ConfigError, DataError, from_records, split
+from pidtucker import ConfigError, DataError, SparseTensor, from_records, missing_indices, split
 from pidtucker.sparse import _first_out_of_bounds
 
 
@@ -33,13 +33,13 @@ def test_duplicate_detected_among_many():
 def test_out_of_bounds_reports_record():
     with pytest.raises(DataError) as exc:
         from_records((2, 2, 2), [(0, 0, 0, 1.0), (0, 2, 0, 1.0)])
-    assert "record 1" in str(exc.value)
+    assert "entry 1" in str(exc.value)
 
 
 def test_index_errors_show_the_cell_as_plain_ints():
     for records, message in [
         ([(0, 0, 0, 1.0), (-1, 2, 0, 1.0)],
-         "record 1 has out-of-bounds index (-1, 2, 0) for dims (2, 2, 2)"),
+         "entry 1: index (-1, 2, 0) out of bounds for dims (2, 2, 2)"),
         ([(0, 1, 0, 1.0), (1, 1, 1, 1.0), (1, 1, 1, 2.0)],
          "duplicate index (1, 1, 1) at record positions 1 and 2"),
         ([(0, 0, 0, 1.0), (1.7, 0, 0, 1.0)],
@@ -61,6 +61,73 @@ def test_first_out_of_bounds_finds_the_first_row_outside(dims, rows):
     want = next((r for r, row in enumerate(rows)
                  if not all(0 <= x < d for x, d in zip(row, dims))), None)
     assert _first_out_of_bounds(idx, dims) == want
+
+
+# What may break a hand-built tensor: a cell entry that is negative, past any dims drawn
+# below, beyond int64 or not an integer; a value that is not finite or not a number.
+_ODD_ENTRIES = st.one_of(st.integers(-3, -1), st.integers(4, 6), st.integers(2**63, 2**65),
+                         st.integers(-2**65, -2**63 - 1), st.floats(), st.none(),
+                         st.text(max_size=1))
+_ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, None, "1.5", [1.0]])
+
+
+@st.composite
+def hand_built(draw):
+    """dims, cells and values for SparseTensor: those of a good tensor with at most one
+    fault, the cells and values as lists or, where numpy reads them as numbers, as arrays."""
+    dims = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    n = draw(st.integers(0, 5))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, d - 1) for d in dims]),
+                          min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(-1e3, 1e3) | st.integers(-3, 3) | st.booleans(),
+                           min_size=n, max_size=n))
+    fault = draw(st.sampled_from([None, "dims", "count", "cell", "ragged", "value"]))
+    at = draw(st.integers(0, n - 1)) if n else None
+    if fault == "dims":
+        dims = draw(st.tuples(*[st.integers(-1, 4)] * 3) | st.just(dims[:2]))
+    elif fault == "count":
+        values.append(1.0)
+    elif fault == "cell" and n:
+        m = draw(st.integers(0, 2))
+        cells[at] = (*cells[at][:m], draw(_ODD_ENTRIES), *cells[at][m + 1:])
+    elif fault == "ragged" and n:
+        cells[at] = cells[at][:draw(st.integers(0, 2))]
+    elif fault == "value" and n:
+        values[at] = draw(_ODD_VALUES)
+    as_arrays = []
+    for given in (cells, values):
+        try:
+            array = np.asarray(given)
+        except (ValueError, OverflowError):
+            array = None
+        use = array is not None and array.dtype.kind in "biuf" and draw(st.booleans())
+        as_arrays.append(array if use else given)
+    return (dims, *as_arrays)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(hand_built())
+@example(((2, 2, 2), [(0, 0, 0), (5, 5, 5)], [1.0, 2.0]))
+@example(((2, 2, 2), np.array([(0, 0, 0), (1, 1, 1)]), np.array([1.0, np.nan])))
+def test_a_sparse_tensor_is_valid_when_made_or_refused_with_a_data_error(case):
+    dims, cells, values = case
+    arrays = [a for a in (cells, values) if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in arrays]
+    try:
+        tensor = SparseTensor(dims, cells, values)
+    except DataError:
+        tensor = None
+    # The caller's arrays are never written, nor made read-only.
+    assert all(a.flags.writeable and a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+    if tensor is None:
+        return
+    idx, vals = tensor.indices, tensor.values
+    assert idx.dtype == np.int64 and idx.shape == (len(tensor), 3)
+    assert vals.dtype == np.float64 and vals.shape == (len(tensor),)
+    assert not idx.flags.writeable and not vals.flags.writeable
+    assert ((0 <= idx) & (idx < np.array(tensor.dims))).all() and np.isfinite(vals).all()
+    observed = len({tuple(c) for c in idx.tolist()})
+    assert len(missing_indices(tensor)) == tensor.n_cells - observed
 
 
 def test_non_finite_value_rejected():
