@@ -2,7 +2,7 @@
 #
 # A single train/test split can flatter or sandbag a model, especially at
 # extreme missing ratios where the training set is tiny.  The benchmark
-# protocol repeats the whole cycle with seeds base_seed, base_seed+1, ...,
+# protocol repeats the whole cycle with seeds hyper.seed, hyper.seed+1, ...,
 # re-randomizing both the partition and the initialization, then reports the
 # mean and sample standard deviation of the held-out RMSE and the training
 # wall time (training only; data loading and scoring are excluded).
@@ -27,11 +27,10 @@ config = ExperimentConfig(
         ranks=Ranks(3, 3, 3),
         gains=PidGains(1.0, 0.0, 0.0),
         max_epochs=60,
-        seed=0,
+        seed=100,  # repeat r splits and trains with seed 100 + r
     ),
     ratios=(0.8, 0.1, 0.1),
     repeats=5,
-    base_seed=100,
 )
 
 # repeats are independent, so they may fan out across worker threads;

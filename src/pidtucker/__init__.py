@@ -34,7 +34,6 @@ from .model import (
     RegWeights,
     TuckerFactors,
     init_factors,
-    instance_error,
     instance_gradient,
     load_checkpoint,
     predict,
@@ -85,7 +84,6 @@ __all__ = [
     "generate_synthetic",
     "identity_mapping",
     "init_factors",
-    "instance_error",
     "instance_gradient",
     "load_checkpoint",
     "load_csv",

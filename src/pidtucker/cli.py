@@ -117,7 +117,7 @@ _COMMAND_KEYS = {
         **_SCHEMA_KEYS,
         **_HYPER_KEYS,
         "repeats": (int, ExperimentConfig.repeats),
-        "base-seed": (int, ExperimentConfig.base_seed),
+        "base-seed": (int, Hyperparams.seed),  # repeat r's seed is base-seed + r
         "jobs": (int, 1),
     },
     "synth": {
@@ -232,10 +232,9 @@ def cmd_train(cfg: dict, rundir: Path) -> None:
 def cmd_benchmark(cfg: dict, rundir: Path) -> None:
     tensor, _mapping = load_csv(cfg["data"], _schema_from(cfg))
     experiment = ExperimentConfig(
-        hyper=_hyper_from(cfg),
+        hyper=_hyper_from(cfg, seed=cfg["base-seed"]),
         ratios=cfg["ratios"],
         repeats=cfg["repeats"],
-        base_seed=cfg["base-seed"],
     )
     summary = run_experiment(tensor, experiment, jobs=cfg["jobs"])
     write_summary_json(summary, rundir / "summary.json")

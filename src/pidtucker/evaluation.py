@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .datasets import _write_json
-from .errors import DataError, DivergenceError, _check_int, _check_type
+from .errors import DivergenceError, _check_int, _check_type
 from .model import rmse
 from .solver import Hyperparams, train
 from .sparse import SparseTensor, split
@@ -15,17 +15,16 @@ from .sparse import SparseTensor, split
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Protocol for repeated evaluation: re-split, re-train, re-test per repeat."""
+    """Protocol for repeated evaluation: re-split, re-train, re-test per repeat, with
+    repeat r seeded hyper.seed + r (run_experiment)."""
 
     hyper: Hyperparams
     ratios: tuple[float, float, float] = (0.08, 0.02, 0.90)
     repeats: int = 20
-    base_seed: int = 0
 
     def __post_init__(self):
         _check_type("hyper", self.hyper, Hyperparams)
         _check_int("repeats", self.repeats, 1)
-        _check_int("base_seed", self.base_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -62,25 +61,25 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
                    jobs: int = 1) -> ExperimentSummary:
     """Run `repeats` independent split/train/test rounds and aggregate test RMSE.
 
-    Repeat r uses seed base_seed + r for both the split and the model
+    Repeat r uses seed cfg.hyper.seed + r for both the split and the model
     initialization.  A repeat's seconds are its TrainReport.seconds, which
-    count training only.  A failing repeat is recorded with its error message
-    and does not abort the others.  Results are deterministic for a fixed
-    (tensor, cfg) regardless of `jobs`, which must be >= 1.
+    count training only.  A repeat that diverges is recorded with its message
+    and does not abort the others.  Any other error stops the run: split's
+    DataError depends on no seed, so it comes before any repeat trains.
+    Results are deterministic for a fixed (tensor, cfg) regardless of `jobs`,
+    which must be >= 1.
     """
     _check_int("jobs", jobs, 1)
 
     def one(r: int) -> RepeatResult:
-        seed = cfg.base_seed + r
+        seed = cfg.hyper.seed + r
+        parts = split(tensor, cfg.ratios, seed)
         try:
-            parts = split(tensor, cfg.ratios, seed)
-            hyper = replace(cfg.hyper, seed=seed)
-            f, report = train(tensor, parts, hyper)
-            test_rmse = rmse(f, tensor.indices[parts.test], tensor.values[parts.test])
-            return RepeatResult(r, seed, test_rmse, report.epochs_run, report.seconds)
-        except (DataError, DivergenceError) as exc:
-            return RepeatResult(r, seed, None, None, None,
-                                error=f"{type(exc).__name__}: {exc}")
+            f, report = train(tensor, parts, replace(cfg.hyper, seed=seed))
+        except DivergenceError as exc:
+            return RepeatResult(r, seed, None, None, None, error=f"DivergenceError: {exc}")
+        test_rmse = rmse(f, tensor.indices[parts.test], tensor.values[parts.test])
+        return RepeatResult(r, seed, test_rmse, report.epochs_run, report.seconds)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor  # not loaded by jobs=1 runs

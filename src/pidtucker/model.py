@@ -81,7 +81,7 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return [a.reshape(s) for a, s in zip(np.split(flat, ends), shapes)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuckerFactors:
     """Model parameters, held in one block.
 
@@ -111,10 +111,10 @@ class TuckerFactors:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     biases: tuple[np.ndarray, np.ndarray, np.ndarray]
     mean: float
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(init=False, repr=False)
     # The kernel's view of params (_kernel.handle), or None when the kernel
     # did not load and the numpy reference runs.
-    _kernel_handle: _kernel._Handle | None = field(init=False, repr=False, compare=False)
+    _kernel_handle: _kernel._Handle | None = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _check_grid(self.dims))
@@ -158,7 +158,7 @@ def _drawn(dims, ranks: Ranks, mean: float, weights, biases) -> TuckerFactors:
                           f"{exc}") from None
 
 
-@dataclass
+@dataclass(eq=False)
 class InstanceGradient:
     """Gradient of one entry's loss summand w.r.t. everything the entry touches."""
 
@@ -316,11 +316,6 @@ def reconstruct_dense(f: TuckerFactors, max_cells: int = 1_000_000) -> np.ndarra
     out += f.biases[1][None, :, None]
     out += f.biases[2][None, None, :]
     return out
-
-
-def instance_error(f: TuckerFactors, idx, y: float) -> float:
-    """Residual y - predict(f, idx) for one observed entry."""
-    return float(y) - predict(f, idx)
 
 
 def regularized_loss(f: TuckerFactors, indices, values, reg: RegWeights) -> float:

@@ -80,13 +80,23 @@ class EpochRecord:
 
 @dataclass
 class TrainReport:
-    """Per-epoch trace plus stopping outcome of one training run."""
+    """Whether one training run stopped by validation_converged, and its epochs' records,
+    from which the rest is read (best_epoch: the first of least validation RMSE)."""
 
-    epochs_run: int
     converged: bool
     records: list[EpochRecord]
-    final_val_rmse: float
-    best_epoch: int
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.records)
+
+    @property
+    def final_val_rmse(self) -> float:
+        return self.records[-1].val_rmse
+
+    @property
+    def best_epoch(self) -> int:
+        return self.records[int(np.argmin([r.val_rmse for r in self.records]))].epoch
 
     @property
     def seconds(self) -> float:  # training time: the last epoch's elapsed_s
@@ -94,7 +104,7 @@ class TrainReport:
 
 
 def validation_converged(history, tol: float) -> bool:
-    """Stopping rule: the last two validation errors differ by less than tol."""
+    """Stopping rule: the last two validation errors (all it reads) differ by less than tol."""
     return len(history) >= 2 and abs(history[-1] - history[-2]) < tol
 
 
@@ -179,7 +189,6 @@ def train(tensor: SparseTensor, data_split: DataSplit,
     gains = hyper.gains
     clamp = hyper.error_clamp
     records: list[EpochRecord] = []
-    val_history: list[float] = []
     converged = False
 
     for epoch in range(1, hyper.max_epochs + 1):
@@ -203,20 +212,11 @@ def train(tensor: SparseTensor, data_split: DataSplit,
         val_rmse = rmse(f, val_idx, val_y)
         records.append(EpochRecord(epoch, train_loss, val_rmse,
                                    time.perf_counter() - start))
-        val_history.append(val_rmse)
-        if validation_converged(val_history, hyper.tol):
+        if validation_converged([r.val_rmse for r in records[-2:]], hyper.tol):
             converged = True
             break
 
-    best_epoch = 1 + int(np.argmin([r.val_rmse for r in records]))
-    report = TrainReport(
-        epochs_run=len(records),
-        converged=converged,
-        records=records,
-        final_val_rmse=records[-1].val_rmse,
-        best_epoch=best_epoch,
-    )
-    return f, report
+    return f, TrainReport(converged, records)
 
 
 def write_trace(report: TrainReport, path) -> None:

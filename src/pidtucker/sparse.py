@@ -22,13 +22,14 @@ from .errors import DataError, _check_int
 RATIO_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseTensor:
     """Observed entries of a 3-mode tensor: int64 cells inside dims, finite values.
 
     Construction takes dims through _check_grid and indices and values through
     _entries, raises DataError naming the first entry with a cell outside dims or
     a non-finite value, and keeps read-only views (no copies) of what it checked.
+    It compares and hashes by identity (eq=False), as every class holding arrays does.
 
     Attributes:
         dims: (|I|, |J|, |K|) mode sizes.
@@ -65,7 +66,7 @@ class SparseTensor:
         return len(self) / self.n_cells
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataSplit:
     """Disjoint train/validation/test positions into a SparseTensor's entries (_check_split)."""
 
@@ -212,9 +213,9 @@ def from_records(dims, records) -> SparseTensor:
 
     Raises DataError naming the offending record for one that is not four
     fields, indices _cells rejects, or a value that is not a real number (a
-    bool is one; a string or None is not); SparseTensor's DataError for dims,
-    a cell out of bounds or a non-finite value; and DataError for duplicate
-    coordinates, naming both record positions.
+    bool is one; a string or None is not) or is beyond float64; SparseTensor's
+    DataError for dims, a cell out of bounds or a non-finite value; and
+    DataError for duplicate coordinates, naming both record positions.
     """
     records = list(records)
     n = len(records)
@@ -231,7 +232,10 @@ def from_records(dims, records) -> SparseTensor:
             raise DataError(f"record {pos} has index {(i, j, k)}: {exc}") from None
         if not isinstance(v, numbers.Real):
             raise DataError(f"record {pos} has value {v!r}, not a real number")
-        values[pos] = v
+        try:
+            values[pos] = v
+        except OverflowError as exc:  # an integer beyond every double
+            raise DataError(f"record {pos} has a value float64 cannot hold ({exc})") from None
 
     tensor = SparseTensor(dims, indices, values)
     dup = _first_duplicate(np.ravel_multi_index(tensor.indices.T, tensor.dims))

@@ -804,6 +804,14 @@ def _nan_ratios(tmp_path):
         "train", "--data", "d.csv", "--ratios", "nan,0.5,0.5"]
 
 
+def _benchmark_ratios_over_one(tmp_path):
+    """Every repeat would split at these ratios, so the run stops at the first."""
+    _small_csv(tmp_path)
+    return 3, "data error: ratios must sum to 1, got sum 1.5", [
+        "benchmark", "--data", "d.csv", "--slots-per-day", "5", "--ratios", "0.5,0.5,0.5",
+        "--repeats", "2"]
+
+
 def _small_csv(tmp_path):
     """d.csv holding every cell of segments s0-s3, days d0-d2 and slots 0-4."""
     rows = [f"s{i},d{j},{k},{1.0 + i + j + k}" for i in range(4) for j in range(3)
@@ -928,7 +936,7 @@ def _limit_address_space():
 @pytest.mark.parametrize("case", [_non_utf8_data, _oversize_field, _non_utf8_config,
                                   _outdir_under_a_file, _run_name_with_a_slash,
                                   _checkpoint_header_not_an_object, _mapping_nested_too_deep,
-                                  _nan_ratios,
+                                  _nan_ratios, _benchmark_ratios_over_one,
                                   _oversized_ranks("train"), _oversized_ranks("benchmark"),
                                   _oversized_ranks("synth"), _unlistable_grid,
                                   _synth_beyond_a_grid,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -81,8 +82,8 @@ FAST_HYPER = Hyperparams(ranks=Ranks(2, 2, 2), max_epochs=8, tol=1e-12, seed=0)
 
 def test_experiment_single_repeat_reduces_to_one_run(synthetic_fixture):
     tensor, _ = synthetic_fixture
-    cfg = ExperimentConfig(hyper=replace(FAST_HYPER, ranks=Ranks(3, 3, 3)),
-                           repeats=1, base_seed=11)
+    cfg = ExperimentConfig(hyper=replace(FAST_HYPER, ranks=Ranks(3, 3, 3), seed=11),
+                           repeats=1)
     summary = run_experiment(tensor, cfg)
     assert len(summary.results) == 1
     only = summary.results[0]
@@ -93,7 +94,7 @@ def test_experiment_single_repeat_reduces_to_one_run(synthetic_fixture):
 
 def test_experiment_deterministic(synthetic_fixture):
     tensor, _ = synthetic_fixture
-    cfg = ExperimentConfig(hyper=FAST_HYPER, repeats=3, base_seed=5)
+    cfg = ExperimentConfig(hyper=replace(FAST_HYPER, seed=5), repeats=3)
     a = run_experiment(tensor, cfg)
     b = run_experiment(tensor, cfg)
     assert [r.rmse for r in a.results] == [r.rmse for r in b.results]
@@ -102,15 +103,15 @@ def test_experiment_deterministic(synthetic_fixture):
 
 def test_experiment_seed_schedule_concatenates(synthetic_fixture):
     tensor, _ = synthetic_fixture
-    full = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=4, base_seed=2))
-    head = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=2, base_seed=2))
-    tail = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=2, base_seed=4))
+    full = run_experiment(tensor, ExperimentConfig(hyper=replace(FAST_HYPER, seed=2), repeats=4))
+    head = run_experiment(tensor, ExperimentConfig(hyper=replace(FAST_HYPER, seed=2), repeats=2))
+    tail = run_experiment(tensor, ExperimentConfig(hyper=replace(FAST_HYPER, seed=4), repeats=2))
     assert [r.rmse for r in full.results] == [r.rmse for r in head.results] + [r.rmse for r in tail.results]
 
 
 def test_experiment_jobs_match_sequential(synthetic_fixture):
     tensor, _ = synthetic_fixture
-    cfg = ExperimentConfig(hyper=FAST_HYPER, repeats=4, base_seed=0)
+    cfg = ExperimentConfig(hyper=FAST_HYPER, repeats=4)
     seq = run_experiment(tensor, cfg, jobs=1)
     par = run_experiment(tensor, cfg, jobs=4)
     assert [r.rmse for r in seq.results] == [r.rmse for r in par.results]
@@ -127,15 +128,31 @@ def test_experiment_isolates_failed_repeats(synthetic_fixture, monkeypatch):
     def flaky_train(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise DataError("injected failure")
+            raise DivergenceError("injected failure")
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(evaluation_mod, "train", flaky_train)
-    summary = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=3, base_seed=0))
+    summary = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=3))
     assert [r.error is None for r in summary.results] == [True, False, True]
-    assert "injected failure" in summary.results[1].error
+    assert summary.results[1].error == "DivergenceError: injected failure"
     ok = [r.rmse for r in summary.results if r.error is None]
     assert summary.rmse_mean == pytest.approx(float(np.mean(ok)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("ratios, message", [
+    ((0.5, 0.5, 0.5), "ratios must sum to 1, got sum 1.5"),
+    ((0.999, 0.0005, 0.0005), "leaves empty part(s): validation"),
+])
+def test_a_split_the_ratios_refuse_stops_the_run_before_any_repeat_trains(
+        synthetic_fixture, monkeypatch, jobs, ratios, message):
+    tensor, _ = synthetic_fixture
+    trained = []
+    monkeypatch.setattr(evaluation_mod, "train", lambda *args: trained.append(args))
+    cfg = ExperimentConfig(hyper=FAST_HYPER, ratios=ratios, repeats=3)
+    with pytest.raises(DataError, match=re.escape(message)):
+        run_experiment(tensor, cfg, jobs=jobs)
+    assert trained == []
 
 
 def test_a_summary_with_no_successful_repeat_is_strict_json(synthetic_fixture, monkeypatch,
@@ -146,7 +163,7 @@ def test_a_summary_with_no_successful_repeat_is_strict_json(synthetic_fixture, m
         raise DivergenceError("injected failure")
 
     monkeypatch.setattr(evaluation_mod, "train", failing_train)
-    summary = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=2, base_seed=0))
+    summary = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=2))
     assert all(r.error is not None for r in summary.results)
     evaluation_mod.write_summary_json(summary, tmp_path / "summary.json")
 
@@ -161,7 +178,8 @@ def test_a_summary_with_no_successful_repeat_is_strict_json(synthetic_fixture, m
 
 def test_experiment_aggregates_sample_std(synthetic_fixture):
     tensor, _ = synthetic_fixture
-    summary = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=3, base_seed=7))
+    cfg = ExperimentConfig(hyper=replace(FAST_HYPER, seed=7), repeats=3)
+    summary = run_experiment(tensor, cfg)
     vals = [r.rmse for r in summary.results]
     assert summary.rmse_std == pytest.approx(float(np.std(vals, ddof=1)))
 
@@ -169,8 +187,8 @@ def test_experiment_aggregates_sample_std(synthetic_fixture):
 def test_experiment_stability_across_repeats(synthetic_fixture):
     # stability threshold observed in the pilot run for this fixture
     tensor, _ = synthetic_fixture
-    hyper = Hyperparams(ranks=Ranks(3, 3, 3), max_epochs=60, seed=0)
-    summary = run_experiment(tensor, ExperimentConfig(hyper=hyper, repeats=5, base_seed=1))
+    hyper = Hyperparams(ranks=Ranks(3, 3, 3), max_epochs=60, seed=1)
+    summary = run_experiment(tensor, ExperimentConfig(hyper=hyper, repeats=5))
     assert all(r.error is None for r in summary.results)
     assert summary.rmse_std < summary.rmse_mean / 5
 
@@ -178,8 +196,6 @@ def test_experiment_stability_across_repeats(synthetic_fixture):
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(hyper=FAST_HYPER, repeats=0)
-    with pytest.raises(ConfigError, match="base_seed"):
-        ExperimentConfig(hyper=FAST_HYPER, base_seed=-5)
 
 
 def test_summary_files(tmp_path, synthetic_fixture):
@@ -187,7 +203,7 @@ def test_summary_files(tmp_path, synthetic_fixture):
     import json
 
     tensor, _ = synthetic_fixture
-    summary = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=2, base_seed=0))
+    summary = run_experiment(tensor, ExperimentConfig(hyper=FAST_HYPER, repeats=2))
     evaluation_mod.write_summary_json(summary, tmp_path / "summary.json")
     evaluation_mod.write_summary_csv(summary, tmp_path / "summary.csv")
 

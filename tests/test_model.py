@@ -18,7 +18,6 @@ from pidtucker import (
     Ranks,
     RegWeights,
     init_factors,
-    instance_error,
     instance_gradient,
     load_checkpoint,
     predict,
@@ -243,14 +242,21 @@ def test_reconstruct_dense_cap():
 def test_instance_error_basic():
     f = init_factors((2, 2, 2), Ranks(1, 1, 1), mean=10.0, seed=0)
     f.core[:] = 0.0
-    assert instance_error(f, (0, 0, 0), 12.0) == 2.0
-    assert instance_error(f, (0, 0, 0), 10.0) == 0.0
+    assert 12.0 - predict(f, (0, 0, 0)) == 2.0
+    assert 10.0 - predict(f, (0, 0, 0)) == 0.0
 
 
 def test_instance_error_identity_on_zero_model():
     f = init_factors((2, 2, 2), Ranks(1, 1, 1), mean=0.0, seed=0)
     f.core[:] = 0.0
-    assert instance_error(f, (1, 1, 1), 7.0234) == 7.0234
+    assert 7.0234 - predict(f, (1, 1, 1)) == 7.0234
+
+
+def test_factors_and_gradients_compare_and_hash_by_identity():
+    a, b = init_factors((2, 2, 2), Ranks(1, 1, 1)), init_factors((2, 2, 2), Ranks(1, 1, 1))
+    assert a != b and a == a and len({a, a, b}) == 2
+    g = instance_gradient(a, (0, 0, 0), 1.0, RegWeights())
+    assert g != instance_gradient(a, (0, 0, 0), 1.0, RegWeights()) and len({g, g}) == 1
 
 
 def test_loss_zero_model_single_entry():
@@ -357,7 +363,7 @@ def test_gradient_matches_finite_differences(seed):
     idx = (int(rng.integers(4)), int(rng.integers(3)), int(rng.integers(5)))
     y = float(rng.normal())
     reg = RegWeights(0.01, 0.01, 0.01)
-    err = instance_error(f, idx, y)
+    err = y - predict(f, idx)
     g = instance_gradient(f, idx, err, reg)
     rows, core, biases = fd_gradient(f, idx, y, reg)
     for got, want in zip(g.rows, rows):

@@ -154,11 +154,21 @@ def test_dims_are_checked_before_they_are_converted(dims):
     (7, "record 1 is 7, not (i, j, k, value)"),
     ((0, 1, 0, "x"), "record 1 has value 'x', not a real number"),
     ((0, 1, 0, None), "record 1 has value None, not a real number"),
-    ((0, 1, 0, "1.5"), "record 1 has value '1.5', not a real number")])
+    ((0, 1, 0, "1.5"), "record 1 has value '1.5', not a real number"),
+    ((0, 1, 0, 10**400),
+     "record 1 has a value float64 cannot hold (int too large to convert to float)")])
 def test_a_record_of_the_wrong_shape_or_value_is_named(record, message):
     with pytest.raises(DataError) as exc:
         from_records((2, 2, 2), [(0, 0, 0, 1.0), record])
     assert str(exc.value) == message
+
+
+def test_tensors_and_splits_compare_and_hash_by_identity():
+    records = [(0, 0, 0, 1.0), (1, 1, 1, 2.0), (0, 1, 1, 3.0), (1, 0, 0, 4.0)]
+    a, b = from_records((2, 2, 2), records), from_records((2, 2, 2), records)
+    assert a != b and a == a and len({a, a, b}) == 2
+    parts = split(a, (0.5, 0.25, 0.25), seed=0), split(a, (0.5, 0.25, 0.25), seed=0)
+    assert parts[0] != parts[1] and parts[0] == parts[0] and len(set(parts)) == 2
 
 
 def test_round_trip_values_exact():
