@@ -33,9 +33,7 @@ config = ExperimentConfig(
     repeats=5,
 )
 
-# repeats are independent, so they may fan out across worker threads;
-# results are identical either way
-summary = run_experiment(tensor, config, jobs=2)
+summary = run_experiment(tensor, config)
 
 print("repeat  seed   test RMSE   epochs   seconds")
 for r in summary.results:

@@ -314,11 +314,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SparseTensor, TuckerFactors
 
 
 def identity_mapping(dims) -> IndexMapping:
-    """Mapping whose original ids are the stringified indices themselves."""
+    """Mapping whose original ids are the stringified indices; DataError as _check_grid's."""
+    dims = _check_grid(dims)
     return IndexMapping(
         segments=tuple(str(i) for i in range(dims[0])),
         days=tuple(str(j) for j in range(dims[1])),
-        slots_per_day=int(dims[2]),
+        slots_per_day=dims[2],
     )
 
 

@@ -57,19 +57,16 @@ def _aggregate(xs: list[float]) -> tuple[float | None, float | None]:
     return mean, std
 
 
-def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
-                   jobs: int = 1) -> ExperimentSummary:
-    """Run `repeats` independent split/train/test rounds and aggregate test RMSE.
+def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig) -> ExperimentSummary:
+    """Run `repeats` split/train/test rounds one after another; aggregate test RMSE.
 
     Repeat r uses seed cfg.hyper.seed + r for both the split and the model
     initialization.  A repeat's seconds are its TrainReport.seconds, which
     count training only.  A repeat that diverges is recorded with its message
     and does not abort the others.  Any other error stops the run: split's
     DataError depends on no seed, so it comes before any repeat trains.
-    Results are deterministic for a fixed (tensor, cfg) regardless of `jobs`,
-    which must be >= 1.
+    Results are deterministic for a fixed (tensor, cfg).
     """
-    _check_int("jobs", jobs, 1)
 
     def one(r: int) -> RepeatResult:
         seed = cfg.hyper.seed + r
@@ -81,18 +78,10 @@ def run_experiment(tensor: SparseTensor, cfg: ExperimentConfig,
         test_rmse = rmse(f, tensor.indices[parts.test], tensor.values[parts.test])
         return RepeatResult(r, seed, test_rmse, report.epochs_run, report.seconds)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not loaded by jobs=1 runs
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(cfg.repeats)))
-    else:
-        results = [one(r) for r in range(cfg.repeats)]
-
+    results = [one(r) for r in range(cfg.repeats)]
     ok = [r for r in results if r.error is None]
-    rmse_mean, rmse_std = _aggregate([r.rmse for r in ok])
-    sec_mean, sec_std = _aggregate([r.seconds for r in ok])
-    return ExperimentSummary(results, rmse_mean, rmse_std, sec_mean, sec_std)
+    return ExperimentSummary(results, *_aggregate([r.rmse for r in ok]),
+                             *_aggregate([r.seconds for r in ok]))
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DataError, _check_real
+from .errors import DataError, _check_int, _check_real
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class PidState:
     __slots__ = ("sum_error", "prev_error")
 
     def __init__(self, n_entries: int):
+        _check_int("n_entries", n_entries, 0)
         self.sum_error = [0.0] * n_entries
         self.prev_error = [0.0] * n_entries
 

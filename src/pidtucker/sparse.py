@@ -258,8 +258,12 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DataSplit:
     and ConfigError unless seed is an integer >= 0.
     """
     _check_int("seed", seed, 0)
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or not all(0 < r < math.inf for r in ratios):
+    try:
+        ratios = tuple(float(r) for r in ratios)
+        ok = len(ratios) == 3 and all(0 < r < math.inf for r in ratios)
+    except (TypeError, ValueError, OverflowError):  # not a sequence of reals
+        ok = False
+    if not ok:
         raise DataError(f"ratios must be three positive reals, got {ratios}")
     if abs(sum(ratios) - 1.0) > RATIO_SUM_TOL:
         raise DataError(f"ratios must sum to 1, got sum {sum(ratios)!r}")

@@ -506,29 +506,39 @@ def test_benchmark_single_repeat(tmp_path):
     assert len(payload["repeats"]) == 1
 
 
-def strip_timing_csv(text):
-    lines = text.splitlines()
-    return [",".join(line.split(",")[:-1]) for line in lines]
+def untimed_summary(rundir):
+    """summary.csv's lines without the seconds column, and summary.json without
+    its timing fields."""
+    csv_lines = [line.rsplit(",", 1)[0]
+                 for line in (rundir / "summary.csv").read_text().splitlines()]
+    payload = json.loads((rundir / "summary.json").read_text())
+    payload.pop("seconds_mean"), payload.pop("seconds_std")
+    for rep in payload["repeats"]:
+        rep.pop("seconds")
+    return csv_lines, payload
+
+
+BENCHMARK_FLAGS = ["--repeats", "2", "--ratios", "0.5,0.2,0.3", "--max-epochs", "5",
+                   "--slots-per-day", "8"]
 
 
 def test_benchmark_rerun_identical_modulo_timing(tmp_path):
     assert run_cli(*synth_args(tmp_path, "s")) == 0
-    data = tmp_path / "s" / "data.csv"
-    common = ["--data", data, "--repeats", "2", "--ratios", "0.5,0.2,0.3",
-              "--max-epochs", "5", "--slots-per-day", "8", "--jobs", "2"]
+    common = ["--data", tmp_path / "s" / "data.csv", *BENCHMARK_FLAGS, "--jobs", "2"]
     assert run_cli("benchmark", "--outdir", tmp_path, "--run-name", "b1", *common) == 0
     assert run_cli("benchmark", "--outdir", tmp_path, "--run-name", "b2", *common) == 0
-    a = strip_timing_csv((tmp_path / "b1" / "summary.csv").read_text())
-    b = strip_timing_csv((tmp_path / "b2" / "summary.csv").read_text())
-    assert a == b
+    assert untimed_summary(tmp_path / "b1") == untimed_summary(tmp_path / "b2")
 
-    ja = json.loads((tmp_path / "b1" / "summary.json").read_text())
-    jb = json.loads((tmp_path / "b2" / "summary.json").read_text())
-    for payload in (ja, jb):
-        payload.pop("seconds_mean"), payload.pop("seconds_std")
-        for rep in payload["repeats"]:
-            rep.pop("seconds")
-    assert ja == jb
+
+def test_benchmark_jobs_is_echoed_and_changes_no_result(tmp_path):
+    assert run_cli(*synth_args(tmp_path, "s")) == 0
+    for jobs in (1, 3):
+        assert run_cli("benchmark", "--outdir", tmp_path, "--run-name", f"j{jobs}",
+                       "--data", tmp_path / "s" / "data.csv", *BENCHMARK_FLAGS,
+                       "--jobs", jobs) == 0
+        config = (tmp_path / f"j{jobs}" / "config.txt").read_text().splitlines()
+        assert f"jobs={jobs}" in config
+    assert untimed_summary(tmp_path / "j1") == untimed_summary(tmp_path / "j3")
 
 
 def pipeline_digests(out):

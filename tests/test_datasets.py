@@ -421,6 +421,16 @@ def test_a_mapping_built_by_hand_is_checked_when_it_is_made(segments, days, slot
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("dims, message", [
+    ((2, 2, 2.5), "dims must be three positive integers, got (2, 2, 2.5)"),
+    ((0, 1, 1), "dims must be three positive integers, got (0, 1, 1)"),
+], ids=["fractional-slots", "no-segments"])
+def test_identity_mapping_refuses_dims_that_cannot_shape_a_grid(dims, message):
+    with pytest.raises(DataError) as exc:
+        identity_mapping(dims)
+    assert str(exc.value) == message
+
+
 def test_missing_indices_names_a_cell_outside_the_dims_of_a_tensor_built_by_hand():
     with pytest.raises(DataError) as exc:  # when it is made, before missing_indices can run
         SparseTensor((2, 2, 2), np.array([(0, 0, 0), (1, 1, 1), (5, 5, 5)]), np.ones(3))

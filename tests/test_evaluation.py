@@ -109,17 +109,6 @@ def test_experiment_seed_schedule_concatenates(synthetic_fixture):
     assert [r.rmse for r in full.results] == [r.rmse for r in head.results] + [r.rmse for r in tail.results]
 
 
-def test_experiment_jobs_match_sequential(synthetic_fixture):
-    tensor, _ = synthetic_fixture
-    cfg = ExperimentConfig(hyper=FAST_HYPER, repeats=4)
-    seq = run_experiment(tensor, cfg, jobs=1)
-    par = run_experiment(tensor, cfg, jobs=4)
-    assert [r.rmse for r in seq.results] == [r.rmse for r in par.results]
-    for jobs in (0, -3):
-        with pytest.raises(ConfigError, match=f"jobs must be an integer >= 1, got {jobs}"):
-            run_experiment(tensor, cfg, jobs=jobs)
-
-
 def test_experiment_isolates_failed_repeats(synthetic_fixture, monkeypatch):
     tensor, _ = synthetic_fixture
     calls = {"n": 0}
@@ -139,19 +128,19 @@ def test_experiment_isolates_failed_repeats(synthetic_fixture, monkeypatch):
     assert summary.rmse_mean == pytest.approx(float(np.mean(ok)))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("ratios, message", [
     ((0.5, 0.5, 0.5), "ratios must sum to 1, got sum 1.5"),
     ((0.999, 0.0005, 0.0005), "leaves empty part(s): validation"),
+    (("a", 1, 1), "ratios must be three positive reals, got ('a', 1, 1)"),
 ])
 def test_a_split_the_ratios_refuse_stops_the_run_before_any_repeat_trains(
-        synthetic_fixture, monkeypatch, jobs, ratios, message):
+        synthetic_fixture, monkeypatch, ratios, message):
     tensor, _ = synthetic_fixture
     trained = []
     monkeypatch.setattr(evaluation_mod, "train", lambda *args: trained.append(args))
     cfg = ExperimentConfig(hyper=FAST_HYPER, ratios=ratios, repeats=3)
     with pytest.raises(DataError, match=re.escape(message)):
-        run_experiment(tensor, cfg, jobs=jobs)
+        run_experiment(tensor, cfg)
     assert trained == []
 
 

@@ -16,13 +16,13 @@ from pidtucker import (
     ExperimentConfig,
     Hyperparams,
     PidGains,
+    PidState,
     Ranks,
     RegWeights,
     SyntheticSpec,
     _kernel,
     generate_synthetic,
     init_factors,
-    run_experiment,
     split,
 )
 
@@ -120,9 +120,7 @@ def numeric_settings():
                        "init_scale", id="init_factors.init_scale")
     yield pytest.param(lambda v: init_factors((2, 2, 2), Ranks(1, 1, 1), seed=v), "int", "seed",
                        id="init_factors.seed")
-    yield pytest.param(lambda v: run_experiment(_tensor(), ExperimentConfig(
-        Hyperparams(max_epochs=1), (0.5, 0.2, 0.3), repeats=1), jobs=v), "int", "jobs",
-                       id="run_experiment.jobs")
+    yield pytest.param(PidState, "int", "n_entries", id="PidState.n_entries")
 
 
 @pytest.mark.parametrize("build, kind, name", numeric_settings())

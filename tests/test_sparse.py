@@ -255,6 +255,14 @@ def test_split_ratio_validation():
                 split(t, ratios, seed=0)
 
 
+@pytest.mark.parametrize("ratios", ["0.6,0.2,0.2", 0.5, ("a", 1, 1)],
+                         ids=["string", "one-real", "not-a-real"])
+def test_split_refuses_ratios_it_cannot_read_as_reals(ratios):
+    with pytest.raises(DataError) as exc:
+        split(_tensor(100), ratios, seed=0)
+    assert str(exc.value) == f"ratios must be three positive reals, got {ratios}"
+
+
 def test_split_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         split(_tensor(100), (0.5, 0.2, 0.3), seed=-1)
