@@ -55,7 +55,8 @@ print(f"split: {len(parts.train)} train / {len(parts.validation)} validation "
 hyper = Hyperparams(
     eta=0.1,
     reg=RegWeights(1e-4, 1e-4, 1e-4),   # light penalties; data is plentiful here
-    gains=PidGains(1.0, 0.0, 0.0),      # plain SGD; demo 02 covers the PID gains
+    gains=PidGains(1.0, 0.0, 0.0),      # plain SGD: the identity adjustment, which
+                                        # train skips; demo 02 covers the PID gains
     ranks=Ranks(3, 3, 3),
     max_epochs=200,
     tol=1e-9,

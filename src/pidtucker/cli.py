@@ -106,7 +106,6 @@ _HYPER_KEYS = {
     "max-epochs": (int, Hyperparams.max_epochs),
     "tol": (float, Hyperparams.tol),
     "init-scale": (float, Hyperparams.init_scale),
-    "plain-sgd": (_bool, Hyperparams.plain_sgd),
 }
 
 _COMMAND_KEYS = {
@@ -137,12 +136,14 @@ _COMMAND_KEYS = {
         "all-missing": (_bool, False),
         "data": (str, None),
         **_SCHEMA_KEYS,
+        "slots-per-day": (int, None),  # the mapping's; a value given must match it
     },
     "evaluate": {
         "checkpoint": (str, ...),
         "mapping": (str, ...),
         "data": (str, ...),
         **_SCHEMA_KEYS,
+        "slots-per-day": (int, None),
     },
 }
 
@@ -199,7 +200,6 @@ def _hyper_from(cfg: dict, **extra) -> Hyperparams:
         max_epochs=cfg["max-epochs"],
         tol=cfg["tol"],
         init_scale=cfg["init-scale"],
-        plain_sgd=cfg["plain-sgd"],
         error_clamp=cfg["error-clamp"],
         **extra,
     )
@@ -270,30 +270,34 @@ def cmd_synth(cfg: dict, rundir: Path) -> None:
 
 
 def _load_model(cfg: dict):
-    """The checkpoint and its mapping, checked against each other before any data is read."""
+    """The checkpoint, its mapping and the CSV schema, checked against each other
+    (--slots-per-day, when set, against the mapping's) before any data is read."""
     factors = load_checkpoint(cfg["checkpoint"])
     mapping = load_mapping(cfg["mapping"])
     _check_mapping(mapping, factors)
-    return factors, mapping
+    if cfg["slots-per-day"] not in (None, mapping.slots_per_day):
+        raise ConfigError(f"--slots-per-day {cfg['slots-per-day']} does not match the "
+                          f"mapping's {mapping.slots_per_day} slots per day")
+    return factors, mapping, _schema_from({**cfg, "slots-per-day": mapping.slots_per_day})
 
 
 def cmd_impute(cfg: dict, rundir: Path) -> None:
     if (cfg["targets"] is None) == (not cfg["all-missing"]):
         raise ConfigError("impute needs exactly one of --targets FILE or --all-missing true")
-    factors, mapping = _load_model(cfg)
+    factors, mapping, schema = _load_model(cfg)
     if cfg["all-missing"]:
         if cfg["data"] is None:
             raise ConfigError("--all-missing requires --data to locate observed cells")
-        tensor, _ = load_csv(cfg["data"], _schema_from(cfg), mapping)
+        tensor, _ = load_csv(cfg["data"], schema, mapping)
         targets = missing_indices(tensor)
     else:
-        targets = read_targets_csv(cfg["targets"], _schema_from(cfg), mapping)
+        targets = read_targets_csv(cfg["targets"], schema, mapping)
     export_imputed(factors, targets, mapping, rundir / "imputed.csv")
 
 
 def cmd_evaluate(cfg: dict, rundir: Path) -> None:
-    factors, mapping = _load_model(cfg)
-    tensor, _ = load_csv(cfg["data"], _schema_from(cfg), mapping)
+    factors, mapping, schema = _load_model(cfg)
+    tensor, _ = load_csv(cfg["data"], schema, mapping)
     score = rmse(factors, tensor.indices, tensor.values)
     _write_json({"rmse": score, "entries": len(tensor)}, rundir / "evaluation.json")
     print(f"rmse={score!r} over {len(tensor)} entries")

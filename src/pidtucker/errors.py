@@ -4,7 +4,7 @@ Every integer setting goes through _check_int and every real one through
 _check_real, the one place each rule and its ConfigError are written; both
 refuse a bool and a string that spells a number.  error_clamp and
 observed_fraction keep ranges of their own and take their values through _real.
-A setting that holds a settings object, or a bool, goes through _check_type.
+A setting that holds a settings object goes through _check_type.
 """
 
 import math

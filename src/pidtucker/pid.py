@@ -5,8 +5,10 @@ adjusted residual fed to the SGD update is
 
     kp * e + ki * (sum of all errors so far, including e) + kd * (e - prev_e)
 
-with a zero previous error on the first call.  Gains (1, 0, 0) make the
-adjustment the identity, recovering plain SGD exactly.
+with a zero previous error on the first call.  Gains (1, 0, 0) with no clamp
+make the adjustment the identity, which is plain SGD, so solver.train skips
+adjust for them.  The skip is exact on the residuals training produces:
+1.0*e + 0.0*total + 0.0*(e - prev) maps only a -0.0 residual to +0.0.
 
 This formula is this package's reading of the paper's "adjusted instance
 error".  The abstract (PAPER.md), the only part of the paper at hand, names

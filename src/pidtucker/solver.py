@@ -1,10 +1,11 @@
 """Sequential SGD training loop with PID residual adjustment and early stopping.
 
 One epoch visits every training entry once, in a seeded shuffled order.  For
-each entry the residual is computed from current parameters, optionally
-PID-adjusted, and all touched parameters are updated simultaneously from
-their pre-update values.  Training stops when the validation RMSE changes by
-less than `tol` between consecutive epochs, or at the epoch cap.
+each entry the residual is computed from current parameters, PID-adjusted,
+and all touched parameters are updated simultaneously from their pre-update
+values.  Gains (1, 0, 0) with no clamp are plain SGD: that adjustment is the
+identity, so train skips it.  Training stops when the validation RMSE changes
+by less than `tol` between consecutive epochs, or at the epoch cap.
 
 Of the three per-entry calls, model.predict and sgd_step run the compiled
 kernels of _kernel.c when the kernel has loaded, else the numpy reference;
@@ -43,7 +44,8 @@ from .sparse import DataSplit, SparseTensor, _check_split
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Everything that determines a training run besides the data itself."""
+    """Everything that determines a training run besides the data itself.
+    Plain SGD is gains=PidGains(1.0, 0.0, 0.0) with error_clamp None."""
 
     eta: float = 0.01
     reg: RegWeights = field(default_factory=RegWeights)
@@ -53,12 +55,10 @@ class Hyperparams:
     tol: float = 1e-5
     init_scale: float = 0.04
     seed: int = 0
-    plain_sgd: bool = False          # bypass the PID adjustment entirely
     error_clamp: float | None = None
 
     def __post_init__(self):
-        for name, cls in (("reg", RegWeights), ("gains", PidGains), ("ranks", Ranks),
-                          ("plain_sgd", bool)):
+        for name, cls in (("reg", RegWeights), ("gains", PidGains), ("ranks", Ranks)):
             _check_type(name, getattr(self, name), cls)
         _check_real("eta", self.eta, positive=True)
         _check_int("max_epochs", self.max_epochs, 1)
@@ -180,7 +180,8 @@ def train(tensor: SparseTensor, data_split: DataSplit,
     mean = float(np.mean(train_val))
     f = init_factors(tensor.dims, hyper.ranks, mean=mean,
                      init_scale=hyper.init_scale, seed=hyper.seed)
-    state = None if hyper.plain_sgd else PidState(n_train)
+    plain = hyper.gains == PidGains(1.0, 0.0, 0.0) and hyper.error_clamp is None
+    state = None if plain else PidState(n_train)  # plain SGD's adjustment is the identity
 
     # Plain-python copies keep the per-entry loop off numpy scalar overhead.
     idx_rows = [tuple(row) for row in train_idx.tolist()]

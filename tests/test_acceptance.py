@@ -206,8 +206,11 @@ def test_criterion_3_pid_degeneracy(tmp_path, synthetic_fixture, fixture_split):
     started = time.perf_counter()
     tensor, _ = synthetic_fixture
     base = Hyperparams(ranks=Ranks(3, 3, 3), max_epochs=50, tol=1e-15, seed=12)
-    f_pid, _ = train(tensor, fixture_split, replace(base, gains=PidGains(1.0, 0.0, 0.0)))
-    f_plain, _ = train(tensor, fixture_split, replace(base, plain_sgd=True))
+    # train skips the identity adjustment of gains (1, 0, 0) with no clamp; an
+    # infinite clamp makes adjust run on every entry without ever binding.
+    plain = replace(base, gains=PidGains(1.0, 0.0, 0.0))
+    f_plain, _ = train(tensor, fixture_split, plain)
+    f_pid, _ = train(tensor, fixture_split, replace(plain, error_clamp=math.inf))
     save_checkpoint(f_pid, tmp_path / "pid.ckpt")
     save_checkpoint(f_plain, tmp_path / "plain.ckpt")
     identical = (tmp_path / "pid.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
@@ -315,7 +318,8 @@ def test_criterion_6_convergence_rate():
     for seed in range(20):
         parts = split(tensor, (0.08, 0.02, 0.90), seed=seed)
         base = replace(CONVERGENCE_TUNED, seed=seed)
-        _, plain_report = train(tensor, parts, replace(base, plain_sgd=True))
+        _, plain_report = train(tensor, parts,
+                                replace(base, gains=PidGains(1.0, 0.0, 0.0), error_clamp=None))
         target = plain_report.final_val_rmse * 1.01
         _, pid_report = train(tensor, parts, base)
         plain_epochs.append(first_epoch_at_or_below(plain_report.records, target))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -158,12 +159,14 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_pid_identity_flags_match_plain_sgd_flag(tmp_path):
+    """Gains 1, 0, 0 with no clamp (adjust skipped) and with an infinite one
+    (adjust run on every entry, never binding) write the same checkpoint."""
     assert run_cli(*synth_args(tmp_path, "s")) == 0
     data = tmp_path / "s" / "data.csv"
-    base = ["--outdir", tmp_path, "--data", data, *TRAIN_FLAGS]
-    assert run_cli("train", "--run-name", "pid", *base,
-                   "--kp", "1", "--ki", "0", "--kd", "0") == 0
-    assert run_cli("train", "--run-name", "plain", *base, "--plain-sgd", "true") == 0
+    base = ["--outdir", tmp_path, "--data", data, *TRAIN_FLAGS, "--kp", "1", "--ki", "0",
+            "--kd", "0"]
+    assert run_cli("train", "--run-name", "pid", *base, "--error-clamp", "inf") == 0
+    assert run_cli("train", "--run-name", "plain", *base) == 0
     pid_bytes = (tmp_path / "pid" / "model.ckpt").read_bytes()
     plain_bytes = (tmp_path / "plain" / "model.ckpt").read_bytes()
     assert pid_bytes == plain_bytes
@@ -287,7 +290,7 @@ def test_impute_writes_ids_that_need_quoting_as_csv_fields(tmp_path):
     assert len(rows) == len(cells) - len(observed)
 
 
-def test_impute_all_missing_takes_slot_count_from_mapping(tmp_path):
+def test_impute_all_missing_takes_slot_count_from_mapping(tmp_path, capsys):
     data, trained = synth_and_train(tmp_path)
     args = ["impute", "--outdir", tmp_path, *model_args(trained),
             "--all-missing", "true", "--data", data]
@@ -295,6 +298,22 @@ def test_impute_all_missing_takes_slot_count_from_mapping(tmp_path):
     assert run_cli(*args, "--run-name", "default") == 0
     given = (tmp_path / "given" / "imputed.csv").read_bytes()
     assert (tmp_path / "default" / "imputed.csv").read_bytes() == given
+    assert "slots-per-day=none" in (tmp_path / "default" / "config.txt").read_text()
+    capsys.readouterr()
+    assert run_cli(*args, "--run-name", "other", "--slots-per-day", "3") == 2
+    assert capsys.readouterr().err == (
+        "config error: --slots-per-day 3 does not match the mapping's 8 slots per day\n")
+    assert not (tmp_path / "other").exists()
+
+
+def test_evaluate_refuses_a_slot_count_other_than_the_mapping_s(tmp_path, capsys):
+    data, trained = synth_and_train(tmp_path)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--outdir", tmp_path, "--run-name", "e", *model_args(trained),
+                   "--data", data, "--slots-per-day", "3") == 2
+    assert capsys.readouterr().err == (
+        "config error: --slots-per-day 3 does not match the mapping's 8 slots per day\n")
+    assert not (tmp_path / "e").exists()
 
 
 def test_evaluate_rejects_duplicate_cell(tmp_path, capsys):
@@ -557,7 +576,8 @@ def pipeline_digests(out):
     fit = ["--data", data, "--ratios", "0.5,0.2,0.3", "--ranks", "4,3,5", "--slots-per-day", "10",
            "--init-scale", "0.5"]
     run("pid", "train", *fit, "--max-epochs", "15", "--seed", "4")
-    run("plain", "train", *fit, "--max-epochs", "15", "--seed", "4", "--plain-sgd", "true")
+    run("plain", "train", *fit, "--max-epochs", "15", "--seed", "4", "--kp", "1", "--ki", "0",
+        "--kd", "0")
     model = ["--checkpoint", out / "pid" / "model.ckpt", "--mapping", out / "pid" / "mapping.json"]
     targets = out / "targets.csv"
     targets.write_text("segment,day,slot\n" + "".join(
@@ -698,7 +718,6 @@ lambda1=0.01
 lambda2=0.01
 lambda3=0.01
 max-epochs=1000
-plain-sgd=false
 ranks=5,5,5
 ratios=0.08,0.02,0.9
 seed=0
@@ -723,7 +742,6 @@ lambda1=0.01
 lambda2=0.01
 lambda3=0.01
 max-epochs=1000
-plain-sgd=false
 ranks=5,5,5
 ratios=0.08,0.02,0.9
 repeats=20
@@ -747,7 +765,7 @@ col-slot=slot
 col-speed=speed
 data=none
 mapping=m.json
-slots-per-day=288
+slots-per-day=none
 targets=none
 """,
     "evaluate": """\
@@ -758,7 +776,7 @@ col-slot=slot
 col-speed=speed
 data=d.csv
 mapping=m.json
-slots-per-day=288
+slots-per-day=none
 """,
 }
 
@@ -768,6 +786,36 @@ def test_config_txt_of_required_options_only(tmp_path, monkeypatch, command):
     monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, rundir: None)
     assert run_cli(command, *GOLDEN_CONFIG[command], "--outdir", tmp_path, "--run-name", "r") == 0
     assert (tmp_path / "r" / "config.txt").read_text() == GOLDEN_CONFIG_TXT[command]
+
+
+# Each Hyperparams field but seed (a key of its own per command), with the
+# train and benchmark keys that set it and a value other than each key's default.
+HYPER_FIELD_KEYS = {
+    "eta": {"eta": "0.02"},
+    "reg": {"lambda1": "0.5", "lambda2": "0.5", "lambda3": "0.5"},
+    "gains": {"kp": "2", "ki": "0.5", "kd": "0.5"},
+    "ranks": {"ranks": "2,3,4"},
+    "max_epochs": {"max-epochs": "7"},
+    "tol": {"tol": "0.5"},
+    "init_scale": {"init-scale": "0.5"},
+    "error_clamp": {"error-clamp": "1"},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_every_training_setting_has_a_key_that_reaches_it(command):
+    """So no key is echoed in config.txt while nothing reads it."""
+    fields = [fld.name for fld in dataclasses.fields(Hyperparams)]
+    assert sorted(HYPER_FIELD_KEYS) == sorted(set(fields) - {"seed"})
+    keys = {key for field_keys in HYPER_FIELD_KEYS.values() for key in field_keys}
+    assert keys | {"ratios"} == set(cli._HYPER_KEYS)
+    required = ["--data", "d.csv"]
+    default = cli._hyper_from(cli._parse([command, *required])[1])
+    for name, field_keys in HYPER_FIELD_KEYS.items():
+        for key, value in field_keys.items():
+            assert key in cli._COMMAND_KEYS[command]
+            hyper = cli._hyper_from(cli._parse([command, *required, f"--{key}", value])[1])
+            assert [f for f in fields if getattr(hyper, f) != getattr(default, f)] == [name]
 
 
 def _non_utf8_data(tmp_path):

@@ -595,12 +595,12 @@ def test_a_non_finite_update_raises_before_the_index_is_checked(backend, err, en
     assert [a.tobytes() for a in arrays(f)] == before
 
 
-def small_run(plain=False, epochs=4):
+def small_run(epochs=4):
     spec = SyntheticSpec((7, 6, 8), Ranks(2, 3, 1), 0.5, noise_sigma=0.01, seed=5)
     tensor, _truth = generate_synthetic(spec)
     parts = split(tensor, (0.7, 0.15, 0.15), seed=2)
     hyper = Hyperparams(eta=0.05, ranks=Ranks(3, 1, 2), max_epochs=epochs, tol=1e-300,
-                        gains=PidGains(1.0, 0.1, 0.1), plain_sgd=plain, seed=4)
+                        gains=PidGains(1.0, 0.1, 0.1), seed=4)
     return train(tensor, parts, hyper)
 
 

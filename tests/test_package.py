@@ -91,10 +91,10 @@ def _tensor():
 
 
 def composite_settings():
-    """(cls, needed, name) for each field of a setting that holds a setting or a bool."""
+    """(cls, needed, name) for each field of a setting that holds a setting."""
     for cls, needed in SETTINGS:
         for fld in dataclasses.fields(cls):
-            if fld.type in {"bool", *(c.__name__ for c, _ in SETTINGS)}:
+            if fld.type in {c.__name__ for c, _ in SETTINGS}:
                 yield pytest.param(cls, needed, fld.name, id=f"{cls.__name__}.{fld.name}")
 
 

@@ -1,4 +1,6 @@
 import copy
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +30,7 @@ from pidtucker import (
     train,
     validation_converged,
 )
+from pidtucker import solver
 
 PLAIN_GAINS = PidGains(1.0, 0.0, 0.0)
 
@@ -150,11 +153,28 @@ def test_train_deterministic():
 
 
 def test_train_pid_identity_matches_plain_sgd_bitwise():
+    """Skipping adjust for gains (1, 0, 0) with no clamp gives the bits of
+    running it on every entry under a clamp that never binds."""
     tensor, parts = small_problem()
-    base = Hyperparams(ranks=Ranks(2, 2, 2), max_epochs=20, tol=1e-12, seed=9)
-    f_pid, _ = train(tensor, parts, replace(base, gains=PLAIN_GAINS, plain_sgd=False))
-    f_plain, _ = train(tensor, parts, replace(base, plain_sgd=True))
+    plain = Hyperparams(ranks=Ranks(2, 2, 2), max_epochs=20, tol=1e-12, seed=9, gains=PLAIN_GAINS)
+    f_pid, _ = train(tensor, parts, replace(plain, error_clamp=math.inf))
+    f_plain, _ = train(tensor, parts, plain)
     assert factors_equal(f_pid, f_plain)
+
+
+@pytest.mark.parametrize("gains, clamp, calls", [
+    (PLAIN_GAINS, None, False), (PLAIN_GAINS, 1.0, True), (PidGains(), None, True),
+    (PidGains(2.0, 0.0, 0.0), None, True)], ids=["plain", "plain-clamped", "default", "kp-2"])
+def test_train_skips_adjust_only_for_the_identity(monkeypatch, gains, clamp, calls):
+    seen = []  # the position of each adjusted entry
+    monkeypatch.setattr(solver, "adjust",
+                        lambda state, gains, pos, e, clamp: seen.append(pos) or e)
+    tensor, parts = small_problem()
+    hyper = Hyperparams(ranks=Ranks(2, 2, 2), max_epochs=3, tol=1e-12, seed=9,
+                        gains=gains, error_clamp=clamp)
+    _, report = train(tensor, parts, hyper)
+    assert report.epochs_run == 3
+    assert Counter(seen) == ({pos: 3 for pos in range(len(parts.train))} if calls else {})
 
 
 def test_train_mean_from_training_entries_only():
